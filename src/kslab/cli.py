@@ -97,7 +97,7 @@ def _cmd_construct(args) -> int:
     for d in data:
         from .functionals import StatePair
         write_snapshot(StatePair(d.u0, d.v0),
-                       os.path.join(out, f"datum_k{d.k:03d}.txt"), h)
+                       os.path.join(out, f"datum_k{d.k:03d}.npz"), h)
     if len(data) >= 3:
         try:
             rep = check_lemma14_sequence(data, tail_start=int(
@@ -199,22 +199,19 @@ def _cmd_constants(args) -> int:
 
 _PLOT_SERIES = """\
 # Plot F(t), D(t), sup_u(t) from a stored series.
-import csv
 import os
 import matplotlib.pyplot as plt
+import numpy as np
 
 here = os.path.dirname(os.path.abspath(__file__))
-rows = []
-with open(os.path.join(here, "series.csv")) as fh:
-    rdr = csv.DictReader(ln for ln in fh if not ln.startswith("#"))
-    rows = [{k: float(v) for k, v in row.items()} for row in rdr]
+with np.load(os.path.join(here, "series.npz"), allow_pickle=False) as z:
+    series = {col: z[col] for col in ("t", "F", "D", "sup_u")}
 
-t = [r["t"] for r in rows]
 fig, axes = plt.subplots(3, 1, sharex=True, figsize=(7, 9))
 for ax, col, label in zip(
     axes, ("F", "D", "sup_u"), ("F(t)", "D(t)", "sup u(t)")
 ):
-    ax.plot(t, [r[col] for r in rows])
+    ax.plot(series["t"], series[col])
     ax.set_ylabel(label)
     if col != "F":
         ax.set_yscale("log")
@@ -230,24 +227,16 @@ _PLOT_PROFILES = """\
 import glob
 import os
 import matplotlib.pyplot as plt
+import numpy as np
 
 KAPPA = %(kappa)s
 here = os.path.dirname(os.path.abspath(__file__))
 
 fig, ax = plt.subplots(figsize=(7, 5))
-for path in sorted(glob.glob(os.path.join(here, "snap_*.txt"))):
-    fields = {}
-    with open(path) as fh:
-        for ln in fh:
-            if ln.startswith("#") or not ln.strip():
-                continue
-            key, _, rest = ln.partition(" ")
-            fields[key] = rest.split()
-    r = [float(x) for x in fields["r"]]
-    v = [float(x) for x in fields["v"]]
-    t = float(fields["t"][0])
-    ax.plot(r, [vi * ri ** KAPPA for ri, vi in zip(r, v)],
-            label=f"t={t:.4g}")
+for path in sorted(glob.glob(os.path.join(here, "snap_*.npz"))):
+    with np.load(path, allow_pickle=False) as z:
+        r, v, t = z["r"], z["v"], float(z["t"])
+    ax.plot(r, v * r ** KAPPA, label=f"t={t:.4g}")
 ax.set_xscale("log")
 ax.set_xlabel("r")
 ax.set_ylabel(f"v(r) r^{KAPPA}")

@@ -1,20 +1,23 @@
-"""Run persistence: series CSV, snapshot text files, verdict and check
-reports as JSON, and a manifest written last.
+"""Run persistence: .npz series and snapshots, JSON verdict and check
+reports, and a manifest written last.
 
 Layout of a run directory:
 
-    config.json      the experiment configuration (with its hash embedded)
-    series.csv       per-step diagnostics, fixed column header
-    snap_00000.txt   self-describing snapshots (n, R, N, t, edges, r, u, v)
-    verdict.json     the BlowupVerdict
-    checks.json      CheckReports, written by the verify step
+    config.json      the experiment configuration
+    series.npz       per-step diagnostics, one float64 array per column
+    snap_00000.npz   self-describing snapshots (n, R, t, edges, r, u, v)
+    verdict.json     the BlowupVerdict and the rejected-step count
+    checks_*.json    CheckReports, one file per verify battery
     manifest.json    inventory with file hashes; written last, atomically
 
 A directory containing manifest.json is complete: everything else is
-written first and the manifest lands via os.replace.  All floats are
-written with 17 significant digits so reload is bit-exact.  Snapshots store
-the cell edges explicitly; rebuilding the grid from them reproduces the
-original quadrature weights bitwise, which center-only storage does not.
+written first and the manifest lands via os.replace.  The .npz files are
+uncompressed, so reload is bit-exact, and embed the config hash; load_run
+refuses any of them, and a config.json, whose hash is not the manifest's.
+They are read with allow_pickle=False: a run directory may come from
+elsewhere.  Snapshots store the cell edges explicitly; rebuilding the grid
+from them reproduces the original quadrature weights bitwise, which
+center-only storage does not.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ import math
 import os
 import tempfile
 import time
+import zipfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__ as _VERSION
-from .config import ExperimentConfig, config_hash, save_config
+from .config import ExperimentConfig, config_hash, load_config, save_config
 from .functionals import StatePair
 from .grid import RadialField, RadialGrid, _grid_from_edges
 from .solver import SERIES_COLUMNS, BlowupVerdict, SolverConfig, Trajectory
@@ -47,11 +51,7 @@ __all__ = [
     "RunData",
 ]
 
-_F = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return _F % float(x)
+_SNAPSHOT_KEYS = ("n", "R", "t", "edges", "r", "u", "v", "config_hash")
 
 
 def _sha256(path: str) -> str:
@@ -62,75 +62,63 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _savez(path: str, **arrays) -> None:
+    # through a file handle, so np.savez does not append ".npz" to the path
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _load_npz(path: str, keys) -> dict:
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if set(z.files) != set(keys):
+                raise ValueError(f"unexpected keys {sorted(z.files)}: {path}")
+            return {k: z[k] for k in z.files}
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"unreadable .npz file {path}: {exc}") from exc
+
+
 def write_series(series: dict, path: str, cfg_hash: str) -> None:
-    cols = [series[name] for name in SERIES_COLUMNS]
-    nrows = len(cols[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for i in range(nrows):
-            fh.write(",".join(_fmt(c[i]) for c in cols) + "\n")
+    _savez(path, config_hash=np.array(cfg_hash), **{
+        name: np.asarray(series[name], dtype=np.float64)
+        for name in SERIES_COLUMNS})
 
 
-def load_series(path: str) -> tuple[dict, Optional[str]]:
+def load_series(path: str) -> tuple[dict, str]:
     """Read a series file; returns (columns, embedded config hash)."""
-    cfg_hash = None
-    lines = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if ln.startswith("#"):
-                if ln.startswith("# config_hash="):
-                    cfg_hash = ln.partition("=")[2].strip()
-                continue
-            lines.append(ln)
-    header = lines[0].strip().split(",")
-    if tuple(header) != SERIES_COLUMNS:
-        raise ValueError(f"unexpected series header {header}")
-    data = np.array(
-        [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    ).reshape(-1, len(SERIES_COLUMNS))
-    cols = {name: data[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
-    return cols, cfg_hash
+    cols = _load_npz(path, (*SERIES_COLUMNS, "config_hash"))
+    return cols, str(cols.pop("config_hash"))
 
 
 def write_snapshot(s: StatePair, path: str, cfg_hash: str) -> None:
     g = s.grid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# radial state snapshot\n")
-        fh.write(f"# config_hash={cfg_hash}\n")
-        fh.write(f"n {g.n}\n")
-        fh.write(f"R {_fmt(g.R)}\n")
-        fh.write(f"N {g.ncells}\n")
-        fh.write(f"t {_fmt(s.t)}\n")
-        for name, vals in (
-            ("edges", g.edges), ("r", g.centers),
-            ("u", s.u.values), ("v", s.v.values),
-        ):
-            fh.write(name + " " + " ".join(_fmt(x) for x in vals) + "\n")
+    _savez(path, n=g.n, R=g.R, t=s.t, edges=g.edges, r=g.centers,
+           u=s.u.values, v=s.v.values, config_hash=np.array(cfg_hash))
+
+
+def _read_snapshot(
+    path: str, grid: Optional[RadialGrid] = None
+) -> tuple[StatePair, str]:
+    """Read a snapshot and its embedded config hash.  `grid` is reused when
+    the stored (n, R, edges) match it bit for bit; otherwise the grid is
+    rebuilt from the stored edges."""
+    f = _load_npz(path, _SNAPSHOT_KEYS)
+    n, R = int(f["n"]), float(f["R"])
+    edges = np.asarray(f["edges"], dtype=np.float64)
+    if edges.ndim != 1 or f["r"].shape != (edges.size - 1,):
+        raise ValueError(f"inconsistent snapshot {path}")
+    if grid is None or not (grid.n == n and grid.R == R
+                            and grid.edges.tobytes() == edges.tobytes()):
+        grid = _grid_from_edges(n, R, edges)
+    if not np.array_equal(grid.centers, f["r"]):
+        raise ValueError(f"snapshot centers do not match rebuilt grid: {path}")
+    state = StatePair(RadialField(grid, f["u"]), RadialField(grid, f["v"]),
+                      float(f["t"]))
+    return state, str(f["config_hash"])
 
 
 def load_snapshot(path: str) -> StatePair:
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if ln.startswith("#") or not ln.strip():
-                continue
-            key, _, rest = ln.partition(" ")
-            fields[key] = rest.strip()
-    n = int(fields["n"])
-    R = float(fields["R"])
-    ncells = int(fields["N"])
-    t = float(fields["t"])
-    edges = np.array([float(x) for x in fields["edges"].split()])
-    r = np.array([float(x) for x in fields["r"].split()])
-    u = np.array([float(x) for x in fields["u"].split()])
-    v = np.array([float(x) for x in fields["v"].split()])
-    if edges.size != ncells + 1 or r.size != ncells:
-        raise ValueError(f"inconsistent snapshot {path}")
-    g = _grid_from_edges(n, R, edges)
-    if not np.array_equal(g.centers, r):
-        raise ValueError(f"snapshot centers do not match rebuilt grid: {path}")
-    return StatePair(RadialField(g, u), RadialField(g, v), t)
+    return _read_snapshot(path)[0]
 
 
 def _write_json(obj, path: str) -> None:
@@ -172,6 +160,7 @@ class RunData:
             u0_l1=g.integrate_values(np.abs(s0.u.values)),
             v0_l1=g.integrate_values(np.abs(s0.v.values)),
             gradv0_l2=math.sqrt(g.integrate_values(vr0 * vr0)),
+            rejected_steps=int(self.manifest["verdict"]["rejected_steps"]),
         )
 
 
@@ -186,16 +175,17 @@ def persist_run(
     save_config(cfg, os.path.join(directory, "config.json"))
     inventory["config.json"] = None
 
-    write_series(traj.series, os.path.join(directory, "series.csv"), h)
-    inventory["series.csv"] = None
+    write_series(traj.series, os.path.join(directory, "series.npz"), h)
+    inventory["series.npz"] = None
 
     for i, snap in enumerate(traj.snapshots):
-        name = f"snap_{i:05d}.txt"
+        name = f"snap_{i:05d}.npz"
         write_snapshot(snap, os.path.join(directory, name), h)
         inventory[name] = None
 
     verdict = _verdict_dict(traj.verdict)
     verdict["config_hash"] = h
+    verdict["rejected_steps"] = traj.rejected_steps
     _write_json(verdict, os.path.join(directory, "verdict.json"))
     inventory["verdict.json"] = None
 
@@ -261,17 +251,25 @@ def load_run(directory: str) -> RunData:
             f"no manifest in {directory}: run directory incomplete")
     with open(man_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    from .config import load_config
+    h = manifest["config_hash"]
     cfg = load_config(os.path.join(directory, "config.json"))
-    series, series_hash = load_series(os.path.join(directory, "series.csv"))
-    if series_hash is not None and series_hash != manifest["config_hash"]:
+    if config_hash(cfg) != h:
         raise ValueError(
-            f"series config hash {series_hash} does not match manifest")
-    snaps = [
-        load_snapshot(os.path.join(directory, name))
-        for name in sorted(manifest["files"])
-        if name.startswith("snap_")
-    ]
+            f"config.json hash {config_hash(cfg)} does not match manifest {h}")
+    series, series_hash = load_series(os.path.join(directory, "series.npz"))
+    if series_hash != h:
+        raise ValueError(
+            f"series config hash {series_hash} does not match manifest {h}")
+    snaps, grid = [], None
+    for name in sorted(manifest["files"]):
+        if not name.startswith("snap_"):
+            continue
+        snap, snap_hash = _read_snapshot(os.path.join(directory, name), grid)
+        if snap_hash != h:
+            raise ValueError(
+                f"{name} config hash {snap_hash} does not match manifest {h}")
+        snaps.append(snap)
+        grid = snap.grid
     with open(os.path.join(directory, "verdict.json"), "r", encoding="utf-8") as fh:
         vd = json.load(fh)
     verdict = BlowupVerdict(

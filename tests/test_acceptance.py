@@ -367,8 +367,8 @@ def test_criterion_10_determinism_and_restart(run4, tmp_path):
     d_a, d_b = tmp_path / "a", tmp_path / "b"
     persist_run(traj, cfg, str(d_a))
     persist_run(rerun, cfg, str(d_b))
-    same_bytes = ((d_a / "series.csv").read_bytes()
-                  == (d_b / "series.csv").read_bytes())
+    same_bytes = ((d_a / "series.npz").read_bytes()
+                  == (d_b / "series.npz").read_bytes())
 
     short = ExperimentConfig(
         name="acc_restart",

@@ -2,10 +2,15 @@
 
 import json
 import os
+import runpy
+import sys
+import types
 
+import numpy as np
 import pytest
 
 from kslab.cli import main
+from kslab.io import load_run
 
 
 @pytest.fixture()
@@ -84,7 +89,7 @@ def test_construct_emits_sequence_table(workdir, capsys):
     assert table[0].startswith("# config_hash=")
     assert table[1].split(",")[:4] == ["k", "r_k", "log_eta", "margin"]
     assert len(table) == 5
-    assert (workdir / "seq" / "datum_k004.txt").exists()
+    assert (workdir / "seq" / "datum_k004.npz").exists()
 
 
 def test_plot_emits_scripts_not_images(workdir):
@@ -94,6 +99,61 @@ def test_plot_emits_scripts_not_images(workdir):
     run_dir = workdir / "clirun"
     assert (run_dir / "plot_series.py").exists()
     assert (run_dir / "plot_profiles.py").exists()
+    assert not list(run_dir.glob("*.png"))
+
+
+class _Axes:
+    """Records plotted curves; every other call is accepted and ignored."""
+
+    def __init__(self):
+        self.curves = []
+
+    def plot(self, x, y, **kwargs):
+        self.curves.append((np.asarray(x), np.asarray(y)))
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+def _stub_pyplot(monkeypatch):
+    figures = []
+
+    def subplots(nrows=1, ncols=1, **kwargs):
+        axes = [_Axes() for _ in range(nrows * ncols)]
+        figures.append(axes)
+        return _Axes(), axes if len(axes) > 1 else axes[0]
+
+    plt = types.ModuleType("matplotlib.pyplot")
+    plt.subplots = subplots
+    mpl = types.ModuleType("matplotlib")
+    mpl.pyplot = plt
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+    return figures
+
+
+def test_plot_scripts_read_stored_run(workdir, monkeypatch, capsys):
+    cfg = write_cfg(workdir)
+    main(["simulate", cfg])
+    run_dir = workdir / "clirun"
+    assert main(["plot", str(run_dir)]) == 0
+    stored = load_run(str(run_dir))
+    figures = _stub_pyplot(monkeypatch)
+
+    runpy.run_path(str(run_dir / "plot_series.py"), run_name="__main__")
+    ((f_ax, d_ax, sup_ax),) = figures
+    for ax, col in ((f_ax, "F"), (d_ax, "D"), (sup_ax, "sup_u")):
+        (t, y), = ax.curves
+        assert np.array_equal(t, stored.series["t"])
+        assert np.array_equal(y, stored.series[col])
+
+    runpy.run_path(str(run_dir / "plot_profiles.py"), run_name="__main__")
+    (ax,) = figures[1]
+    profiles = ax.curves
+    assert len(profiles) == len(stored.snapshots)
+    for (r, y), snap in zip(profiles, stored.snapshots):
+        assert np.array_equal(r, snap.grid.centers)
+        assert np.array_equal(y, snap.v.values * snap.grid.centers ** 2.0)
     assert not list(run_dir.glob("*.png"))
 
 

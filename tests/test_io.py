@@ -1,7 +1,9 @@
 """Config hashing and on-disk run artifacts."""
 
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ def test_output_root_env_override(tmp_path, monkeypatch):
 
 def test_series_round_trip_bitwise(small_run, tmp_path):
     cfg, traj = small_run
-    path = tmp_path / "series.csv"
+    path = tmp_path / "series.npz"
     write_series(traj.series, str(path), config_hash(cfg))
     back, h = load_series(str(path))
     assert h == config_hash(cfg)
@@ -108,11 +110,12 @@ def test_series_round_trip_bitwise(small_run, tmp_path):
 
 def test_series_header_validated(small_run, tmp_path):
     cfg, traj = small_run
-    path = tmp_path / "series.csv"
+    path = tmp_path / "series.npz"
     write_series(traj.series, str(path), config_hash(cfg))
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1].replace("mass_u", "mass_q")
-    path.write_text("\n".join(lines) + "\n")
+    with np.load(str(path)) as z:
+        arrays = {("mass_q" if k == "mass_u" else k): z[k] for k in z.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     with pytest.raises(ValueError):
         load_series(str(path))
 
@@ -120,7 +123,7 @@ def test_series_header_validated(small_run, tmp_path):
 def test_snapshot_round_trip_rebuilds_grid(small_run, tmp_path):
     cfg, traj = small_run
     snap = traj.snapshots[-1]
-    path = tmp_path / "snap.txt"
+    path = tmp_path / "snap.npz"
     write_snapshot(snap, str(path), config_hash(cfg))
     back = load_snapshot(str(path))
     assert back.t == snap.t
@@ -130,10 +133,27 @@ def test_snapshot_round_trip_rebuilds_grid(small_run, tmp_path):
     assert np.all(back.u.grid.weights == snap.u.grid.weights)
 
 
+@pytest.mark.parametrize("damage", ["pickled", "truncated"])
+def test_snapshot_refuses_damaged_file(small_run, tmp_path, damage):
+    cfg, traj = small_run
+    path = tmp_path / "snap.npz"
+    write_snapshot(traj.snapshots[0], str(path), config_hash(cfg))
+    if damage == "pickled":
+        with np.load(str(path)) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["u"] = np.array(list(arrays["u"]), dtype=object)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)   # object arrays are stored pickled
+    else:
+        path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(ValueError):
+        load_snapshot(str(path))
+
+
 def test_snapshot_restart_one_step(small_run, tmp_path):
     cfg, traj = small_run
     snap = traj.snapshots[0]
-    path = tmp_path / "restart.txt"
+    path = tmp_path / "restart.npz"
     write_snapshot(snap, str(path), config_hash(cfg))
     back = load_snapshot(str(path))
     a = step(snap, 1e-4)
@@ -153,7 +173,7 @@ def test_persist_and_load_run(small_run, tmp_path):
     assert man["config_hash"] == config_hash(cfg)
     assert man["status"] == "complete"
     listed = set(man["files"])
-    assert {"config.json", "series.csv", "verdict.json"} <= listed
+    assert {"config.json", "series.npz", "verdict.json"} <= listed
     on_disk = {p for p in os.listdir(out) if p != "manifest.json"}
     assert listed == on_disk
 
@@ -162,6 +182,43 @@ def test_persist_and_load_run(small_run, tmp_path):
     for col in SERIES_COLUMNS:
         assert np.all(back.series[col] == traj.series[col])
     assert len(back.snapshots) == len(traj.snapshots)
+    for a, b in zip(traj.snapshots, back.snapshots):
+        assert b.t == a.t
+        assert np.all(b.u.values == a.u.values)
+        assert np.all(b.v.values == a.v.values)
+    # one grid per loaded run, shared by every snapshot
+    assert all(s.grid is back.snapshots[0].grid for s in back.snapshots)
+    assert np.all(back.snapshots[0].grid.weights == traj.grid.weights)
+
+
+def test_rejected_steps_round_trip(small_run, tmp_path):
+    cfg, traj = small_run
+    out = tmp_path / "run"
+    persist_run(dataclasses.replace(traj, rejected_steps=7), cfg, str(out))
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["rejected_steps"] == 7
+    assert load_run(str(out)).as_trajectory().rejected_steps == 7
+
+
+def test_load_run_rejects_snapshot_from_another_run(small_run, tmp_path):
+    cfg, traj = small_run
+    mine, other = tmp_path / "mine", tmp_path / "other"
+    persist_run(traj, cfg, str(mine))
+    persist_run(traj, small_config("other"), str(other))
+    shutil.copyfile(other / "snap_00001.npz", mine / "snap_00001.npz")
+    with pytest.raises(ValueError, match="snap_00001.npz config hash"):
+        load_run(str(mine))
+
+
+def test_load_run_rejects_config_edited_after_persist(small_run, tmp_path):
+    cfg, traj = small_run
+    out = tmp_path / "run"
+    persist_run(traj, cfg, str(out))
+    edited = json.loads((out / "config.json").read_text())
+    edited["checks"]["kappa"] = 3.0
+    (out / "config.json").write_text(json.dumps(edited))
+    with pytest.raises(ValueError, match="config.json hash"):
+        load_run(str(out))
 
 
 def test_loaded_run_feeds_checks(small_run, tmp_path):
