@@ -36,7 +36,6 @@ from .initial_data import (
     BlowupDatum,
     phi,
     phi_log,
-    choose_eta,
     choose_eta_log,
     lemma14_pair,
     baseline_profiles,
@@ -81,7 +80,7 @@ __all__ = [
     "StatePair", "EnergyReport", "ParamWindow", "energy", "energy_report",
     "dissipation", "residual_f", "residual_g", "theta_exponent",
     "param_window", "lp_norm", "sup_norm", "w12_norm",
-    "Lemma14Recipe", "BlowupDatum", "phi", "phi_log", "choose_eta",
+    "Lemma14Recipe", "BlowupDatum", "phi", "phi_log",
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",
     "SolverConfig", "Trajectory", "BlowupVerdict", "step", "run",

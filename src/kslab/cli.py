@@ -16,14 +16,10 @@ directories resolve against KSLAB_OUT when set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from .config import (
     ExperimentConfig,
@@ -33,8 +29,8 @@ from .config import (
     load_config,
     output_root,
 )
-from .functionals import param_window, theta_exponent
-from .grid import build_grid
+from .functionals import StatePair, param_window
+from .grid import ball_surface_coefficient
 from .initial_data import lemma14_pair
 from .io import load_run, persist_run, write_checks, write_snapshot
 from .solver import run as run_solver
@@ -95,7 +91,6 @@ def _cmd_construct(args) -> int:
                 "%d" % d.k if c == "k" else "%.17g" % getattr(d, c)
                 for c in cols) + "\n")
     for d in data:
-        from .functionals import StatePair
         write_snapshot(StatePair(d.u0, d.v0),
                        os.path.join(out, f"datum_k{d.k:03d}.npz"), h)
     if len(data) >= 3:
@@ -183,8 +178,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_constants(args) -> int:
     n, kappa, p = args.n, args.kappa, args.p
     w = param_window(n=n, p=p, kappa=kappa)
-    vol = w.n  # placeholder to keep linters quiet; recomputed below
-    from .grid import ball_surface_coefficient
     omega = ball_surface_coefficient(n)
     R = args.R
     print(f"n = {n}, kappa = {kappa}, p = {p}, R = {R}")

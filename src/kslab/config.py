@@ -12,10 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .functionals import StatePair, param_window
 from .grid import RadialGrid, build_grid
@@ -85,6 +83,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         solver_d = dict(d.get("solver", {}))
+        unknown = set(solver_d) - {f.name for f in dataclasses.fields(SolverConfig)}
+        if unknown:
+            raise ValueError(f"unknown solver keys {sorted(unknown)}")
         return ExperimentConfig(
             name=str(d.get("name", "run")),
             grid=dict(d["grid"]),

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import RadialField, _derivative_values, _laplacian_values
+from .grid import RadialField
 
 __all__ = [
     "StatePair",
@@ -96,32 +96,22 @@ def _require_positive(vals: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive everywhere")
 
 
-def _energy_pieces(s: StatePair):
-    g = s.grid
-    u = np.asarray(s.u.values, float)
-    v = np.asarray(s.v.values, float)
-    _require_positive(u, "u")
-    _require_positive(v, "v")
-    vr = _derivative_values(g, v, "neumann")
-    grad_v_sq = g.integrate_values(vr * vr)
-    v_sq = g.integrate_values(v * v)
-    uv = g.integrate_values(u * v)
-    entropy = g.integrate_values(u * np.log(np.maximum(u, _ENTROPY_CLAMP)))
-    return grad_v_sq, v_sq, uv, entropy, vr
+def _g_values(g, u, vr):
+    """g = u_r / sqrt(u) - sqrt(u) v_r from a given v_r."""
+    su = np.sqrt(u)
+    return g.derivative(u, "neumann") / su - su * vr
 
 
 def energy(s: StatePair) -> float:
     """The Lyapunov functional F(u, v)."""
-    grad_v_sq, v_sq, uv, entropy, _ = _energy_pieces(s)
-    return 0.5 * grad_v_sq + 0.5 * v_sq - uv + entropy
+    return energy_report(s).F
 
 
 def residual_f(s: StatePair) -> RadialField:
     """f = -Lap v + v - u, the v-equation residual (equals -v_t along solutions)."""
     g = s.grid
     v = np.asarray(s.v.values, float)
-    vals = -_laplacian_values(g, v) + v - np.asarray(s.u.values, float)
-    return RadialField(g, vals)
+    return RadialField(g, -g.laplacian(v) + v - np.asarray(s.u.values, float))
 
 
 def residual_g(s: StatePair) -> RadialField:
@@ -129,23 +119,34 @@ def residual_g(s: StatePair) -> RadialField:
     gr = s.grid
     u = np.asarray(s.u.values, float)
     _require_positive(u, "u")
-    ur = _derivative_values(gr, u, "neumann")
-    vr = _derivative_values(gr, np.asarray(s.v.values, float), "neumann")
-    su = np.sqrt(u)
-    return RadialField(gr, ur / su - su * vr)
+    vr = gr.derivative(np.asarray(s.v.values, float), "neumann")
+    return RadialField(gr, _g_values(gr, u, vr))
 
 
 def dissipation(s: StatePair) -> float:
     """D = ||f||_2^2 + ||g||_2^2 >= 0, the energy dissipation rate."""
-    rep = energy_report(s)
-    return rep.D
+    return energy_report(s).D
 
 
 def energy_report(s: StatePair) -> EnergyReport:
-    grad_v_sq, v_sq, uv, entropy, _ = _energy_pieces(s)
-    f = residual_f(s).values
-    gg = residual_g(s).values
+    return _report_and_vr(s)[0]
+
+
+def _report_and_vr(s: StatePair) -> tuple[EnergyReport, np.ndarray]:
+    """energy_report(s) and the Neumann v_r it was built from: one positivity
+    check and one derivative of v serve F, g and the caller's v_r norms."""
     g = s.grid
+    u = np.asarray(s.u.values, float)
+    v = np.asarray(s.v.values, float)
+    _require_positive(u, "u")
+    _require_positive(v, "v")
+    vr = g.derivative(v, "neumann")
+    grad_v_sq = g.integrate_values(vr * vr)
+    v_sq = g.integrate_values(v * v)
+    uv = g.integrate_values(u * v)
+    entropy = g.integrate_values(u * np.log(np.maximum(u, _ENTROPY_CLAMP)))
+    f = -g.laplacian(v) + v - u
+    gg = _g_values(g, u, vr)
     f2 = g.integrate_values(f * f)
     g2 = g.integrate_values(gg * gg)
     return EnergyReport(
@@ -157,7 +158,7 @@ def energy_report(s: StatePair) -> EnergyReport:
         D=f2 + g2,
         f_norm_sq=f2,
         g_norm_sq=g2,
-    )
+    ), vr
 
 
 def theta_exponent(n: int, kappa: float) -> float:
@@ -192,7 +193,7 @@ def sup_norm(f: RadialField) -> float:
 def w12_norm(f: RadialField) -> float:
     """(||f||_2^2 + ||f_r||_2^2)^{1/2} with a one-sided derivative at the ends."""
     g = f.grid
-    fr = _derivative_values(g, np.asarray(f.values, float), "none")
+    fr = g.derivative(f.values, "none")
     return math.sqrt(
         g.integrate_values(f.values * f.values) + g.integrate_values(fr * fr)
     )

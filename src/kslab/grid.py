@@ -6,9 +6,13 @@ cells with centers r_i = (e_{i-1} + e_i)/2.  The quadrature weight of a cell
 is the exact integral of r^{n-1} over it, so integrals of radial functions
 over the ball are omega_n * sum(w * f) and constants integrate exactly.
 
-Operators come in flux form: the radial Laplacian is the cell average of
-r^{1-n} d/dr (r^{n-1} df/dr) with zero-flux faces at r = 0 and r = R.  The
-face at r = 0 carries area factor 0, so the origin needs no special casing.
+Operators come in flux form and live on the grid, so the solver, the
+functionals, the verifier and io share one discrete calculus: a face
+gradient on the N-1 interior faces, the divergence of face fluxes, and the
+radial Laplacian, the cell average of r^{1-n} d/dr (r^{n-1} df/dr), which
+is the divergence of face_area * face_gradient.  The faces at r = 0 and
+r = R carry zero flux (the r = 0 face has area factor 0 anyway), so the
+origin needs no special casing.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ class RadialGrid:
     centers : array of N cell centers (face midpoints)
     weights : exact integrals of r^{n-1} per cell, (e_i^n - e_{i-1}^n)/n
     omega_n : unit-sphere surface coefficient
+    face_area : e_i^{n-1} at the N-1 interior faces
+    face_dr : center-to-center distance across each interior face
+    lap_lower, lap_diag, lap_upper : flux-form Laplacian coefficients,
+        (lap f)_i = lo_i f_{i-1} + di_i f_i + up_i f_{i+1}
     """
 
     n: int
@@ -54,12 +62,11 @@ class RadialGrid:
     centers: np.ndarray
     weights: np.ndarray
     omega_n: float
-
-    # flux-form Laplacian coefficients, built once in build_grid:
-    # (lap f)_i = lo_i f_{i-1} + di_i f_i + up_i f_{i+1}
-    lap_lower: np.ndarray = field(repr=False, default=None)
-    lap_diag: np.ndarray = field(repr=False, default=None)
-    lap_upper: np.ndarray = field(repr=False, default=None)
+    face_area: np.ndarray = field(repr=False)
+    face_dr: np.ndarray = field(repr=False)
+    lap_lower: np.ndarray = field(repr=False)
+    lap_diag: np.ndarray = field(repr=False)
+    lap_upper: np.ndarray = field(repr=False)
 
     @property
     def ncells(self) -> int:
@@ -73,6 +80,56 @@ class RadialGrid:
     def integrate_values(self, values: np.ndarray) -> float:
         """Integral over the ball of a radial profile sampled at cell centers."""
         return self.omega_n * float(np.dot(self.weights, values))
+
+    def face_gradient(self, vals: np.ndarray) -> np.ndarray:
+        """df/dr on the interior faces, (f_{i+1} - f_i) / face_dr_i."""
+        return (vals[1:] - vals[:-1]) / self.face_dr
+
+    def flux_divergence(self, flux: np.ndarray) -> np.ndarray:
+        """Cell averages of the divergence of a radial flux, given as the
+        area-weighted flux through each interior face; the faces at r = 0
+        and r = R carry none."""
+        out = np.zeros(self.ncells)
+        out[:-1] += flux / self.weights[:-1]
+        out[1:] -= flux / self.weights[1:]
+        return out
+
+    def laplacian(self, vals: np.ndarray) -> np.ndarray:
+        """flux_divergence(face_area * face_gradient(vals)) from the stored
+        coefficients.  Summed diagonal, lower, upper: the order the solver
+        has always stepped with, so stored runs replay bitwise."""
+        out = self.lap_diag * vals
+        out[1:] += self.lap_lower[1:] * vals[:-1]
+        out[:-1] += self.lap_upper[:-1] * vals[1:]
+        return out
+
+    def derivative(self, vals: np.ndarray, bc: str) -> np.ndarray:
+        """df/dr at cell centers, second order on nonuniform grids; see
+        radial_derivative for bc."""
+        r = self.centers
+        out = np.empty_like(vals)
+        dm = self.face_dr[:-1]
+        dp = self.face_dr[1:]
+        # second-order three-point formula on a nonuniform stencil
+        out[1:-1] = (
+            dm * dm * vals[2:] - dp * dp * vals[:-2] + (dp * dp - dm * dm) * vals[1:-1]
+        ) / (dm * dp * (dm + dp))
+        if bc == "neumann":
+            out[0] = 0.0
+            out[-1] = 0.0
+        elif bc == "none":
+            # one-sided second-order at both ends
+            d0, d1 = r[1] - r[0], r[2] - r[0]
+            out[0] = (
+                -(d1 * d1 - d0 * d0) * vals[0] + d1 * d1 * vals[1] - d0 * d0 * vals[2]
+            ) / (d0 * d1 * (d1 - d0))
+            e0, e1 = r[-1] - r[-2], r[-1] - r[-3]
+            out[-1] = (
+                (e1 * e1 - e0 * e0) * vals[-1] - e1 * e1 * vals[-2] + e0 * e0 * vals[-3]
+            ) / (e0 * e1 * (e1 - e0))
+        else:
+            raise ValueError(f"bc must be 'none' or 'neumann', got {bc!r}")
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,9 +193,9 @@ def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
     # flux-form Laplacian: faces carry area factor e^{n-1}, zero-flux at both
     # ends (the r = 0 face has zero area anyway, r = R face is Neumann).
     nc = centers.size
-    face_area = edges[1:-1] ** (n - 1)          # interior faces only
-    dr = np.diff(centers)                        # center-to-center distances
-    trans = face_area / dr                       # face transmissibility
+    face_area = edges[1:-1] ** (n - 1)
+    face_dr = np.diff(centers)
+    trans = face_area / face_dr                  # face transmissibility
     lo = np.zeros(nc)
     di = np.zeros(nc)
     up = np.zeros(nc)
@@ -147,45 +204,18 @@ def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
     di[:-1] -= trans / weights[:-1]
     di[1:] -= trans / weights[1:]
 
-    for arr in (edges, centers, weights, lo, di, up):
+    for arr in (edges, centers, weights, face_area, face_dr, lo, di, up):
         arr.setflags(write=False)
     return RadialGrid(
         n=n, R=float(R), edges=edges, centers=centers, weights=weights,
-        omega_n=ball_surface_coefficient(n),
-        lap_lower=lo, lap_diag=di, lap_upper=up,
+        omega_n=ball_surface_coefficient(n), face_area=face_area,
+        face_dr=face_dr, lap_lower=lo, lap_diag=di, lap_upper=up,
     )
 
 
 def integrate(f: RadialField) -> float:
     """Integral of f over the ball, omega_n * int_0^R f(r) r^{n-1} dr."""
     return f.grid.integrate_values(f.values)
-
-
-def _derivative_values(grid: RadialGrid, vals: np.ndarray, bc: str) -> np.ndarray:
-    r = grid.centers
-    out = np.empty_like(vals)
-    dm = r[1:-1] - r[:-2]
-    dp = r[2:] - r[1:-1]
-    # second-order three-point formula on a nonuniform stencil
-    out[1:-1] = (
-        dm * dm * vals[2:] - dp * dp * vals[:-2] + (dp * dp - dm * dm) * vals[1:-1]
-    ) / (dm * dp * (dm + dp))
-    if bc == "neumann":
-        out[0] = 0.0
-        out[-1] = 0.0
-    elif bc == "none":
-        # one-sided second-order at both ends
-        d0, d1 = r[1] - r[0], r[2] - r[0]
-        out[0] = (
-            -(d1 * d1 - d0 * d0) * vals[0] + d1 * d1 * vals[1] - d0 * d0 * vals[2]
-        ) / (d0 * d1 * (d1 - d0))
-        e0, e1 = r[-1] - r[-2], r[-1] - r[-3]
-        out[-1] = (
-            (e1 * e1 - e0 * e0) * vals[-1] - e1 * e1 * vals[-2] + e0 * e0 * vals[-3]
-        ) / (e0 * e1 * (e1 - e0))
-    else:
-        raise ValueError(f"bc must be 'none' or 'neumann', got {bc!r}")
-    return out
 
 
 def radial_derivative(f: RadialField, bc: str = "none") -> RadialField:
@@ -195,14 +225,7 @@ def radial_derivative(f: RadialField, bc: str = "none") -> RadialField:
     matching the boundary behavior of the states evolved by the solver.
     bc = 'none' uses one-sided stencils there instead.
     """
-    return RadialField(f.grid, _derivative_values(f.grid, np.asarray(f.values, float), bc))
-
-
-def _laplacian_values(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
-    out = grid.lap_diag * vals
-    out[:-1] += grid.lap_upper[:-1] * vals[1:]
-    out[1:] += grid.lap_lower[1:] * vals[:-1]
-    return out
+    return RadialField(f.grid, f.grid.derivative(f.values, bc))
 
 
 def laplacian_radial(f: RadialField) -> RadialField:
@@ -211,4 +234,4 @@ def laplacian_radial(f: RadialField) -> RadialField:
     Cell values are flux divergences, so integrate(laplacian_radial(f)) = 0
     to machine precision by telescoping.
     """
-    return RadialField(f.grid, _laplacian_values(f.grid, np.asarray(f.values, float)))
+    return RadialField(f.grid, f.grid.laplacian(f.values))

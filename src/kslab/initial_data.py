@@ -47,13 +47,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .functionals import StatePair, param_window
+from .functionals import StatePair
 from .grid import RadialField, RadialGrid, integrate
 
 __all__ = [
     "phi",
     "phi_log",
-    "choose_eta",
     "choose_eta_log",
     "Lemma14Recipe",
     "BlowupDatum",
@@ -183,61 +182,23 @@ def choose_eta_log(r_k: float, k: float, n: int, R: float) -> tuple[float, float
     return lo, value(lo) - k
 
 
-def choose_eta(r_k: float, k: float, n: int, R: float) -> float:
-    """The depth parameter eta_k in (0, R^2) as a float.
-
-    Raises if the mathematically valid eta_k underflows float64 (use
-    choose_eta_log and the log-space pipeline in that regime).
-    """
-    log_eta, _ = choose_eta_log(r_k, k, n, R)
-    eta = math.exp(log_eta)
-    if eta == 0.0:
-        raise ValueError(
-            f"eta_k for r_k={r_k}, k={k} is below the smallest positive "
-            "float64; it exists only in log space (choose_eta_log)"
-        )
-    return eta
-
-
-def _interp_fn(field: RadialField) -> Callable[[float], float]:
-    r = field.grid.centers
-    v = field.values
-
-    def f(x):
-        return float(np.interp(x, r, v))
-
-    return f
-
-
-def _derivative_fn_from(fn: Callable[[float], float], R: float) -> Callable[[float], float]:
-    h = 1e-6 * R
-
-    def fp(x):
-        lo = max(x - h, 0.0)
-        hi = min(x + h, R)
-        return (fn(hi) - fn(lo)) / (hi - lo)
-
-    return fp
-
-
 @dataclass
 class Lemma14Recipe:
     """Baseline pair plus the exponents and radius rule of the construction.
 
     base_u / base_v are positive radial fields on the grid the data will be
-    sampled on.  For quadrature-grade evaluation the analytic baselines can
-    be passed as callables (u_fn, v_fn, v_prime_fn); otherwise linear
-    interpolants of the fields are used.
+    sampled on; u_fn, v_fn and v_prime_fn are the same baselines (and v')
+    as callables, which the quadratures evaluate.
     """
 
     base_u: RadialField
     base_v: RadialField
     p: float
+    u_fn: Callable[[float], float]
+    v_fn: Callable[[float], float]
+    v_prime_fn: Callable[[float], float]
     alpha: Optional[float] = None
     r_rule: Optional[Callable[[int], float]] = None
-    u_fn: Optional[Callable[[float], float]] = None
-    v_fn: Optional[Callable[[float], float]] = None
-    v_prime_fn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         g = self.base_u.grid
@@ -255,12 +216,6 @@ class Lemma14Recipe:
         if self.r_rule is None:
             R = g.R
             self.r_rule = lambda k: (R / 2.0) * 2.0 ** (-k)
-        if self.u_fn is None:
-            self.u_fn = _interp_fn(self.base_u)
-        if self.v_fn is None:
-            self.v_fn = _interp_fn(self.base_v)
-        if self.v_prime_fn is None:
-            self.v_prime_fn = _derivative_fn_from(self.v_fn, g.R)
 
     @property
     def grid(self) -> RadialGrid:

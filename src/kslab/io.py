@@ -13,7 +13,8 @@ Layout of a run directory:
 A directory containing manifest.json is complete: everything else is
 written first and the manifest lands via os.replace.  The .npz files are
 uncompressed, so reload is bit-exact, and embed the config hash; load_run
-refuses any of them, and a config.json, whose hash is not the manifest's.
+refuses any of them, and a config.json, whose hash is not the manifest's,
+and any file it reads whose sha256 is not the one the manifest lists.
 They are read with allow_pickle=False: a run directory may come from
 elsewhere.  Snapshots store the cell edges explicitly; rebuilding the grid
 from them reproduces the original quadrature weights bitwise, which
@@ -25,21 +26,21 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import tempfile
 import time
 import zipfile
 from dataclasses import dataclass
+from io import BytesIO
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__ as _VERSION
-from .config import ExperimentConfig, config_hash, load_config, save_config
+from .config import ExperimentConfig, config_hash, save_config
 from .functionals import StatePair
 from .grid import RadialField, RadialGrid, _grid_from_edges
-from .solver import SERIES_COLUMNS, BlowupVerdict, SolverConfig, Trajectory
+from .solver import SERIES_COLUMNS, BlowupVerdict, Trajectory, initial_norms
 from .verifier import CheckReport
 
 __all__ = [
@@ -68,14 +69,16 @@ def _savez(path: str, **arrays) -> None:
         np.savez(fh, **arrays)
 
 
-def _load_npz(path: str, keys) -> dict:
+def _load_npz(src, keys) -> dict:
+    """Arrays of an .npz path or binary file object holding exactly `keys`."""
+    label = getattr(src, "name", src)
     try:
-        with np.load(path, allow_pickle=False) as z:
+        with np.load(src, allow_pickle=False) as z:
             if set(z.files) != set(keys):
-                raise ValueError(f"unexpected keys {sorted(z.files)}: {path}")
+                raise ValueError(f"unexpected keys {sorted(z.files)}: {label}")
             return {k: z[k] for k in z.files}
     except (zipfile.BadZipFile, EOFError) as exc:
-        raise ValueError(f"unreadable .npz file {path}: {exc}") from exc
+        raise ValueError(f"unreadable .npz file {label}: {exc}") from exc
 
 
 def write_series(series: dict, path: str, cfg_hash: str) -> None:
@@ -84,8 +87,9 @@ def write_series(series: dict, path: str, cfg_hash: str) -> None:
         for name in SERIES_COLUMNS})
 
 
-def load_series(path: str) -> tuple[dict, str]:
-    """Read a series file; returns (columns, embedded config hash)."""
+def load_series(path) -> tuple[dict, str]:
+    """Read a series file (a path or a binary file object); returns
+    (columns, embedded config hash)."""
     cols = _load_npz(path, (*SERIES_COLUMNS, "config_hash"))
     return cols, str(cols.pop("config_hash"))
 
@@ -96,13 +100,12 @@ def write_snapshot(s: StatePair, path: str, cfg_hash: str) -> None:
            u=s.u.values, v=s.v.values, config_hash=np.array(cfg_hash))
 
 
-def _read_snapshot(
-    path: str, grid: Optional[RadialGrid] = None
-) -> tuple[StatePair, str]:
-    """Read a snapshot and its embedded config hash.  `grid` is reused when
-    the stored (n, R, edges) match it bit for bit; otherwise the grid is
-    rebuilt from the stored edges."""
-    f = _load_npz(path, _SNAPSHOT_KEYS)
+def _read_snapshot(src, grid: Optional[RadialGrid] = None) -> tuple[StatePair, str]:
+    """Read a snapshot (a path or a binary file object) and its embedded
+    config hash.  `grid` is reused when the stored (n, R, edges) match it
+    bit for bit; otherwise the grid is rebuilt from the stored edges."""
+    path = getattr(src, "name", src)
+    f = _load_npz(src, _SNAPSHOT_KEYS)
     n, R = int(f["n"]), float(f["R"])
     edges = np.asarray(f["edges"], dtype=np.float64)
     if edges.ndim != 1 or f["r"].shape != (edges.size - 1,):
@@ -150,17 +153,12 @@ class RunData:
 
     def as_trajectory(self) -> Trajectory:
         """Rebuild a Trajectory equivalent for the verifier checks."""
-        from .grid import _derivative_values
         s0 = self.snapshots[0]
-        g = s0.grid
-        vr0 = _derivative_values(g, np.asarray(s0.v.values, float), "neumann")
         return Trajectory(
-            grid=g, config=self.config.solver, series=self.series,
+            grid=s0.grid, config=self.config.solver, series=self.series,
             snapshots=self.snapshots, verdict=self.verdict,
-            u0_l1=g.integrate_values(np.abs(s0.u.values)),
-            v0_l1=g.integrate_values(np.abs(s0.v.values)),
-            gradv0_l2=math.sqrt(g.integrate_values(vr0 * vr0)),
             rejected_steps=int(self.manifest["verdict"]["rejected_steps"]),
+            **initial_norms(s0),
         )
 
 
@@ -252,26 +250,49 @@ def load_run(directory: str) -> RunData:
     with open(man_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     h = manifest["config_hash"]
-    cfg = load_config(os.path.join(directory, "config.json"))
+
+    def open_listed(name: str) -> BytesIO:
+        # read once: the bytes parsed are the bytes check_sha256 hashes
+        path = os.path.join(directory, name)
+        with open(path, "rb") as fh:
+            buf = BytesIO(fh.read())
+        buf.name = path
+        return buf
+
+    def check_sha256(name: str, buf: BytesIO) -> None:
+        # runs after the embedded-hash check, so that a file of another run
+        # is reported as such
+        digest = hashlib.sha256(buf.getvalue()).hexdigest()
+        if digest != manifest["files"][name]["sha256"]:
+            raise ValueError(f"{name} sha256 {digest} does not match manifest")
+
+    buf = open_listed("config.json")
+    cfg = ExperimentConfig.from_dict(json.load(buf))
     if config_hash(cfg) != h:
         raise ValueError(
             f"config.json hash {config_hash(cfg)} does not match manifest {h}")
-    series, series_hash = load_series(os.path.join(directory, "series.npz"))
+    check_sha256("config.json", buf)
+    buf = open_listed("series.npz")
+    series, series_hash = load_series(buf)
     if series_hash != h:
         raise ValueError(
             f"series config hash {series_hash} does not match manifest {h}")
+    check_sha256("series.npz", buf)
     snaps, grid = [], None
     for name in sorted(manifest["files"]):
         if not name.startswith("snap_"):
             continue
-        snap, snap_hash = _read_snapshot(os.path.join(directory, name), grid)
+        buf = open_listed(name)
+        snap, snap_hash = _read_snapshot(buf, grid)
         if snap_hash != h:
             raise ValueError(
                 f"{name} config hash {snap_hash} does not match manifest {h}")
+        check_sha256(name, buf)
         snaps.append(snap)
         grid = snap.grid
-    with open(os.path.join(directory, "verdict.json"), "r", encoding="utf-8") as fh:
-        vd = json.load(fh)
+    buf = open_listed("verdict.json")
+    vd = json.load(buf)
+    check_sha256("verdict.json", buf)
     verdict = BlowupVerdict(
         outcome=vd["outcome"], t_detect=vd["t_detect"],
         t_extrapolated=vd["t_extrapolated"], trigger=vd["trigger"],

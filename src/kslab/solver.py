@@ -51,14 +51,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .functionals import StatePair, energy_report, lp_norm
-from .grid import RadialField, RadialGrid, _derivative_values
+from .functionals import StatePair, _report_and_vr
+from .grid import RadialField, RadialGrid
 
 __all__ = [
     "SolverConfig",
@@ -103,11 +103,8 @@ class SolverConfig:
     snapshot_every: int = 200
     max_steps: int = 500_000
     gradv_p: float = 1.4
-    scheme: str = "imex"
 
     def __post_init__(self):
-        if self.scheme != "imex":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if not (0 < self.safety <= 1 and self.growth > 1):
@@ -143,52 +140,23 @@ class Trajectory:
     rejected_steps: int = 0
 
 
-class _Workspace:
-    """Per-grid constants for the banded solves."""
-
-    def __init__(self, grid: RadialGrid):
-        self.grid = grid
-        nc = grid.ncells
-        self.face_area = grid.edges[1:-1] ** (grid.n - 1)
-        self.dr = np.diff(grid.centers)
-        # ab-layout pieces of (I - dt*Lap): filled per step
-        self.ab = np.zeros((3, nc))
-        self.up = -grid.lap_upper
-        self.lo = -grid.lap_lower
-        self.di = -grid.lap_diag
-
-
-def _face_velocity(ws: _Workspace, v: np.ndarray) -> np.ndarray:
-    return (v[1:] - v[:-1]) / ws.dr
-
-
-def _solve(ws: _Workspace, shift: np.ndarray | float, dt: float, rhs: np.ndarray) -> np.ndarray:
+def _solve(g: RadialGrid, shift: np.ndarray | float, dt: float,
+           rhs: np.ndarray) -> np.ndarray:
     """Solve ((shift) I - dt Lap) x = rhs, shift broadcastable."""
-    ab = ws.ab
-    ab[0, 1:] = dt * ws.up[:-1]
-    ab[1, :] = shift + dt * ws.di
-    ab[2, :-1] = dt * ws.lo[1:]
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=False, check_finite=False)
+    ab = np.zeros((3, g.ncells))
+    ab[0, 1:] = -dt * g.lap_upper[:-1]
+    ab[1, :] = shift - dt * g.lap_diag
+    ab[2, :-1] = -dt * g.lap_lower[1:]
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
 
 
-def _apply_lap(g: RadialGrid, x: np.ndarray) -> np.ndarray:
-    out = g.lap_diag * x
-    out[1:] += g.lap_lower[1:] * x[:-1]
-    out[:-1] += g.lap_upper[:-1] * x[1:]
-    return out
-
-
-def _step_arrays(ws: _Workspace, u: np.ndarray, v: np.ndarray, dt: float):
-    g = ws.grid
-    v_new = _solve(ws, 1.0 + dt, dt, v + dt * u)
-    vel = _face_velocity(ws, v_new)
+def _step_arrays(g: RadialGrid, u: np.ndarray, v: np.ndarray, dt: float):
+    v_new = _solve(g, 1.0 + dt, dt, v + dt * u)
+    vel = g.face_gradient(v_new)
     # upwind: chemotaxis flux u * v_r through each interior face
     upw = np.where(vel >= 0.0, u[:-1], u[1:])
-    flux = ws.face_area * vel * upw
-    div = np.zeros_like(u)
-    div[:-1] += flux / g.weights[:-1]
-    div[1:] -= flux / g.weights[1:]
-    du = _solve(ws, 1.0, dt, dt * (_apply_lap(g, u) - div))
+    div = g.flux_divergence(g.face_area * vel * upw)
+    du = _solve(g, 1.0, dt, dt * (g.laplacian(u) - div))
     return u + du, v_new
 
 
@@ -196,21 +164,19 @@ def step(s: StatePair, dt: float) -> StatePair:
     """One IMEX step of size dt.  Purely a function of (state, dt)."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ws = _Workspace(s.grid)
-    u_new, v_new = _step_arrays(ws, np.asarray(s.u.values, float),
-                                np.asarray(s.v.values, float), dt)
     g = s.grid
+    u_new, v_new = _step_arrays(g, np.asarray(s.u.values, float),
+                                np.asarray(s.v.values, float), dt)
     return StatePair(RadialField(g, u_new), RadialField(g, v_new), s.t + dt)
 
 
-def _cfl_bound(ws: _Workspace, u: np.ndarray, v: np.ndarray) -> float:
+def _cfl_bound(g: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Largest dt for which explicit upwind advection keeps u nonnegative,
     estimated from the current v (the fresh v' can tighten it; the step
     rejection path catches that)."""
-    vel = _face_velocity(ws, v)
-    g = ws.grid
+    vel = g.face_gradient(v)
     out = np.zeros_like(u)
-    fa = ws.face_area
+    fa = g.face_area
     out[:-1] += fa * np.maximum(vel, 0.0) / g.weights[:-1]
     out[1:] += fa * np.maximum(-vel, 0.0) / g.weights[1:]
     mx = np.max(out)
@@ -244,8 +210,7 @@ class _SeriesBuffer:
 
 def _diagnostics_row(s: StatePair, dt: float, gradv_p: float):
     g = s.grid
-    rep = energy_report(s)
-    vr = _derivative_values(g, np.asarray(s.v.values, float), "neumann")
+    rep, vr = _report_and_vr(s)
     gradv = g.integrate_values(np.abs(vr) ** gradv_p) ** (1.0 / gradv_p)
     return (
         s.t, dt,
@@ -256,20 +221,23 @@ def _diagnostics_row(s: StatePair, dt: float, gradv_p: float):
     )
 
 
+def initial_norms(s0: StatePair) -> dict:
+    """The Trajectory fields u0_l1, v0_l1 and gradv0_l2 of a run from s0."""
+    g = s0.grid
+    vr0 = g.derivative(s0.v.values, "neumann")
+    return dict(u0_l1=g.integrate_values(np.abs(s0.u.values)),
+                v0_l1=g.integrate_values(np.abs(s0.v.values)),
+                gradv0_l2=math.sqrt(g.integrate_values(vr0 * vr0)))
+
+
 def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     """Integrate from s0 with adaptive dt until t_end, blow-up detection,
     numerical divergence, or the step budget."""
     g = s0.grid
-    ws = _Workspace(g)
     u = np.asarray(s0.u.values, float)
     v = np.asarray(s0.v.values, float)
     if not _valid(u, v):
         raise ValueError("initial state must be positive and finite")
-
-    vr0 = _derivative_values(g, v, "neumann")
-    u0_l1 = g.integrate_values(np.abs(u))
-    v0_l1 = g.integrate_values(np.abs(v))
-    gradv0_l2 = math.sqrt(g.integrate_values(vr0 * vr0))
     sup0 = float(np.max(u))
 
     buf = _SeriesBuffer()
@@ -285,10 +253,10 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     eps_t = 1e-12 * cfg.t_end
 
     while t < cfg.t_end - eps_t and steps < cfg.max_steps:
-        cfl = _cfl_bound(ws, u, v)
+        cfl = _cfl_bound(g, u, v)
         dt_try = min(dt, cfg.dt_max, cfg.safety * cfl, cfg.t_end - t)
         dt_try = max(dt_try, cfg.dt_min)
-        u_new, v_new = _step_arrays(ws, u, v, dt_try)
+        u_new, v_new = _step_arrays(g, u, v, dt_try)
         if not _valid(u_new, v_new):
             rejected += 1
             if dt_try <= cfg.dt_min * (1.0 + 1e-12):
@@ -341,7 +309,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
             # controller above dt_min: the same footprint as a stall at
             # dt_min.  Otherwise more steps might still settle the run.
             grew = series["sup_u"] >= cfg.blowup_factor * sup0
-            reach = cfg.safety * _cfl_bound(ws, u, v) * cfg.max_steps
+            reach = cfg.safety * _cfl_bound(g, u, v) * cfg.max_steps
             if np.any(grew) and reach < cfg.t_end - t:
                 verdict = BlowupVerdict(
                     outcome="blew_up",
@@ -359,8 +327,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
              verdict.outcome, steps, rejected, t)
     return Trajectory(
         grid=g, config=cfg, series=series, snapshots=snapshots,
-        verdict=verdict, u0_l1=u0_l1, v0_l1=v0_l1, gradv0_l2=gradv0_l2,
-        rejected_steps=rejected,
+        verdict=verdict, rejected_steps=rejected, **initial_norms(s0),
     )
 
 

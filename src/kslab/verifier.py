@@ -25,19 +25,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .functionals import (
     ParamWindow,
     StatePair,
-    energy_report,
+    _report_and_vr,
     param_window,
     theta_exponent,
     w12_norm,
 )
-from .grid import RadialField, _derivative_values
 from .initial_data import BlowupDatum
 from .solver import Trajectory, scheme_tolerance
 
@@ -441,9 +440,8 @@ def _require_admissible(label: str, s: StatePair) -> None:
 
 def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _MemberStats:
     g = s.grid
-    rep = energy_report(s)
+    rep, vr = _report_and_vr(s)
     v = s.v.values
-    vr = _derivative_values(g, np.asarray(v, float), "neumann")
     m = g.integrate_values(s.u.values)
     v_l1 = g.integrate_values(np.abs(v))
     f_l2 = math.sqrt(rep.f_norm_sq)

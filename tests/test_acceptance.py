@@ -272,8 +272,9 @@ def test_criterion_06_blowup_experiment(resolved_runs):
     assert okmono, f"detection times not decreasing in k: {det}"
 
 
-def test_criterion_07_uniform_bounds_along_k20(k_runs):
-    traj = k_runs[20]
+def test_criterion_07_uniform_bounds_along_blowup(resolved_runs):
+    traj = resolved_runs[4][1]
+    assert traj.verdict.outcome == "blew_up", traj.verdict
     t_stop = (traj.verdict.t_detect
               if traj.verdict.outcome == "blew_up" else None)
     rep_v = check_pointwise_bound(traj, 2.0, t_stop=t_stop)
@@ -328,7 +329,7 @@ def test_criterion_08_inequality_suite(run4, spike_table, collapse_run,
     assert all(math.isfinite(v) for v in reread["constants"].values())
 
 
-def test_criterion_09_odi_fit(k_runs, collapse_run):
+def test_criterion_09_odi_fit(resolved_runs, collapse_run):
     theta = theta_exponent(3, 2.0)
     t = np.linspace(0.0, 0.49, 400)
     y = (1.0 - 2.0 * t) ** (-theta / (1.0 - theta))
@@ -344,7 +345,9 @@ def test_criterion_09_odi_fit(k_runs, collapse_run):
     resid = rep.details["fit_residual"]
 
     # informational reports on the real runs
-    for name, traj in (("k=20", k_runs[20]), ("collapse", collapse_run)):
+    blowup = resolved_runs[4][1]
+    assert blowup.verdict.outcome == "blew_up", blowup.verdict
+    for name, traj in (("resolved k=4", blowup), ("collapse", collapse_run)):
         r = check_odi_blowup(traj, theta)
         d = r.details
         print(f"    {name}: fitted C={d.get('fitted_C', float('nan')):.4g} "

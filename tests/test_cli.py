@@ -78,6 +78,17 @@ def test_simulate_bad_config_reports_error(workdir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unknown_solver_key_is_single_error_line(workdir, capsys):
+    # run directories written while SolverConfig had a `scheme` field carry
+    # it in config.json; they are refused with one line, not a traceback
+    cfg = write_cfg(workdir, solver={"t_end": 0.02, "scheme": "imex"})
+    rc = main(["simulate", cfg])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "scheme" in err
+
+
 def test_construct_emits_sequence_table(workdir, capsys):
     cfg = write_cfg(
         workdir, name="seq",

@@ -141,6 +141,16 @@ def test_laplacian_cosine_against_analytic():
     assert errs[0] / errs[1] > 3.0
 
 
+@pytest.mark.parametrize("grading", [1.0, 1.04])
+def test_laplacian_is_divergence_of_face_flux(grading):
+    # the stored coefficients and the face operators are one calculus
+    grid = build_grid(3, 1.0, 80, grading=grading)
+    f = 1.0 + np.random.default_rng(3).random(grid.ncells)
+    lap = grid.laplacian(f)
+    flux = grid.flux_divergence(grid.face_area * grid.face_gradient(f))
+    assert np.max(np.abs(lap - flux)) <= 1e-12 * np.max(np.abs(lap))
+
+
 def test_laplacian_is_conservative():
     # no-flux closure: the weighted sum of the laplacian of anything is zero
     grid = build_grid(3, 1.0, 80, grading=1.04)

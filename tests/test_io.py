@@ -210,6 +210,17 @@ def test_load_run_rejects_snapshot_from_another_run(small_run, tmp_path):
         load_run(str(mine))
 
 
+def test_load_run_rejects_snapshot_overwritten_within_run(small_run, tmp_path):
+    # same config hash inside, different bytes: only the manifest sha256
+    # tells the two snapshots apart
+    cfg, traj = small_run
+    out = tmp_path / "run"
+    persist_run(traj, cfg, str(out))
+    shutil.copyfile(out / "snap_00002.npz", out / "snap_00001.npz")
+    with pytest.raises(ValueError, match="snap_00001.npz sha256"):
+        load_run(str(out))
+
+
 def test_load_run_rejects_config_edited_after_persist(small_run, tmp_path):
     cfg, traj = small_run
     out = tmp_path / "run"

@@ -12,8 +12,11 @@ from kslab import (
     baseline_profiles,
     build_grid,
     detect_blowup,
+    energy_report,
     fit_blowup_time,
+    lp_norm,
     perturbed_constant,
+    radial_derivative,
     run,
     scheme_tolerance,
     step,
@@ -134,6 +137,20 @@ def test_run_reaches_t_end_and_series_shape(grid):
     assert np.all(traj.series["dt"][1:] > 0)
     for col in ("mass_u", "sup_u", "F", "D"):
         assert traj.series[col].size == t.size
+
+
+def test_series_row_zero_matches_public_functionals(grid):
+    # the fused diagnostics pass is the public definitions, bit for bit
+    s0 = perturbed_constant(grid, c=1.0, amplitude=0.3, mode=2)
+    cfg = SolverConfig(t_end=1e-4, dt_init=1e-5, dt_max=1e-4)
+    row = {k: v[0] for k, v in run(s0, cfg).series.items()}
+    rep = energy_report(s0)
+    assert row["F"] == rep.F
+    assert row["D"] == rep.D
+    assert row["f_l2"] == math.sqrt(rep.f_norm_sq)
+    assert row["g_l2"] == math.sqrt(rep.g_norm_sq)
+    assert row["gradv_lp"] == lp_norm(radial_derivative(s0.v, "neumann"),
+                                      cfg.gradv_p)
 
 
 def test_controller_grows_dt_to_cap(grid):
