@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 from .config import (
     ExperimentConfig,
@@ -29,7 +32,7 @@ from .config import (
     load_config,
     output_root,
 )
-from .functionals import StatePair, param_window
+from .functionals import StatePair, energy_report, param_window
 from .grid import ball_surface_coefficient
 from .initial_data import lemma14_pair
 from .io import load_run, persist_run, write_checks, write_snapshot
@@ -81,18 +84,20 @@ def _cmd_construct(args) -> int:
     out = _resolve_out(cfg, args.out)
     os.makedirs(out, exist_ok=True)
     h = config_hash(cfg)
-    cols = ("k", "r_k", "log_eta", "margin", "a", "b", "scale", "mass",
+    cols = ("r_k", "log_eta", "margin", "a", "b", "scale", "mass",
             "F0", "uv_over_k", "du_lp", "dv_w12")
     with open(os.path.join(out, "sequence.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={h}\n")
-        fh.write(",".join(cols) + "\n")
+        # F_grid and core_cells say what the grid sees of each member: its
+        # sampled energy and the cell centers inside the core sqrt(eta_k)
+        fh.write(",".join(("k", *cols, "F_grid", "core_cells")) + "\n")
         for d in data:
-            fh.write(",".join(
-                "%d" % d.k if c == "k" else "%.17g" % getattr(d, c)
-                for c in cols) + "\n")
-    for d in data:
-        write_snapshot(StatePair(d.u0, d.v0),
-                       os.path.join(out, f"datum_k{d.k:03d}.npz"), h)
+            s = StatePair(d.u0, d.v0)
+            core = np.count_nonzero(grid.centers < math.exp(0.5 * d.log_eta))
+            fh.write(",".join((
+                "%d" % d.k, *("%.17g" % getattr(d, c) for c in cols),
+                "%.17g" % energy_report(s).F, "%d" % core)) + "\n")
+            write_snapshot(s, os.path.join(out, f"datum_k{d.k:03d}.npz"), h)
     if len(data) >= 3:
         try:
             rep = check_lemma14_sequence(data, tail_start=int(

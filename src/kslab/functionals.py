@@ -221,6 +221,21 @@ class ParamWindow:
     A: Optional[float] = None
 
 
+def _exponent_window(n: int, p: float, alpha: Optional[float] = None):
+    """Check p in (1, 2n/(n+2)) and alpha in (n - n/p, (n-2)/2), alpha
+    defaulting to the midpoint; returns (alpha, (lo, hi)).  The alpha
+    window is never empty: p < 2n/(n+2) gives n - n/p < (n-2)/2."""
+    p_hi = 2.0 * n / (n + 2.0)
+    if not 1.0 < p < p_hi:
+        raise ValueError(f"p must lie in (1, {p_hi}), got {p}")
+    lo, hi = n - n / p, (n - 2.0) / 2.0
+    if alpha is None:
+        alpha = 0.5 * (lo + hi)
+    if not lo < alpha < hi:
+        raise ValueError(f"alpha must lie in ({lo}, {hi}), got {alpha}")
+    return alpha, (lo, hi)
+
+
 def param_window(
     n: int,
     p: float,
@@ -234,17 +249,7 @@ def param_window(
     """Validate exponents and fill alpha with the window midpoint if absent."""
     if n < 3:
         raise ValueError(f"dimension n must be >= 3, got {n}")
-    p_hi = 2.0 * n / (n + 2.0)
-    if not 1.0 < p < p_hi:
-        raise ValueError(f"p must lie in (1, {p_hi}), got {p}")
-    lo = n - n / p
-    hi = (n - 2.0) / 2.0
-    if not lo < hi:
-        raise ValueError(f"empty alpha window ({lo}, {hi}) for n={n}, p={p}")
-    if alpha is None:
-        alpha = 0.5 * (lo + hi)
-    if not lo < alpha < hi:
-        raise ValueError(f"alpha must lie in ({lo}, {hi}), got {alpha}")
+    alpha, (lo, hi) = _exponent_window(n, p, alpha)
     theta = theta_exponent(n, kappa)
     for name, val in (("m", m), ("M", M), ("B", B), ("A", A)):
         if val is not None and not val > 0:

@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .functionals import StatePair
+from .functionals import StatePair, _exponent_window
 from .grid import RadialField, RadialGrid, integrate
 
 __all__ = [
@@ -204,15 +204,7 @@ class Lemma14Recipe:
         g = self.base_u.grid
         if np.any(self.base_u.values <= 0) or np.any(self.base_v.values <= 0):
             raise ValueError("baselines must be strictly positive")
-        n = g.n
-        p_hi = 2.0 * n / (n + 2.0)
-        if not 1.0 < self.p < p_hi:
-            raise ValueError(f"p must lie in (1, {p_hi}), got {self.p}")
-        lo, hi = n - n / self.p, (n - 2.0) / 2.0
-        if self.alpha is None:
-            self.alpha = 0.5 * (lo + hi)
-        if not lo < self.alpha < hi:
-            raise ValueError(f"alpha must lie in ({lo}, {hi}), got {self.alpha}")
+        self.alpha, _ = _exponent_window(g.n, self.p, self.alpha)
         if self.r_rule is None:
             R = g.R
             self.r_rule = lambda k: (R / 2.0) * 2.0 ** (-k)
@@ -253,8 +245,6 @@ class BlowupDatum:
     center_uv: float    # baseline u(0) v(0)
     u0: RadialField
     v0: RadialField
-    u_fn: Callable[[float], float]
-    v_fn: Callable[[float], float]
 
 
 def _powq(base_log: float, expo: float) -> float:
@@ -316,21 +306,18 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     # cusp integrands trip quad's subdivision warning long after the
     # absolute error is far below what any downstream check uses; keep the
     # warning out of user output but on the debug log
-    def inner(f, **kw):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            val, err = quad(lambda r: r ** (n - 1) * f(r), 0.0, r_k, **kw)
-        for w in caught:
-            log.debug("inner quad (k=%d): %s [abserr=%.3g]", k, w.message, err)
-        return val
+    def shell(lo, hi, label):
+        def integral(f, **kw):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", IntegrationWarning)
+                val, err = quad(lambda r: r ** (n - 1) * f(r), lo, hi, **kw)
+            for w in caught:
+                log.debug("%s quad (k=%d): %s [abserr=%.3g]", label, k,
+                          w.message, err)
+            return val
+        return integral
 
-    def outer(f, **kw):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            val, err = quad(lambda r: r ** (n - 1) * f(r), r_k, R, **kw)
-        for w in caught:
-            log.debug("outer quad (k=%d): %s [abserr=%.3g]", k, w.message, err)
-        return val
+    inner, outer = shell(0.0, r_k, "inner"), shell(r_k, R, "outer")
 
     # mass of the unnormalized modification and the renormalization factor.
     # scale - 1 is kept as the exact ratio -delta / (mass + delta): for deep
@@ -389,12 +376,6 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     u0 = RadialField(g, u_vals)
     v0 = RadialField(g, v_vals)
 
-    def u_fn_full(x):
-        return scale * (u_spike(x) if x < r_k else recipe.u_fn(x))
-
-    def v_fn_full(x):
-        return v_spike(x) if x < r_k else recipe.v_fn(x)
-
     log.info(
         "datum k=%d: r_k=%.3g log_eta=%.6g margin=%.3g F0=%.6g", k, r_k,
         log_eta, margin, F0,
@@ -404,7 +385,7 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
         scale=scale, mass=m, F0=F0, uv_integral=uv, du_lp=du_lp,
         dv_w12=dv_w12, uv_over_k=uv / k,
         center_uv=recipe.u_fn(0.0) * recipe.v_fn(0.0),
-        u0=u0, v0=v0, u_fn=u_fn_full, v_fn=v_fn_full,
+        u0=u0, v0=v0,
     )
 
 

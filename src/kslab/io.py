@@ -40,7 +40,7 @@ from . import __version__ as _VERSION
 from .config import ExperimentConfig, config_hash, save_config
 from .functionals import StatePair
 from .grid import RadialField, RadialGrid, _grid_from_edges
-from .solver import SERIES_COLUMNS, BlowupVerdict, Trajectory, initial_norms
+from .solver import SERIES_COLUMNS, BlowupVerdict, Trajectory
 from .verifier import CheckReport
 
 __all__ = [
@@ -158,7 +158,6 @@ class RunData:
             grid=s0.grid, config=self.config.solver, series=self.series,
             snapshots=self.snapshots, verdict=self.verdict,
             rejected_steps=int(self.manifest["verdict"]["rejected_steps"]),
-            **initial_norms(s0),
         )
 
 

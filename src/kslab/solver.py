@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,9 +135,6 @@ class Trajectory:
     series: dict                      # column name -> np.ndarray, row 0 = initial state
     snapshots: list                   # [StatePair], initial and final always included
     verdict: BlowupVerdict
-    u0_l1: float
-    v0_l1: float
-    gradv0_l2: float
     rejected_steps: int = 0
 
 
@@ -192,22 +190,6 @@ def _valid(u: np.ndarray, v: np.ndarray) -> bool:
     )
 
 
-class _SeriesBuffer:
-    def __init__(self):
-        self._buf = np.empty((4096, len(SERIES_COLUMNS)))
-        self._len = 0
-
-    def append(self, row):
-        if self._len == self._buf.shape[0]:
-            self._buf = np.vstack([self._buf, np.empty_like(self._buf)])
-        self._buf[self._len] = row
-        self._len += 1
-
-    def as_dict(self) -> dict:
-        data = self._buf[: self._len]
-        return {name: data[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
-
-
 def _diagnostics_row(s: StatePair, dt: float, gradv_p: float):
     g = s.grid
     rep, vr = _report_and_vr(s)
@@ -221,15 +203,6 @@ def _diagnostics_row(s: StatePair, dt: float, gradv_p: float):
     )
 
 
-def initial_norms(s0: StatePair) -> dict:
-    """The Trajectory fields u0_l1, v0_l1 and gradv0_l2 of a run from s0."""
-    g = s0.grid
-    vr0 = g.derivative(s0.v.values, "neumann")
-    return dict(u0_l1=g.integrate_values(np.abs(s0.u.values)),
-                v0_l1=g.integrate_values(np.abs(s0.v.values)),
-                gradv0_l2=math.sqrt(g.integrate_values(vr0 * vr0)))
-
-
 def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     """Integrate from s0 with adaptive dt until t_end, blow-up detection,
     numerical divergence, or the step budget."""
@@ -240,9 +213,9 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
         raise ValueError("initial state must be positive and finite")
     sup0 = float(np.max(u))
 
-    buf = _SeriesBuffer()
+    rows = array("d")  # SERIES_COLUMNS values, one row after another
     t = float(s0.t)
-    buf.append(_diagnostics_row(s0, 0.0, cfg.gradv_p))
+    rows.extend(_diagnostics_row(s0, 0.0, cfg.gradv_p))
     snapshots = [s0]
     state = s0
 
@@ -269,7 +242,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
         t += dt_try
         steps += 1
         state = StatePair(RadialField(g, u), RadialField(g, v), t)
-        buf.append(_diagnostics_row(state, dt_try, cfg.gradv_p))
+        rows.extend(_diagnostics_row(state, dt_try, cfg.gradv_p))
         if steps % cfg.snapshot_every == 0:
             snapshots.append(state)
         # early exit once the blow-up footprint is complete
@@ -283,7 +256,8 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
 
     if snapshots[-1] is not state:
         snapshots.append(state)
-    series = buf.as_dict()
+    table = np.frombuffer(rows).reshape(-1, len(SERIES_COLUMNS))
+    series = {name: table[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
 
     if diverged_at is not None:
         # The controller can no longer advance: a step failed at dt_min.
@@ -327,7 +301,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
              verdict.outcome, steps, rejected, t)
     return Trajectory(
         grid=g, config=cfg, series=series, snapshots=snapshots,
-        verdict=verdict, rejected_steps=rejected, **initial_norms(s0),
+        verdict=verdict, rejected_steps=rejected,
     )
 
 

@@ -33,6 +33,7 @@ from .functionals import (
     ParamWindow,
     StatePair,
     _report_and_vr,
+    _require_positive,
     param_window,
     theta_exponent,
     w12_norm,
@@ -119,16 +120,25 @@ def check_conservation(traj: Trajectory) -> CheckReport:
     )
 
 
+def _step_allowances(F: np.ndarray, D: np.ndarray, dt: np.ndarray):
+    """Per-step energy allowances for rows j >= 1: (arrival, departure).
+
+    The arrival allowance is scheme_tolerance(dt_j, F_{j-1}).  The departure
+    allowance adds dt_j (D_{j-1} - D_j)_+ : an implicit step only pays the
+    dissipation it sees on arrival, so charging the departure-state D
+    overdraws by exactly that first-order difference.
+    """
+    arrival = scheme_tolerance(dt[1:], F[:-1])
+    return arrival, arrival + dt[1:] * np.maximum(D[:-1] - D[1:], 0.0)
+
+
 def check_energy_inequality(
     traj: Trajectory, trust_factor: float = ENERGY_TRUST_FACTOR
 ) -> CheckReport:
     """Per-step F(t_{j+1}) - F(t_j) <= -D_j dt_j + tol_j inside the trust
-    horizon.
-
-    tol_j is the solver's scheme tolerance plus dt_j (D_j - D_{j+1})_+ : an
-    implicit step only pays the dissipation it sees on arrival, so charging
-    the departure-state D overdraws by exactly that first-order difference.
-    The tighter arrival-state form (no drop term) is enforced as well.
+    horizon, with tol_j the departure allowance of _step_allowances.  The
+    arrival-state form, -D_{j+1} dt_j with the arrival allowance, is
+    enforced as well.  Passes only when every margin is <= 0.
     """
     s = traj.series
     F, D, dt, sup = s["F"], s["D"], s["dt"], s["sup_u"]
@@ -137,25 +147,17 @@ def check_energy_inequality(
                            notes="fewer than two records")
     beyond = np.nonzero(sup >= trust_factor * sup[0])[0]
     hi = int(beyond[0]) if beyond.size else F.size
-    worst = -math.inf
-    worst_t = None
-    passed = True
-    for j in range(1, hi):
-        drop = max(D[j - 1] - D[j], 0.0)
-        tol_dep = scheme_tolerance(dt[j], F[j - 1]) + dt[j] * drop
-        tol_arr = scheme_tolerance(dt[j], F[j - 1])
-        m_dep = F[j] - F[j - 1] + D[j - 1] * dt[j] - tol_dep
-        m_arr = F[j] - F[j - 1] + D[j] * dt[j] - tol_arr
-        m = max(m_dep, m_arr)
-        if m > worst:
-            worst, worst_t = m, float(s["t"][j])
-        if m > 0:
-            passed = False
+    tol_arr, tol_dep = _step_allowances(F[:hi], D[:hi], dt[:hi])
+    dF, step = F[1:hi] - F[:hi - 1], dt[1:hi]
+    # np.maximum and argmax both propagate NaN, so a non-finite margin
+    # fails the check and is reported as the worst row
+    m = np.maximum(dF + D[:hi - 1] * step - tol_dep, dF + D[1:hi] * step - tol_arr)
+    j = int(np.argmax(m)) if m.size else None
     return CheckReport(
         name="energy_inequality",
-        passed=passed,
-        worst_ratio=float(worst),
-        location=worst_t,
+        passed=bool(np.all(m <= 0.0)),
+        worst_ratio=-math.inf if j is None else float(m[j]),
+        location=None if j is None else float(s["t"][j + 1]),
         details={
             "rows_checked": hi - 1,
             "rows_total": int(F.size) - 1,
@@ -171,6 +173,33 @@ def _snapshot_sup_vrk(snap: StatePair, kappa: float) -> float:
     return float(np.max(snap.v.values * r ** kappa))
 
 
+def _initial_norms(traj: Trajectory) -> tuple[float, float, float]:
+    """|u0|_1, |v0|_1 and |grad v0|_2 of the run's first snapshot, s0."""
+    s0 = traj.snapshots[0]
+    g = s0.grid
+    vr0 = g.derivative(s0.v.values, "neumann")
+    return (g.integrate_values(np.abs(s0.u.values)),
+            g.integrate_values(np.abs(s0.v.values)),
+            math.sqrt(g.integrate_values(vr0 * vr0)))
+
+
+def _trend_report(name: str, ratios: np.ndarray, times: np.ndarray,
+                  key: str, details: dict) -> CheckReport:
+    """Pass when the ratio series is finite with no quartile growth trend;
+    report its maximum under `key` ahead of the given details."""
+    ok_trend, trend = _quartile_trend(ratios)
+    finite = bool(np.all(np.isfinite(ratios)))
+    j = int(np.argmax(ratios))
+    return CheckReport(
+        name=name,
+        passed=finite and ok_trend,
+        worst_ratio=float(ratios[j]),
+        location=float(times[j]),
+        details={key: float(ratios[j]), "quartile_growth": float(trend),
+                 **details},
+    )
+
+
 def check_pointwise_bound(
     traj: Trajectory, kappa: float, t_stop: Optional[float] = None
 ) -> CheckReport:
@@ -179,28 +208,17 @@ def check_pointwise_bound(
     n = traj.grid.n
     if not kappa > n - 2:
         raise ValueError(f"kappa must exceed n-2 = {n - 2}, got {kappa}")
-    denom = traj.u0_l1 + traj.v0_l1 + traj.gradv0_l2
+    u0_l1, v0_l1, gradv0_l2 = _initial_norms(traj)
+    denom = u0_l1 + v0_l1 + gradv0_l2
     snaps = [
         s for s in traj.snapshots
         if t_stop is None or s.t <= t_stop * (1 + 1e-12)
     ]
     sups = np.array([_snapshot_sup_vrk(s, kappa) for s in snaps]) / denom
     times = np.array([s.t for s in snaps])
-    ok_trend, trend = _quartile_trend(sups)
-    finite = bool(np.all(np.isfinite(sups)))
-    j = int(np.argmax(sups))
-    return CheckReport(
-        name=f"pointwise_bound_kappa={kappa:g}",
-        passed=finite and ok_trend,
-        worst_ratio=float(sups[j]),
-        location=float(times[j]),
-        details={
-            "empirical_C_kappa": float(sups[j]),
-            "quartile_growth": float(trend),
-            "n_snapshots": len(snaps),
-            "denominator": denom,
-        },
-    )
+    return _trend_report(f"pointwise_bound_kappa={kappa:g}", sups, times,
+                         "empirical_C_kappa",
+                         {"n_snapshots": len(snaps), "denominator": denom})
 
 
 def check_gradv_lp(
@@ -220,23 +238,10 @@ def check_gradv_lp(
     keep = np.ones(s["t"].size, bool)
     if t_stop is not None:
         keep = s["t"] <= t_stop * (1 + 1e-12)
-    denom = traj.u0_l1 + traj.gradv0_l2
-    ratios = s["gradv_lp"][keep] / denom
-    times = s["t"][keep]
-    ok_trend, trend = _quartile_trend(ratios)
-    finite = bool(np.all(np.isfinite(ratios)))
-    j = int(np.argmax(ratios))
-    return CheckReport(
-        name=f"gradv_lp_p={p:g}",
-        passed=finite and ok_trend,
-        worst_ratio=float(ratios[j]),
-        location=float(times[j]),
-        details={
-            "empirical_C_p": float(ratios[j]),
-            "quartile_growth": float(trend),
-            "denominator": denom,
-        },
-    )
+    u0_l1, _, gradv0_l2 = _initial_norms(traj)
+    denom = u0_l1 + gradv0_l2
+    return _trend_report(f"gradv_lp_p={p:g}", s["gradv_lp"][keep] / denom,
+                         s["t"][keep], "empirical_C_p", {"denominator": denom})
 
 
 def fit_odi_constant(t: np.ndarray, y: np.ndarray, theta: float) -> tuple[float, float]:
@@ -281,12 +286,8 @@ def check_odi_blowup(traj: Trajectory, theta: float) -> CheckReport:
     F, t, dt = F[start:], t[start:], dt[start:]
     D = s["D"][start:]
     y = -F
-    # monotone within the per-step scheme tolerance
-    slack = np.array([
-        scheme_tolerance(dt[j], F[j - 1]) + dt[j] * max(D[j - 1] - D[j], 0.0)
-        for j in range(1, y.size)
-    ])
-    dec = y[1:] - y[:-1] + slack
+    # monotone within the energy check's departure allowance
+    dec = y[1:] - y[:-1] + _step_allowances(F, D, dt)[1]
     monotone = bool(np.all(dec >= 0.0))
     C, resid = fit_odi_constant(t - t[0], y, theta)
     resid_ok = resid <= 0.1
@@ -431,11 +432,8 @@ class StateCorpus:
 
 
 def _require_admissible(label: str, s: StatePair) -> None:
-    u, v = s.u.values, s.v.values
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError(f"{label}: non-finite values")
-    if not (np.all(u > 0) and np.all(v > 0)):
-        raise ValueError(f"{label}: states must be strictly positive")
+    _require_positive(s.u.values, f"{label}: u")
+    _require_positive(s.v.values, f"{label}: v")
 
 
 def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _MemberStats:

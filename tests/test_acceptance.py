@@ -4,7 +4,8 @@ single [PASS]/[FAIL] line with the measured quantities before asserting.
 The fixtures are module-scoped because several criteria share the same
 runs: the perturbed-constant reference run, the constructed spike family,
 the four family-index runs, the four grid-resolved construction runs, and
-the aggregation-driven collapse run.
+the aggregation-driven collapse run.  A final test reuses three of them to
+pin the vectorized energy checks to a per-row reference.
 """
 import dataclasses
 import json
@@ -338,8 +339,7 @@ def test_criterion_09_odi_fit(resolved_runs, collapse_run):
         grid=grid, config=SolverConfig(), snapshots=[],
         series={"t": t, "dt": np.full_like(t, t[1]), "F": -y,
                 "D": np.zeros_like(t)},
-        verdict=BlowupVerdict("reached_t_end", None, None, ""),
-        u0_l1=1.0, v0_l1=1.0, gradv0_l2=0.0)
+        verdict=BlowupVerdict("reached_t_end", None, None, ""))
     rep = check_odi_blowup(fake, theta)
     C = rep.details["fitted_C"]
     resid = rep.details["fit_residual"]
@@ -399,3 +399,60 @@ def test_criterion_10_determinism_and_restart(run4, tmp_path):
                   f"{same_bytes}); one-step restart deviation {rel:.2e}")
     assert same_cols and same_bytes
     assert rel <= 1e-12
+
+
+# ------------------------------------------------- per-row energy reference
+
+def _energy_rows_reference(traj, trust_factor=100.0):
+    """The per-row form of check_energy_inequality: (passed, worst margin,
+    its t, rows checked)."""
+    s = traj.series
+    F, D, dt, sup = s["F"], s["D"], s["dt"], s["sup_u"]
+    beyond = np.nonzero(sup >= trust_factor * sup[0])[0]
+    hi = int(beyond[0]) if beyond.size else F.size
+    worst, worst_t, passed = -math.inf, None, True
+    for j in range(1, hi):
+        tol_arr = scheme_tolerance(dt[j], F[j - 1])
+        tol_dep = tol_arr + dt[j] * max(D[j - 1] - D[j], 0.0)
+        m = max(F[j] - F[j - 1] + D[j - 1] * dt[j] - tol_dep,
+                F[j] - F[j - 1] + D[j] * dt[j] - tol_arr)
+        if m > worst:
+            worst, worst_t = m, float(s["t"][j])
+        if m > 0:
+            passed = False
+    return passed, float(worst), worst_t, hi - 1
+
+
+def _odi_monotone_reference(traj):
+    """The per-row monotonicity test of check_odi_blowup on y = -F:
+    (monotone, t of the largest |step change + slack|)."""
+    s = traj.series
+    start = int(np.argmax(s["F"] < 0))
+    F, D, dt = s["F"][start:], s["D"][start:], s["dt"][start:]
+    slack = np.array([
+        scheme_tolerance(dt[j], F[j - 1]) + dt[j] * max(D[j - 1] - D[j], 0.0)
+        for j in range(1, F.size)
+    ])
+    y = -F
+    dec = y[1:] - y[:-1] + slack
+    t = s["t"][start:]
+    return bool(np.all(dec >= 0.0)), float(t[int(np.argmax(np.abs(dec)))])
+
+
+def test_energy_checks_match_per_row_reference(run4, collapse_run,
+                                               resolved_runs):
+    # collapse_run fails inside its trust horizon, so the worst margin and
+    # its row are pinned on a failing run as well as on passing ones
+    theta = theta_exponent(3, 2.0)
+    runs = {"run4": run4[1], "collapse": collapse_run,
+            "resolved_k4": resolved_runs[4][1]}
+    for name, traj in runs.items():
+        rep = check_energy_inequality(traj)
+        got = (rep.passed, rep.worst_ratio, rep.location,
+               rep.details["rows_checked"])
+        assert got == _energy_rows_reference(traj), name
+        odi = check_odi_blowup(traj, theta)
+        assert odi.details["applicable"], name
+        got = (odi.details["monotone"], odi.location)
+        assert got == _odi_monotone_reference(traj), name
+    assert not check_energy_inequality(collapse_run).passed

@@ -98,8 +98,14 @@ def test_construct_emits_sequence_table(workdir, capsys):
     assert main(["construct", cfg]) == 0
     table = (workdir / "seq" / "sequence.csv").read_text().splitlines()
     assert table[0].startswith("# config_hash=")
-    assert table[1].split(",")[:4] == ["k", "r_k", "log_eta", "margin"]
+    header = table[1].split(",")
+    assert header[:4] == ["k", "r_k", "log_eta", "margin"]
+    assert header[-2:] == ["F_grid", "core_cells"]
     assert len(table) == 5
+    for line in table[2:]:
+        row = dict(zip(header, line.split(",")))
+        assert np.isfinite(float(row["F_grid"]))
+        assert row["core_cells"].isdigit()  # an integer >= 0
     assert (workdir / "seq" / "datum_k004.npz").exists()
 
 

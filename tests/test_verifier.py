@@ -74,6 +74,17 @@ def test_energy_check_catches_increase(decay_run):
     assert rep.worst_ratio > 0
 
 
+@pytest.mark.parametrize("col", ["F", "D"])
+def test_energy_check_fails_on_nonfinite_margin(decay_run, col):
+    # a NaN margin compares False with 0, so a row loop lets it pass
+    mid = decay_run.series["F"].size // 2
+    bad = tampered(decay_run, col, math.nan, row=mid)
+    rep = check_energy_inequality(bad)
+    assert rep.passed is False
+    assert math.isnan(rep.worst_ratio)
+    assert rep.location == float(decay_run.series["t"][mid])
+
+
 def test_energy_check_catches_time_reversal(decay_run):
     series = {k: v.copy() for k, v in decay_run.series.items()}
     keep_t, keep_dt = series["t"], series["dt"]
