@@ -25,7 +25,7 @@ persist_run(traj, cfg, str(run_dir))
 print(f"ran {cfg.name!r}: outcome {traj.verdict.outcome}, "
       f"{len(traj.series['t']) - 1} steps, persisted to {run_dir}")
 
-reports = trajectory_battery(traj, kappa=float(cfg.checks.get("kappa", 2.0)))
+reports = trajectory_battery(traj, kappa=cfg.kappa)
 write_checks(reports, str(run_dir), "trajectory")
 for rep in reports:
     print("  ", rep)

@@ -33,7 +33,7 @@ recipe = constant_recipe(spike_grid, c=1.0, p=1.1)
 members += [(f"spike_{k}", (lambda d: StatePair(d.u0, d.v0))(lemma14_pair(recipe, k)))
             for k in range(1, 16)]
 
-corpus = StateCorpus.from_states(members, kappa=2.0, p=1.1)
+corpus = StateCorpus.from_states(members, kappa=2.0)
 print(f"corpus: {corpus.size} states, n={corpus.window.n}, "
       f"theta={corpus.window.theta:.6f}")
 print()

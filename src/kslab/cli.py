@@ -56,14 +56,18 @@ def _resolve_out(cfg: ExperimentConfig, override: str | None) -> str:
     return d
 
 
+def _simulate(cfg: ExperimentConfig, directory: str):
+    """Run cfg from its initial state, persist it and return the verdict.
+    run_solver and persist_run resolve on this module at call time."""
+    traj = run_solver(build_initial_state(cfg, cfg.build_grid()), cfg.solver)
+    persist_run(traj, cfg, directory)
+    return traj.verdict
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    grid = cfg.build_grid()
-    state = build_initial_state(cfg, grid)
-    traj = run_solver(state, cfg.solver)
     out = _resolve_out(cfg, args.out)
-    persist_run(traj, cfg, out)
-    v = traj.verdict
+    v = _simulate(cfg, out)
     print(f"{cfg.name}: {v.outcome} t_detect={v.t_detect} "
           f"t_extrapolated={v.t_extrapolated} dir={out}")
     return 0
@@ -116,7 +120,7 @@ def _cmd_verify(args) -> int:
     run_data = load_run(args.run_dir)
     traj = run_data.as_trajectory()
     battery = args.battery
-    kappa = float(run_data.config.checks.get("kappa", 2.0))
+    kappa = run_data.config.kappa
     if battery == "trajectory":
         reports = trajectory_battery(traj, kappa=kappa)
     elif battery == "conservation":
@@ -124,9 +128,7 @@ def _cmd_verify(args) -> int:
     elif battery == "energy":
         reports = [check_energy_inequality(traj)]
     elif battery == "suite":
-        labeled = [
-            (f"snap_t={s.t:.6g}", s) for s in traj.snapshots
-        ]
+        labeled = [(f"snap_t={s.t:.6g}", s) for s in traj.snapshots]
         corpus = StateCorpus.from_states(labeled, kappa=kappa)
         reports = inequality_suite(corpus)
     else:
@@ -140,21 +142,20 @@ def _cmd_verify(args) -> int:
 def _sweep_worker(payload: tuple) -> tuple:
     cfg_dict, directory = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    grid = cfg.build_grid()
-    state = build_initial_state(cfg, grid)
-    traj = run_solver(state, cfg.solver)
-    persist_run(traj, cfg, directory)
-    return cfg.name, traj.verdict.outcome, traj.verdict.t_detect
+    v = _simulate(cfg, directory)
+    return cfg.name, v.outcome, v.t_detect
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args.out)
-    os.makedirs(out, exist_ok=True)
     jobs = []
+    if args.ks and args.resolutions:
+        raise ValueError("sweep takes --ks or --resolutions, not both")
     if args.ks:
-        ks = [int(k) for k in args.ks.split(",")]
-        for k in ks:
+        if cfg.initial.get("kind") != "lemma14":
+            raise ValueError("sweep --ks needs initial.kind = lemma14")
+        for k in (int(x) for x in args.ks.split(",")):
             d = cfg.to_dict()
             d["name"] = f"{cfg.name}_k{k:03d}"
             d["initial"]["k"] = k
@@ -167,6 +168,7 @@ def _cmd_sweep(args) -> int:
             jobs.append((d, os.path.join(out, f"N_{N}")))
     else:
         raise ValueError("sweep needs --ks or --resolutions")
+    os.makedirs(out, exist_ok=True)
     results = []
     with ProcessPoolExecutor(max_workers=min(len(jobs), args.jobs)) as pool:
         for name, outcome, t_detect in pool.map(_sweep_worker, jobs):
@@ -247,8 +249,7 @@ print(f"wrote {out}")
 
 
 def _cmd_plot(args) -> int:
-    run_data = load_run(args.run_dir)
-    kappa = float(run_data.config.checks.get("kappa", 2.0))
+    kappa = load_run(args.run_dir).config.kappa
     p1 = os.path.join(args.run_dir, "plot_series.py")
     p2 = os.path.join(args.run_dir, "plot_profiles.py")
     with open(p1, "w", encoding="utf-8") as fh:

@@ -19,6 +19,7 @@ from .functionals import StatePair, param_window
 from .grid import RadialGrid, build_grid
 from .initial_data import (
     Lemma14Recipe,
+    _constant_level,
     baseline_profiles,
     constant_recipe,
     lemma14_pair,
@@ -57,12 +58,16 @@ class ExperimentConfig:
                 f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}")
         if kind == "lemma14":
             # validate the window parameters up front, before any run
-            n = int(g["n"])
             p = float(self.initial.get("p", 1.1))
             alpha = self.initial.get("alpha")
-            kappa = float(self.checks.get("kappa", 2.0))
-            param_window(n=n, p=p, kappa=kappa,
+            param_window(n=int(g["n"]), p=p, kappa=self.kappa,
                          alpha=None if alpha is None else float(alpha))
+
+    @property
+    def kappa(self) -> float:
+        """The decay exponent of the pointwise bound v <= C r^-kappa, which
+        needs kappa > n - 2; checks.kappa, defaulting to n - 1."""
+        return float(self.checks.get("kappa", int(self.grid["n"]) - 1))
 
     def build_grid(self) -> RadialGrid:
         g = self.grid
@@ -130,12 +135,7 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
     kind = init["kind"]
     if kind == "constant":
         amp = float(init.get("amplitude", 0.0))
-        if "c" in init:
-            c = float(init["c"])
-        elif "m" in init:
-            c = float(init["m"]) / grid.domain_volume
-        else:
-            raise ValueError("constant initial data needs c or m")
+        c = _constant_level(grid, init, "constant initial data")
         if amp == 0.0:
             return baseline_profiles("constant", grid, c=c)
         return perturbed_constant(grid, c=c, amplitude=amp,

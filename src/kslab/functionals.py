@@ -179,6 +179,12 @@ def theta_exponent(n: int, kappa: float) -> float:
     return theta
 
 
+def _gradv_exponent(n: int) -> float:
+    """p_n = 1 + 0.8/(n-1), the p of the recorded |grad v|_p: inside the
+    window (1, n/(n-1)) of the paper's bound for every n >= 3, 1.4 at n = 3."""
+    return 1.0 + 0.8 / (n - 1.0)
+
+
 def lp_norm(f: RadialField, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"Lp norm needs p >= 1, got {p}")

@@ -389,6 +389,20 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     )
 
 
+def _constant_level(grid: RadialGrid, params: dict, what: str) -> float:
+    """The level of a constant profile: params["c"], or params["m"] / |B_R|;
+    `what` names the profile in the error for a missing level."""
+    if "c" in params:
+        c = float(params["c"])
+    elif "m" in params:
+        c = float(params["m"]) / grid.domain_volume
+    else:
+        raise ValueError(f"{what} needs c or m")
+    if not c > 0:
+        raise ValueError(f"constant level must be positive, got {c}")
+    return c
+
+
 def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
     """Ready-made positive baselines.
 
@@ -397,15 +411,8 @@ def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
     total mass is m (pass m, width, and optionally floor).
     """
     if kind == "constant":
-        if "c" in params:
-            c = float(params["c"])
-        elif "m" in params:
-            c = float(params["m"]) / grid.domain_volume
-        else:
-            raise ValueError("constant baseline needs c or m")
-        if not c > 0:
-            raise ValueError(f"constant level must be positive, got {c}")
-        vals = np.full(grid.ncells, c)
+        vals = np.full(grid.ncells, _constant_level(grid, params,
+                                                    "constant baseline"))
         f = RadialField(grid, vals)
         return StatePair(f, RadialField(grid, vals))
     if kind == "bump":

@@ -23,11 +23,12 @@ dissipation at the departure state instead, stiff transients at large dt
 genuinely violate the bound (backward Euler removes a stiff mode in one
 step but only pays its energy once, while D_old charges lambda dt of it).
 
-Step size control: dt follows the explicit advective CFL bound (with a
-safety factor), shrinks by halving whenever a trial step goes nonpositive
-or non-finite, and grows by a fixed factor toward dt_max otherwise.  A step
-that fails at dt_min ends the run as numerically diverged; nonpositive
-values are never clipped into validity.
+Step size control: dt follows the explicit advective CFL bound times the
+constant safety factor _CFL_SAFETY, shrinks by halving whenever a trial
+step goes nonpositive or non-finite, and grows by the constant factor
+_DT_GROWTH toward dt_max otherwise.  A step that fails at dt_min ends the
+run as numerically diverged; nonpositive values are never clipped into
+validity.
 
 Blow-up is declared when the sup of u has grown by blowup_factor over its
 initial value AND the controller can no longer advance t.  Both signals
@@ -39,8 +40,9 @@ ways:
     rejected there), read from the recorded series;
   * dt is held above dt_min by the CFL bound, so the step budget runs out
     with t short of t_end.  This counts only if a whole fresh budget at
-    the final state's bound, safety * CFL * max_steps, would not cover the
-    remaining time t_end - t either; otherwise the run is inconclusive.
+    the final state's bound, _CFL_SAFETY * CFL * max_steps, would not
+    cover the remaining time t_end - t either; otherwise the run is
+    inconclusive.
 
 The CFL-stall test is applied once the budget is spent, never inside the
 loop: a collapse keeps sharpening while dt sits on the CFL bound, and an
@@ -58,7 +60,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .functionals import StatePair, _report_and_vr
+from .functionals import StatePair, _gradv_exponent, _report_and_vr
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -87,6 +89,9 @@ SERIES_COLUMNS = (
 _C_SCHEME = 20.0
 _TOL_FLOOR = 1e-12
 
+_CFL_SAFETY = 0.9
+_DT_GROWTH = 1.2
+
 
 def scheme_tolerance(dt: float, F: float) -> float:
     return _C_SCHEME * dt * dt * (1.0 + abs(F)) + _TOL_FLOOR * (1.0 + abs(F))
@@ -98,26 +103,17 @@ class SolverConfig:
     dt_init: float = 1e-6
     dt_min: float = 1e-14
     dt_max: float = 1e-2
-    safety: float = 0.9
-    growth: float = 1.2
     blowup_factor: float = 1e4
     snapshot_every: int = 200
     max_steps: int = 500_000
-    gradv_p: float = 1.4
 
     def __post_init__(self):
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if not (0 < self.safety <= 1 and self.growth > 1):
-            raise ValueError("need safety in (0, 1] and growth > 1")
         if not (self.t_end > 0 and self.blowup_factor > 1):
             raise ValueError("need t_end > 0 and blowup_factor > 1")
         if self.max_steps < 1 or self.snapshot_every < 1:
             raise ValueError("max_steps and snapshot_every must be >= 1")
-        # n/(n-1) <= 3/2 for every admissible dimension; the verifier
-        # enforces the exact n-dependent bound
-        if not 1.0 < self.gradv_p < 1.5:
-            raise ValueError(f"gradv_p must lie in (1, 1.5), got {self.gradv_p}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,8 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
 
     rows = array("d")  # SERIES_COLUMNS values, one row after another
     t = float(s0.t)
-    rows.extend(_diagnostics_row(s0, 0.0, cfg.gradv_p))
+    gradv_p = _gradv_exponent(g.n)
+    rows.extend(_diagnostics_row(s0, 0.0, gradv_p))
     snapshots = [s0]
     state = s0
 
@@ -227,7 +224,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
 
     while t < cfg.t_end - eps_t and steps < cfg.max_steps:
         cfl = _cfl_bound(g, u, v)
-        dt_try = min(dt, cfg.dt_max, cfg.safety * cfl, cfg.t_end - t)
+        dt_try = min(dt, cfg.dt_max, _CFL_SAFETY * cfl, cfg.t_end - t)
         dt_try = max(dt_try, cfg.dt_min)
         u_new, v_new = _step_arrays(g, u, v, dt_try)
         if not _valid(u_new, v_new):
@@ -242,7 +239,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
         t += dt_try
         steps += 1
         state = StatePair(RadialField(g, u), RadialField(g, v), t)
-        rows.extend(_diagnostics_row(state, dt_try, cfg.gradv_p))
+        rows.extend(_diagnostics_row(state, dt_try, gradv_p))
         if steps % cfg.snapshot_every == 0:
             snapshots.append(state)
         # early exit once the blow-up footprint is complete
@@ -252,7 +249,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
         ):
             log.info("blow-up footprint at t=%.6g after %d steps", t, steps)
             break
-        dt = min(dt_try * cfg.growth, cfg.dt_max)
+        dt = min(dt_try * _DT_GROWTH, cfg.dt_max)
 
     if snapshots[-1] is not state:
         snapshots.append(state)
@@ -283,7 +280,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
             # controller above dt_min: the same footprint as a stall at
             # dt_min.  Otherwise more steps might still settle the run.
             grew = series["sup_u"] >= cfg.blowup_factor * sup0
-            reach = cfg.safety * _cfl_bound(g, u, v) * cfg.max_steps
+            reach = _CFL_SAFETY * _cfl_bound(g, u, v) * cfg.max_steps
             if np.any(grew) and reach < cfg.t_end - t:
                 verdict = BlowupVerdict(
                     outcome="blew_up",

@@ -32,6 +32,7 @@ import numpy as np
 from .functionals import (
     ParamWindow,
     StatePair,
+    _gradv_exponent,
     _report_and_vr,
     _require_positive,
     param_window,
@@ -132,9 +133,7 @@ def _step_allowances(F: np.ndarray, D: np.ndarray, dt: np.ndarray):
     return arrival, arrival + dt[1:] * np.maximum(D[:-1] - D[1:], 0.0)
 
 
-def check_energy_inequality(
-    traj: Trajectory, trust_factor: float = ENERGY_TRUST_FACTOR
-) -> CheckReport:
+def check_energy_inequality(traj: Trajectory) -> CheckReport:
     """Per-step F(t_{j+1}) - F(t_j) <= -D_j dt_j + tol_j inside the trust
     horizon, with tol_j the departure allowance of _step_allowances.  The
     arrival-state form, -D_{j+1} dt_j with the arrival allowance, is
@@ -145,7 +144,7 @@ def check_energy_inequality(
     if F.size < 2:
         return CheckReport("energy_inequality", True, 0.0,
                            notes="fewer than two records")
-    beyond = np.nonzero(sup >= trust_factor * sup[0])[0]
+    beyond = np.nonzero(sup >= ENERGY_TRUST_FACTOR * sup[0])[0]
     hi = int(beyond[0]) if beyond.size else F.size
     tol_arr, tol_dep = _step_allowances(F[:hi], D[:hi], dt[:hi])
     dF, step = F[1:hi] - F[:hi - 1], dt[1:hi]
@@ -161,7 +160,7 @@ def check_energy_inequality(
         details={
             "rows_checked": hi - 1,
             "rows_total": int(F.size) - 1,
-            "trust_factor": trust_factor,
+            "trust_factor": ENERGY_TRUST_FACTOR,
             "trust_horizon_t": float(s["t"][hi - 1]) if hi < F.size else None,
         },
         notes="worst_ratio is the worst signed margin (<= 0 passes)",
@@ -222,18 +221,13 @@ def check_pointwise_bound(
 
 
 def check_gradv_lp(
-    traj: Trajectory, p: float, t_stop: Optional[float] = None
+    traj: Trajectory, t_stop: Optional[float] = None
 ) -> CheckReport:
-    """|grad v(t)|_p / (|u0|_1 + |grad v0|_2) bounded with no growth trend.
-
-    Uses the per-step series column, so p must be the one the run recorded.
+    """|grad v(t)|_p / (|u0|_1 + |grad v0|_2) bounded with no growth trend,
+    read from the per-step series column, which the solver records at
+    p = functionals._gradv_exponent(n).
     """
-    n = traj.grid.n
-    if not (1.0 < p < n / (n - 1.0)):
-        raise ValueError(f"p must lie in (1, {n / (n - 1.0):g}), got {p}")
-    if abs(p - traj.config.gradv_p) > 1e-12:
-        raise ValueError(
-            f"run recorded |grad v|_p for p={traj.config.gradv_p}, not {p}")
+    p = _gradv_exponent(traj.grid.n)
     s = traj.series
     keep = np.ones(s["t"].size, bool)
     if t_stop is not None:
@@ -311,19 +305,15 @@ def check_odi_blowup(traj: Trajectory, theta: float) -> CheckReport:
 
 
 def check_lemma14_sequence(
-    data: Sequence[BlowupDatum],
-    tail_start: int = 10,
-    f_threshold: Optional[float] = None,
-    eps: float = 0.2,
+    data: Sequence[BlowupDatum], tail_start: int = 10
 ) -> CheckReport:
     """Convergence/divergence pattern of a constructed data sequence.
 
     (a) both distance norms decrease monotonically over the tail
         (k >= tail_start) toward below 1e-2 of their first-k values;
-    (b) F0 monotone decreasing over the tail and below f_threshold at the
-        largest k (default threshold: F0 at the first k, i.e. strictly
-        more negative than where it started);
-    (c) the uv integral grows at least linearly: uv/k >= (1-eps) omega_n
+    (b) F0 monotone decreasing over the tail and, at the largest k, below
+        F0 at the first k, i.e. strictly more negative than where it started;
+    (c) the uv integral grows at least linearly: uv/k >= 0.8 omega_n
         u(0) v(0) over the tail.
     """
     if len(data) < 3:
@@ -341,9 +331,8 @@ def check_lemma14_sequence(
     head = data[0]
     mono = bool(np.all(np.diff(du) < 0) and np.all(np.diff(dv) < 0))
     small = bool(du[-1] < 1e-2 * head.du_lp and dv[-1] < 1e-2 * head.dv_w12)
-    thresh = head.F0 if f_threshold is None else f_threshold
-    f0_ok = bool(np.all(np.diff(f0) < 0) and f0[-1] < thresh)
-    floor = (1.0 - eps) * head.u0.grid.omega_n * head.center_uv
+    f0_ok = bool(np.all(np.diff(f0) < 0) and f0[-1] < head.F0)
+    floor = 0.8 * head.u0.grid.omega_n * head.center_uv
     uv_ok = bool(np.all(uvk >= floor))
     worst = float(np.min(uvk) / floor) if floor > 0 else math.inf
     return CheckReport(
@@ -399,7 +388,7 @@ class StateCorpus:
 
     @staticmethod
     def from_states(labeled: Sequence[tuple[str, StatePair]],
-                    kappa: float, p: float = 1.1) -> "StateCorpus":
+                    kappa: float) -> "StateCorpus":
         if not labeled:
             raise ValueError("corpus must be nonempty")
         n = labeled[0][1].grid.n
@@ -413,7 +402,7 @@ class StateCorpus:
             M = max(M, s.grid.integrate_values(s.v.values))
             B = max(B, _snapshot_sup_vrk(s, kappa))
             A = max(A, w12_norm(s.v))
-        window = param_window(n=n, p=p, kappa=kappa, M=M, B=B, A=A)
+        window = param_window(n=n, p=1.1, kappa=kappa, M=M, B=B, A=A)
         return StateCorpus(members=tuple(labeled), window=window)
 
     @property
@@ -461,16 +450,18 @@ def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _Membe
     )
 
 
-def inequality_suite(corpus: StateCorpus, eps: float = 0.25) -> list[CheckReport]:
+def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
     """Ratio checks for the interpolation and coupling inequalities.
 
     For each inequality the reported worst_ratio strips the
     non-constructive constant: inequalities of the shape
-    LHS <= eps X + C Y report max (LHS - eps X)/Y, pure-constant shapes
-    report max LHS/RHS.  Pass means finite over the corpus; the empirical
-    constant is the persisted ratio, never an asserted value.
+    LHS <= eps X + C Y report max (LHS - eps X)/Y with eps = 0.25,
+    pure-constant shapes report max LHS/RHS.  Pass means finite over the
+    corpus; the empirical constant is the persisted ratio, never an
+    asserted value.
     """
     corpus.validate()
+    eps = 0.25
     n = corpus.window.n
     kappa = corpus.window.kappa
     theta = corpus.window.theta
@@ -542,19 +533,15 @@ def inequality_suite(corpus: StateCorpus, eps: float = 0.25) -> list[CheckReport
     return out
 
 
-def trajectory_battery(
-    traj: Trajectory, kappa: float = 2.0, theta: Optional[float] = None
-) -> list[CheckReport]:
+def trajectory_battery(traj: Trajectory, kappa: float) -> list[CheckReport]:
     """The standard per-run battery: conservation, energy inequality,
     pointwise bound, grad-v ratio, ODI diagnostics."""
-    n = traj.grid.n
-    if theta is None:
-        theta = theta_exponent(n, kappa)
+    theta = theta_exponent(traj.grid.n, kappa)
     t_stop = traj.verdict.t_detect if traj.verdict.outcome == "blew_up" else None
     return [
         check_conservation(traj),
         check_energy_inequality(traj),
         check_pointwise_bound(traj, kappa, t_stop=t_stop),
-        check_gradv_lp(traj, traj.config.gradv_p, t_stop=t_stop),
+        check_gradv_lp(traj, t_stop=t_stop),
         check_odi_blowup(traj, theta),
     ]

@@ -279,7 +279,7 @@ def test_criterion_07_uniform_bounds_along_blowup(resolved_runs):
     t_stop = (traj.verdict.t_detect
               if traj.verdict.outcome == "blew_up" else None)
     rep_v = check_pointwise_bound(traj, 2.0, t_stop=t_stop)
-    rep_g = check_gradv_lp(traj, 1.4, t_stop=t_stop)
+    rep_g = check_gradv_lp(traj, t_stop=t_stop)
     ok = rep_v.passed and rep_g.passed
     _line(7, ok, f"v r^2 trend {rep_v.worst_ratio:.3f}, grad-v L^1.4 trend "
                  f"{rep_g.worst_ratio:.3e} (limit 1.5)")
@@ -298,7 +298,7 @@ def test_criterion_08_inequality_suite(run4, spike_table, collapse_run,
     members += [(f"collapse_{i}", s)
                 for i, s in enumerate(collapse_run.snapshots)]
     members += [(f"spike_{d.k}", StatePair(d.u0, d.v0)) for d in table]
-    corpus = StateCorpus.from_states(members, kappa=2.0, p=1.1)
+    corpus = StateCorpus.from_states(members, kappa=2.0)
     reports = inequality_suite(corpus)
     finite = all(math.isfinite(rep.worst_ratio) for rep in reports)
     passed = all(rep.passed for rep in reports)

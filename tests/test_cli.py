@@ -53,13 +53,22 @@ def test_simulate_writes_run_dir(workdir, capsys):
 
 
 def test_verify_battery_exit_codes(workdir, capsys):
-    cfg = write_cfg(workdir)
-    main(["simulate", cfg])
-    rc = main(["verify", str(workdir / "clirun"), "--battery", "conservation"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "[PASS] conservation" in out
-    assert (workdir / "clirun" / "checks_conservation.json").exists()
+    # n = 4 with no checks.kappa: kappa defaults to n - 1 and |grad v|_p is
+    # recorded at p_n, so every battery and plot runs on the stored run
+    n4 = {"grid": {"n": 4, "R": 1.0, "N": 48, "grading": 1.0}, "checks": {}}
+    for name, overrides in (("clirun", {}), ("clirun4", n4)):
+        cfg = write_cfg(workdir, name=name, **overrides)
+        assert main(["simulate", cfg]) == 0
+        run_dir = str(workdir / name)
+        rc = main(["verify", run_dir, "--battery", "conservation"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "[PASS] conservation" in out
+        assert (workdir / name / "checks_conservation.json").exists()
+        for battery in ("trajectory", "suite"):
+            assert main(["verify", run_dir, "--battery", battery]) in (0, 1)
+        assert main(["plot", run_dir]) == 0
+    assert "gradv_lp_p=1.26667" in capsys.readouterr().out
 
 
 def test_verify_missing_dir_is_single_error_line(workdir, capsys):
@@ -79,14 +88,16 @@ def test_simulate_bad_config_reports_error(workdir, capsys):
 
 
 def test_unknown_solver_key_is_single_error_line(workdir, capsys):
-    # run directories written while SolverConfig had a `scheme` field carry
-    # it in config.json; they are refused with one line, not a traceback
-    cfg = write_cfg(workdir, solver={"t_end": 0.02, "scheme": "imex"})
-    rc = main(["simulate", cfg])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "scheme" in err
+    # run directories written while SolverConfig had these fields carry them
+    # in config.json; they are refused with one line, not a traceback
+    for key, value in (("scheme", "imex"), ("safety", 0.9), ("growth", 1.2),
+                       ("gradv_p", 1.4)):
+        cfg = write_cfg(workdir, solver={"t_end": 0.02, key: value})
+        rc = main(["simulate", cfg])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
 
 
 def test_construct_emits_sequence_table(workdir, capsys):
@@ -183,8 +194,17 @@ def test_sweep_over_resolutions(workdir, capsys):
     assert (workdir / "sw" / "N_32" / "manifest.json").exists()
 
 
-def test_sweep_requires_axis(workdir, capsys):
-    cfg = write_cfg(workdir, name="sw2")
-    rc = main(["sweep", cfg])
-    assert rc != 0
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize("kind, axes", [
+    ("constant", []),
+    # k reaches only lemma14 data: constant runs labelled by k are identical
+    ("constant", ["--ks", "1,2"]),
+    ("lemma14", ["--ks", "1,2", "--resolutions", "32,48"]),
+], ids=["no_axis", "ks_without_lemma14", "ks_and_resolutions"])
+def test_sweep_requires_axis(workdir, capsys, kind, axes):
+    initial = {"kind": kind, "c": 1.0, "k": 1, "p": 1.1}
+    cfg = write_cfg(workdir, name="sw2", initial=initial)
+    rc = main(["sweep", cfg, *axes])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (workdir / "sw2").exists()

@@ -21,6 +21,7 @@ from kslab import (
     scheme_tolerance,
     step,
 )
+from kslab.functionals import _gradv_exponent
 
 
 @pytest.fixture(scope="module")
@@ -139,9 +140,12 @@ def test_run_reaches_t_end_and_series_shape(grid):
         assert traj.series[col].size == t.size
 
 
-def test_series_row_zero_matches_public_functionals(grid):
-    # the fused diagnostics pass is the public definitions, bit for bit
-    s0 = perturbed_constant(grid, c=1.0, amplitude=0.3, mode=2)
+@pytest.mark.parametrize("n", [3, 4])
+def test_series_row_zero_matches_public_functionals(n):
+    # the fused diagnostics pass is the public definitions, bit for bit,
+    # with |grad v|_p recorded at the n-dependent p_n
+    s0 = perturbed_constant(build_grid(n, 1.0, 96), c=1.0, amplitude=0.3,
+                            mode=2)
     cfg = SolverConfig(t_end=1e-4, dt_init=1e-5, dt_max=1e-4)
     row = {k: v[0] for k, v in run(s0, cfg).series.items()}
     rep = energy_report(s0)
@@ -149,13 +153,16 @@ def test_series_row_zero_matches_public_functionals(grid):
     assert row["D"] == rep.D
     assert row["f_l2"] == math.sqrt(rep.f_norm_sq)
     assert row["g_l2"] == math.sqrt(rep.g_norm_sq)
-    assert row["gradv_lp"] == lp_norm(radial_derivative(s0.v, "neumann"),
-                                      cfg.gradv_p)
+    p_n = _gradv_exponent(n)
+    assert 1.0 < p_n < n / (n - 1.0)
+    assert row["gradv_lp"] == lp_norm(radial_derivative(s0.v, "neumann"), p_n)
+    if n == 3:
+        assert p_n == 1.4
 
 
 def test_controller_grows_dt_to_cap(grid):
     s = baseline_profiles("constant", grid, c=1.0)
-    cfg = SolverConfig(t_end=0.2, dt_init=1e-6, dt_max=1e-3, growth=1.2)
+    cfg = SolverConfig(t_end=0.2, dt_init=1e-6, dt_max=1e-3)
     traj = run(s, cfg)
     assert np.max(traj.series["dt"]) == pytest.approx(1e-3, rel=1e-12)
 
@@ -190,10 +197,6 @@ def test_config_validation():
         SolverConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt_min=1e-3, dt_max=1e-6)
-    with pytest.raises(ValueError):
-        SolverConfig(growth=0.9)
-    with pytest.raises(ValueError):
-        SolverConfig(gradv_p=1.6)  # needs p < n/(n-1) = 3/2
 
 
 # --- detection ----------------------------------------------------------

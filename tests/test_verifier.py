@@ -14,7 +14,6 @@ from kslab import (
     build_grid,
     check_conservation,
     check_energy_inequality,
-    check_gradv_lp,
     check_lemma14_sequence,
     check_odi_blowup,
     check_pointwise_bound,
@@ -107,13 +106,6 @@ def test_pointwise_bound_flags_growth(decay_run):
     bumped = dataclasses.replace(
         decay_run, snapshots=list(decay_run.snapshots[:-1]) + [bigger])
     assert not check_pointwise_bound(bumped, kappa=2.0).passed
-
-
-def test_gradv_check_requires_recorded_p(decay_run):
-    with pytest.raises(ValueError):
-        check_gradv_lp(decay_run, p=1.3)
-    with pytest.raises(ValueError):
-        check_gradv_lp(decay_run, p=1.51)
 
 
 def test_quartile_trend_logic():
