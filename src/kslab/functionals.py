@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import RadialField
+from .grid import RadialField, RadialGrid
 
 __all__ = [
     "StatePair",
@@ -135,11 +135,17 @@ def energy_report(s: StatePair) -> EnergyReport:
 def _report_and_vr(s: StatePair) -> tuple[EnergyReport, np.ndarray]:
     """energy_report(s) and the Neumann v_r it was built from: one positivity
     check and one derivative of v serve F, g and the caller's v_r norms."""
-    g = s.grid
     u = np.asarray(s.u.values, float)
     v = np.asarray(s.v.values, float)
     _require_positive(u, "u")
     _require_positive(v, "v")
+    return _report_arrays(s.grid, u, v)
+
+
+def _report_arrays(g: RadialGrid, u: np.ndarray,
+                   v: np.ndarray) -> tuple[EnergyReport, np.ndarray]:
+    """_report_and_vr on bare arrays, with no positivity check: for callers
+    that have already checked u and v."""
     vr = g.derivative(v, "neumann")
     grad_v_sq = g.integrate_values(vr * vr)
     v_sq = g.integrate_values(v * v)

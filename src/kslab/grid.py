@@ -54,6 +54,9 @@ class RadialGrid:
     face_dr : center-to-center distance across each interior face
     lap_lower, lap_diag, lap_upper : flux-form Laplacian coefficients,
         (lap f)_i = lo_i f_{i-1} + di_i f_i + up_i f_{i+1}
+    deriv_stencil : rows dm^2, dp^2, dp^2 - dm^2 and dm dp (dm + dp) of the
+        three-point center derivative at the N-2 interior cells, where dm
+        and dp are the face_dr on either side
     """
 
     n: int
@@ -67,6 +70,7 @@ class RadialGrid:
     lap_lower: np.ndarray = field(repr=False)
     lap_diag: np.ndarray = field(repr=False)
     lap_upper: np.ndarray = field(repr=False)
+    deriv_stencil: np.ndarray = field(repr=False)
 
     @property
     def ncells(self) -> int:
@@ -108,12 +112,9 @@ class RadialGrid:
         radial_derivative for bc."""
         r = self.centers
         out = np.empty_like(vals)
-        dm = self.face_dr[:-1]
-        dp = self.face_dr[1:]
+        dm2, dp2, diff, den = self.deriv_stencil
         # second-order three-point formula on a nonuniform stencil
-        out[1:-1] = (
-            dm * dm * vals[2:] - dp * dp * vals[:-2] + (dp * dp - dm * dm) * vals[1:-1]
-        ) / (dm * dp * (dm + dp))
+        out[1:-1] = (dm2 * vals[2:] - dp2 * vals[:-2] + diff * vals[1:-1]) / den
         if bc == "neumann":
             out[0] = 0.0
             out[-1] = 0.0
@@ -203,13 +204,18 @@ def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
     lo[1:] = trans / weights[1:]
     di[:-1] -= trans / weights[:-1]
     di[1:] -= trans / weights[1:]
+    dm, dp = face_dr[:-1], face_dr[1:]
+    stencil = np.stack([dm * dm, dp * dp, dp * dp - dm * dm,
+                        dm * dp * (dm + dp)])
 
-    for arr in (edges, centers, weights, face_area, face_dr, lo, di, up):
+    for arr in (edges, centers, weights, face_area, face_dr, lo, di, up,
+                stencil):
         arr.setflags(write=False)
     return RadialGrid(
         n=n, R=float(R), edges=edges, centers=centers, weights=weights,
         omega_n=ball_surface_coefficient(n), face_area=face_area,
         face_dr=face_dr, lap_lower=lo, lap_diag=di, lap_upper=up,
+        deriv_stencil=stencil,
     )
 
 

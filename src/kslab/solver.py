@@ -8,7 +8,9 @@ One IMEX step, in this order:
      from the fresh v' face gradients,
      u' - dt Lap u' = u - dt div(u_upwind * grad v').
 
-Both solves are tridiagonal.  The u-solve is done in increment form,
+Both solves are tridiagonal and call LAPACK gtsv directly, the routine
+scipy's solve_banded dispatches to for one sub- and one superdiagonal.
+The u-solve is done in increment form,
 (I - dt Lap) du = dt (Lap u - div(...)), u' = u + du, which is the same
 scheme in exact arithmetic but keeps the roundoff mass error proportional
 to the actual motion du instead of to u itself.  Fluxes live on faces with
@@ -26,7 +28,9 @@ step but only pays its energy once, while D_old charges lambda dt of it).
 Step size control: dt follows the explicit advective CFL bound times the
 constant safety factor _CFL_SAFETY, shrinks by halving whenever a trial
 step goes nonpositive or non-finite, and grows by the constant factor
-_DT_GROWTH toward dt_max otherwise.  A step that fails at dt_min ends the
+_DT_GROWTH toward dt_max otherwise.  The CFL bound is read from the face
+gradient of the current v, which the step that produced v has already
+computed for its upwind flux.  A step that fails at dt_min ends the
 run as numerically diverged; nonpositive values are never clipped into
 validity.
 
@@ -58,9 +62,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-from .functionals import StatePair, _gradv_exponent, _report_and_vr
+from .functionals import StatePair, _gradv_exponent, _report_arrays
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -81,6 +86,7 @@ SERIES_COLUMNS = (
     "t", "dt", "mass_u", "mass_v", "sup_u", "sup_v",
     "F", "D", "f_l2", "g_l2", "gradv_lp",
 )
+_SUP_U = SERIES_COLUMNS.index("sup_u")
 
 # per-step defect allowance of the energy inequality check:
 # F_{j+1} - F_j <= -D_{j+1} dt_j + scheme_tolerance(dt_j, F_j).
@@ -136,22 +142,35 @@ class Trajectory:
 
 def _solve(g: RadialGrid, shift: np.ndarray | float, dt: float,
            rhs: np.ndarray) -> np.ndarray:
-    """Solve ((shift) I - dt Lap) x = rhs, shift broadcastable."""
-    ab = np.zeros((3, g.ncells))
+    """Solve ((shift) I - dt Lap) x = rhs, shift broadcastable.  The upper,
+    main and lower diagonals are rows 0, 1, 2 of one (3, N) block, laid out
+    as for solve_banded((1, 1), ...), which gtsv overwrites.  x is a fresh
+    array: writing it into rhs instead raised the collapse run's peak RSS
+    by 2 MB at N=8192 (allocator layout)."""
+    ab = np.empty((3, g.ncells))
     ab[0, 1:] = -dt * g.lap_upper[:-1]
     ab[1, :] = shift - dt * g.lap_diag
     ab[2, :-1] = -dt * g.lap_lower[1:]
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_dl=1,
+                        overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def _step_arrays(g: RadialGrid, u: np.ndarray, v: np.ndarray, dt: float):
+    """(u', v', face gradient of v') for one step of size dt."""
     v_new = _solve(g, 1.0 + dt, dt, v + dt * u)
     vel = g.face_gradient(v_new)
     # upwind: chemotaxis flux u * v_r through each interior face
     upw = np.where(vel >= 0.0, u[:-1], u[1:])
     div = g.flux_divergence(g.face_area * vel * upw)
     du = _solve(g, 1.0, dt, dt * (g.laplacian(u) - div))
-    return u + du, v_new
+    return u + du, v_new, vel
+
+
+def _state(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float) -> StatePair:
+    return StatePair(RadialField(g, u), RadialField(g, v), t)
 
 
 def step(s: StatePair, dt: float) -> StatePair:
@@ -159,17 +178,16 @@ def step(s: StatePair, dt: float) -> StatePair:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = s.grid
-    u_new, v_new = _step_arrays(g, np.asarray(s.u.values, float),
-                                np.asarray(s.v.values, float), dt)
-    return StatePair(RadialField(g, u_new), RadialField(g, v_new), s.t + dt)
+    u_new, v_new, _ = _step_arrays(g, np.asarray(s.u.values, float),
+                                   np.asarray(s.v.values, float), dt)
+    return _state(g, u_new, v_new, s.t + dt)
 
 
-def _cfl_bound(g: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
+def _cfl_bound(g: RadialGrid, vel: np.ndarray) -> float:
     """Largest dt for which explicit upwind advection keeps u nonnegative,
-    estimated from the current v (the fresh v' can tighten it; the step
-    rejection path catches that)."""
-    vel = g.face_gradient(v)
-    out = np.zeros_like(u)
+    estimated from vel, the face gradient of the current v (the fresh v'
+    can tighten it; the step rejection path catches that)."""
+    out = np.zeros(g.ncells)
     fa = g.face_area
     out[:-1] += fa * np.maximum(vel, 0.0) / g.weights[:-1]
     out[1:] += fa * np.maximum(-vel, 0.0) / g.weights[1:]
@@ -178,22 +196,21 @@ def _cfl_bound(g: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _valid(u: np.ndarray, v: np.ndarray) -> bool:
-    return (
-        bool(np.all(np.isfinite(u)))
-        and bool(np.all(np.isfinite(v)))
-        and bool(np.all(u > 0.0))
-        and bool(np.all(v > 0.0))
-    )
+    """Every value positive and finite.  A NaN makes min and max NaN, and
+    every comparison with NaN is false, so NaN fails like +-inf does."""
+    return bool(u.min() > 0.0 and u.max() < math.inf
+                and v.min() > 0.0 and v.max() < math.inf)
 
 
-def _diagnostics_row(s: StatePair, dt: float, gradv_p: float):
-    g = s.grid
-    rep, vr = _report_and_vr(s)
+def _diagnostics_row(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
+                     dt: float, gradv_p: float):
+    """The SERIES_COLUMNS values of a state that _valid has passed."""
+    rep, vr = _report_arrays(g, u, v)
     gradv = g.integrate_values(np.abs(vr) ** gradv_p) ** (1.0 / gradv_p)
     return (
-        s.t, dt,
-        g.integrate_values(s.u.values), g.integrate_values(s.v.values),
-        float(np.max(s.u.values)), float(np.max(s.v.values)),
+        t, dt,
+        g.integrate_values(u), g.integrate_values(v),
+        float(np.max(u)), float(np.max(v)),
         rep.F, rep.D, math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
         gradv,
     )
@@ -212,9 +229,10 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     rows = array("d")  # SERIES_COLUMNS values, one row after another
     t = float(s0.t)
     gradv_p = _gradv_exponent(g.n)
-    rows.extend(_diagnostics_row(s0, 0.0, gradv_p))
+    rows.extend(_diagnostics_row(g, u, v, s0.t, 0.0, gradv_p))
+    # only retained states become StatePairs, which copy u and v
     snapshots = [s0]
-    state = s0
+    vel = g.face_gradient(v)
 
     dt = cfg.dt_init
     steps = 0
@@ -223,10 +241,10 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     eps_t = 1e-12 * cfg.t_end
 
     while t < cfg.t_end - eps_t and steps < cfg.max_steps:
-        cfl = _cfl_bound(g, u, v)
+        cfl = _cfl_bound(g, vel)
         dt_try = min(dt, cfg.dt_max, _CFL_SAFETY * cfl, cfg.t_end - t)
         dt_try = max(dt_try, cfg.dt_min)
-        u_new, v_new = _step_arrays(g, u, v, dt_try)
+        u_new, v_new, vel_new = _step_arrays(g, u, v, dt_try)
         if not _valid(u_new, v_new):
             rejected += 1
             if dt_try <= cfg.dt_min * (1.0 + 1e-12):
@@ -235,24 +253,24 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
                 break
             dt = max(0.5 * dt_try, cfg.dt_min)
             continue
-        u, v = u_new, v_new
+        u, v, vel = u_new, v_new, vel_new
         t += dt_try
         steps += 1
-        state = StatePair(RadialField(g, u), RadialField(g, v), t)
-        rows.extend(_diagnostics_row(state, dt_try, gradv_p))
+        row = _diagnostics_row(g, u, v, t, dt_try, gradv_p)
+        rows.extend(row)
         if steps % cfg.snapshot_every == 0:
-            snapshots.append(state)
+            snapshots.append(_state(g, u, v, t))
         # early exit once the blow-up footprint is complete
         if (
-            float(np.max(u)) >= cfg.blowup_factor * sup0
+            row[_SUP_U] >= cfg.blowup_factor * sup0
             and dt_try <= cfg.dt_min * (1.0 + 1e-9)
         ):
             log.info("blow-up footprint at t=%.6g after %d steps", t, steps)
             break
         dt = min(dt_try * _DT_GROWTH, cfg.dt_max)
 
-    if snapshots[-1] is not state:
-        snapshots.append(state)
+    if steps % cfg.snapshot_every:
+        snapshots.append(_state(g, u, v, t))
     table = np.frombuffer(rows).reshape(-1, len(SERIES_COLUMNS))
     series = {name: table[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
 
@@ -280,7 +298,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
             # controller above dt_min: the same footprint as a stall at
             # dt_min.  Otherwise more steps might still settle the run.
             grew = series["sup_u"] >= cfg.blowup_factor * sup0
-            reach = _CFL_SAFETY * _cfl_bound(g, u, v) * cfg.max_steps
+            reach = _CFL_SAFETY * _cfl_bound(g, vel) * cfg.max_steps
             if np.any(grew) and reach < cfg.t_end - t:
                 verdict = BlowupVerdict(
                     outcome="blew_up",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from kslab import (
     RadialField,
@@ -14,14 +15,17 @@ from kslab import (
     detect_blowup,
     energy_report,
     fit_blowup_time,
+    integrate,
     lp_norm,
     perturbed_constant,
     radial_derivative,
     run,
     scheme_tolerance,
     step,
+    sup_norm,
 )
 from kslab.functionals import _gradv_exponent
+from kslab.solver import _solve
 
 
 @pytest.fixture(scope="module")
@@ -141,23 +145,91 @@ def test_run_reaches_t_end_and_series_shape(grid):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_series_row_zero_matches_public_functionals(n):
-    # the fused diagnostics pass is the public definitions, bit for bit,
-    # with |grad v|_p recorded at the n-dependent p_n
+def test_snapshot_rows_match_public_functionals(n):
+    # the run's check-free diagnostics pass is the public definitions, bit
+    # for bit, on every retained state, with |grad v|_p recorded at the
+    # n-dependent p_n
     s0 = perturbed_constant(build_grid(n, 1.0, 96), c=1.0, amplitude=0.3,
                             mode=2)
-    cfg = SolverConfig(t_end=1e-4, dt_init=1e-5, dt_max=1e-4)
-    row = {k: v[0] for k, v in run(s0, cfg).series.items()}
-    rep = energy_report(s0)
-    assert row["F"] == rep.F
-    assert row["D"] == rep.D
-    assert row["f_l2"] == math.sqrt(rep.f_norm_sq)
-    assert row["g_l2"] == math.sqrt(rep.g_norm_sq)
+    cfg = SolverConfig(t_end=1e-4, dt_init=1e-5, dt_max=1e-4,
+                       snapshot_every=2)
+    traj = run(s0, cfg)
+    assert len(traj.snapshots) >= 4
     p_n = _gradv_exponent(n)
     assert 1.0 < p_n < n / (n - 1.0)
-    assert row["gradv_lp"] == lp_norm(radial_derivative(s0.v, "neumann"), p_n)
     if n == 3:
         assert p_n == 1.4
+    for s in traj.snapshots:
+        (i,) = np.flatnonzero(traj.series["t"] == s.t)
+        row = {k: v[i] for k, v in traj.series.items()}
+        rep = energy_report(s)
+        assert row["F"] == rep.F
+        assert row["D"] == rep.D
+        assert row["f_l2"] == math.sqrt(rep.f_norm_sq)
+        assert row["g_l2"] == math.sqrt(rep.g_norm_sq)
+        assert row["gradv_lp"] == lp_norm(radial_derivative(s.v, "neumann"),
+                                          p_n)
+        assert row["mass_u"] == integrate(s.u)
+        assert row["mass_v"] == integrate(s.v)
+        assert row["sup_u"] == sup_norm(s.u)
+        assert row["sup_v"] == sup_norm(s.v)
+
+
+@pytest.mark.parametrize("every, multiple", [(4, True), (5, False)])
+def test_snapshot_retention_rule(grid, every, multiple):
+    # s0, then every `every`-th accepted state, then the final state once;
+    # each snapshot is the state of its series row, replayed through step
+    s0 = perturbed_constant(grid, c=1.0, amplitude=0.2)
+    cfg = SolverConfig(t_end=1.2e-2, dt_init=1e-3, dt_max=1e-3,
+                       snapshot_every=every)
+    traj = run(s0, cfg)
+    t, dt = traj.series["t"], traj.series["dt"]
+    steps = t.size - 1
+    assert (steps % every == 0) == multiple
+    rows = list(range(0, steps + 1, every))
+    if not multiple:
+        rows.append(steps)
+    assert traj.snapshots[0] is s0
+    assert [s.t for s in traj.snapshots] == [t[i] for i in rows]
+    s = s0
+    for i in range(1, steps + 1):
+        s = step(s, dt[i])
+        if i in rows:
+            snap = traj.snapshots[rows.index(i)]
+            assert snap.t == s.t
+            assert snap.u.values.tobytes() == s.u.values.tobytes()
+            assert snap.v.values.tobytes() == s.v.values.tobytes()
+
+
+def _solve_reference(g, shift, dt, rhs):
+    """The band solve through scipy's solve_banded, which dispatches to the
+    same LAPACK gtsv that _solve calls directly."""
+    ab = np.zeros((3, g.ncells))
+    ab[0, 1:] = -dt * g.lap_upper[:-1]
+    ab[1, :] = shift - dt * g.lap_diag
+    ab[2, :-1] = -dt * g.lap_lower[1:]
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+
+
+@pytest.mark.parametrize("N, grading", [(64, 1.0), (256, 1.035)])
+@pytest.mark.parametrize("dt", [1e-16, 1e-6, 1e-2])
+@pytest.mark.parametrize("v_shift", [False, True])
+def test_solve_matches_solve_banded_bitwise(N, grading, dt, v_shift):
+    # shift 1 + dt is the v-solve, shift 1 the u increment solve
+    g = build_grid(3, 1.0, N, grading)
+    rhs = np.random.default_rng(3).uniform(-1.0, 2.0, N)
+    shift = 1.0 + dt if v_shift else 1.0
+    ref = _solve_reference(g, shift, dt, rhs.copy())
+    assert _solve(g, shift, dt, rhs.copy()).tobytes() == ref.tobytes()
+
+
+def test_solve_refuses_singular_band():
+    g = build_grid(3, 1.0, 64)
+    rhs = np.ones(g.ncells)
+    with pytest.raises(LinAlgError):
+        _solve_reference(g, 0.0, 0.0, rhs.copy())
+    with pytest.raises(LinAlgError):
+        _solve(g, 0.0, 0.0, rhs.copy())
 
 
 def test_controller_grows_dt_to_cap(grid):
