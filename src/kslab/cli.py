@@ -224,18 +224,21 @@ print(f"wrote {out}")
 
 _PLOT_PROFILES = """\
 # Plot v(r) r^kappa across snapshots.
-import glob
 import os
 import matplotlib.pyplot as plt
 import numpy as np
 
 KAPPA = %(kappa)s
 here = os.path.dirname(os.path.abspath(__file__))
+with np.load(os.path.join(here, "snapshots.npz"), allow_pickle=False) as z:
+    edges, times = z["edges"], z["t"]
+r = 0.5 * (edges[:-1] + edges[1:])
+# one row per snapshot: u then v, little-endian float64
+rows = np.fromfile(os.path.join(here, "snapshots.f64"), dtype="<f8")
+rows = rows.reshape(times.size, 2, r.size)
 
 fig, ax = plt.subplots(figsize=(7, 5))
-for path in sorted(glob.glob(os.path.join(here, "snap_*.npz"))):
-    with np.load(path, allow_pickle=False) as z:
-        r, v, t = z["r"], z["v"], float(z["t"])
+for (u, v), t in zip(rows, times):
     ax.plot(r, v * r ** KAPPA, label=f"t={t:.4g}")
 ax.set_xscale("log")
 ax.set_xlabel("r")

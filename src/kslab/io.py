@@ -1,11 +1,14 @@
-"""Run persistence: .npz series and snapshots, JSON verdict and check
-reports, and a manifest written last.
+"""Run persistence: .npz series and snapshot index, a raw float64 row file
+for the snapshot states, JSON verdict and check reports, and a manifest
+written last.
 
 Layout of a run directory:
 
     config.json      the experiment configuration
     series.npz       per-step diagnostics, one float64 array per column
-    snap_00000.npz   self-describing snapshots (n, R, t, edges, r, u, v)
+    snapshots.npz    snapshot index: grid (n, R, edges), times t, config hash
+    snapshots.f64    one little-endian float64 row per snapshot, u then v
+                     (2N values), in the order of the index's t
     verdict.json     the BlowupVerdict and the rejected-step count
     checks_*.json    CheckReports, one file per verify battery
     manifest.json    inventory with file hashes; written last, atomically
@@ -16,9 +19,16 @@ uncompressed, so reload is bit-exact, and embed the config hash; load_run
 refuses any of them, and a config.json, whose hash is not the manifest's,
 and any file it reads whose sha256 is not the one the manifest lists.
 They are read with allow_pickle=False: a run directory may come from
-elsewhere.  Snapshots store the cell edges explicitly; rebuilding the grid
-from them reproduces the original quadrature weights bitwise, which
-center-only storage does not.
+elsewhere.  Every snapshot of a run lives on one grid, stored once as its
+cell edges; rebuilding the grid from them reproduces the original
+quadrature weights bitwise, which center-only storage does not.  The row
+file is append-only: a row is the raw bytes of (u, v), so it is read back
+bit-exactly and a reader needs only the index to parse it.  Run
+directories of the retired one-archive-per-snapshot layout
+(snap_NNNNN.npz) are refused.
+
+Single states written by write_snapshot (`kslab construct`'s datum files)
+stay self-describing .npz archives (n, R, t, edges, r, u, v).
 """
 
 from __future__ import annotations
@@ -32,14 +42,14 @@ import time
 import zipfile
 from dataclasses import dataclass
 from io import BytesIO
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__ as _VERSION
 from .config import ExperimentConfig, config_hash, save_config
 from .functionals import StatePair
-from .grid import RadialField, RadialGrid, _grid_from_edges
+from .grid import RadialField, _grid_from_edges
 from .solver import SERIES_COLUMNS, BlowupVerdict, Trajectory
 from .verifier import CheckReport
 
@@ -53,6 +63,8 @@ __all__ = [
 ]
 
 _SNAPSHOT_KEYS = ("n", "R", "t", "edges", "r", "u", "v", "config_hash")
+_INDEX_KEYS = ("n", "R", "edges", "t", "config_hash")
+_ROW_DTYPE = np.dtype("<f8")
 
 
 def _sha256(path: str) -> str:
@@ -100,28 +112,18 @@ def write_snapshot(s: StatePair, path: str, cfg_hash: str) -> None:
            u=s.u.values, v=s.v.values, config_hash=np.array(cfg_hash))
 
 
-def _read_snapshot(src, grid: Optional[RadialGrid] = None) -> tuple[StatePair, str]:
-    """Read a snapshot (a path or a binary file object) and its embedded
-    config hash.  `grid` is reused when the stored (n, R, edges) match it
-    bit for bit; otherwise the grid is rebuilt from the stored edges."""
-    path = getattr(src, "name", src)
-    f = _load_npz(src, _SNAPSHOT_KEYS)
-    n, R = int(f["n"]), float(f["R"])
+def load_snapshot(path: str) -> StatePair:
+    """Read a file written by write_snapshot, rebuilding its grid from the
+    stored edges."""
+    f = _load_npz(path, _SNAPSHOT_KEYS)
     edges = np.asarray(f["edges"], dtype=np.float64)
     if edges.ndim != 1 or f["r"].shape != (edges.size - 1,):
         raise ValueError(f"inconsistent snapshot {path}")
-    if grid is None or not (grid.n == n and grid.R == R
-                            and grid.edges.tobytes() == edges.tobytes()):
-        grid = _grid_from_edges(n, R, edges)
+    grid = _grid_from_edges(int(f["n"]), float(f["R"]), edges)
     if not np.array_equal(grid.centers, f["r"]):
         raise ValueError(f"snapshot centers do not match rebuilt grid: {path}")
-    state = StatePair(RadialField(grid, f["u"]), RadialField(grid, f["v"]),
-                      float(f["t"]))
-    return state, str(f["config_hash"])
-
-
-def load_snapshot(path: str) -> StatePair:
-    return _read_snapshot(path)[0]
+    return StatePair(RadialField(grid, f["u"]), RadialField(grid, f["v"]),
+                     float(f["t"]))
 
 
 def _write_json(obj, path: str) -> None:
@@ -165,6 +167,11 @@ def persist_run(
     traj: Trajectory, cfg: ExperimentConfig, directory: str
 ) -> dict:
     """Write a complete run directory and return the manifest."""
+    g = traj.grid
+    for i, s in enumerate(traj.snapshots):
+        if not (s.grid is g or (s.grid.n == g.n and s.grid.R == g.R and
+                                s.grid.edges.tobytes() == g.edges.tobytes())):
+            raise ValueError(f"snapshot {i} is not on the trajectory's grid")
     os.makedirs(directory, exist_ok=True)
     h = config_hash(cfg)
     inventory = {}
@@ -175,10 +182,17 @@ def persist_run(
     write_series(traj.series, os.path.join(directory, "series.npz"), h)
     inventory["series.npz"] = None
 
-    for i, snap in enumerate(traj.snapshots):
-        name = f"snap_{i:05d}.npz"
-        write_snapshot(snap, os.path.join(directory, name), h)
-        inventory[name] = None
+    _savez(os.path.join(directory, "snapshots.npz"), n=g.n, R=g.R,
+           edges=g.edges,
+           t=np.array([s.t for s in traj.snapshots], dtype=np.float64),
+           config_hash=np.array(h))
+    inventory["snapshots.npz"] = None
+    # raw rows straight from the snapshots' arrays: no stacked copy
+    with open(os.path.join(directory, "snapshots.f64"), "wb") as fh:
+        for s in traj.snapshots:
+            fh.write(np.ascontiguousarray(s.u.values, dtype=_ROW_DTYPE))
+            fh.write(np.ascontiguousarray(s.v.values, dtype=_ROW_DTYPE))
+    inventory["snapshots.f64"] = None
 
     verdict = _verdict_dict(traj.verdict)
     verdict["config_hash"] = h
@@ -249,6 +263,10 @@ def load_run(directory: str) -> RunData:
     with open(man_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     h = manifest["config_hash"]
+    if any(name.startswith("snap_") for name in manifest["files"]):
+        raise ValueError(
+            f"{directory} stores snapshots in the retired snap_NNNNN.npz "
+            "layout, which this version does not read; simulate the run again")
 
     def open_listed(name: str) -> BytesIO:
         # read once: the bytes parsed are the bytes check_sha256 hashes
@@ -258,40 +276,59 @@ def load_run(directory: str) -> RunData:
         buf.name = path
         return buf
 
-    def check_sha256(name: str, buf: BytesIO) -> None:
+    def check_sha256(name: str, digest: str) -> None:
         # runs after the embedded-hash check, so that a file of another run
         # is reported as such
-        digest = hashlib.sha256(buf.getvalue()).hexdigest()
         if digest != manifest["files"][name]["sha256"]:
             raise ValueError(f"{name} sha256 {digest} does not match manifest")
+
+    def check_buf(name: str, buf: BytesIO) -> None:
+        check_sha256(name, hashlib.sha256(buf.getvalue()).hexdigest())
 
     buf = open_listed("config.json")
     cfg = ExperimentConfig.from_dict(json.load(buf))
     if config_hash(cfg) != h:
         raise ValueError(
             f"config.json hash {config_hash(cfg)} does not match manifest {h}")
-    check_sha256("config.json", buf)
+    check_buf("config.json", buf)
     buf = open_listed("series.npz")
     series, series_hash = load_series(buf)
     if series_hash != h:
         raise ValueError(
             f"series config hash {series_hash} does not match manifest {h}")
-    check_sha256("series.npz", buf)
-    snaps, grid = [], None
-    for name in sorted(manifest["files"]):
-        if not name.startswith("snap_"):
-            continue
-        buf = open_listed(name)
-        snap, snap_hash = _read_snapshot(buf, grid)
-        if snap_hash != h:
+    check_buf("series.npz", buf)
+    buf = open_listed("snapshots.npz")
+    index = _load_npz(buf, _INDEX_KEYS)
+    if str(index["config_hash"]) != h:
+        raise ValueError(f"snapshots.npz config hash {index['config_hash']} "
+                         f"does not match manifest {h}")
+    check_buf("snapshots.npz", buf)
+    times = index["t"]
+    if times.ndim != 1 or index["edges"].ndim != 1:
+        raise ValueError(f"inconsistent snapshot index {buf.name}")
+    grid = _grid_from_edges(int(index["n"]), float(index["R"]),
+                            np.asarray(index["edges"], dtype=np.float64))
+    # one row buffer, reused: the rows hashed are the rows parsed, and the
+    # fields copy out of it
+    row = np.empty((2, grid.ncells), dtype=_ROW_DTYPE)
+    digest, snaps = hashlib.sha256(), []
+    with open(os.path.join(directory, "snapshots.f64"), "rb") as fh:
+        for t in times:
+            if fh.readinto(row) != row.nbytes:
+                raise ValueError(
+                    f"snapshots.f64 holds fewer than the {times.size} rows "
+                    "its index lists")
+            digest.update(row)
+            snaps.append(StatePair(RadialField(grid, row[0]),
+                                   RadialField(grid, row[1]), float(t)))
+        if fh.read(1):
             raise ValueError(
-                f"{name} config hash {snap_hash} does not match manifest {h}")
-        check_sha256(name, buf)
-        snaps.append(snap)
-        grid = snap.grid
+                f"snapshots.f64 holds more than the {times.size} rows "
+                "its index lists")
+    check_sha256("snapshots.f64", digest.hexdigest())
     buf = open_listed("verdict.json")
     vd = json.load(buf)
-    check_sha256("verdict.json", buf)
+    check_buf("verdict.json", buf)
     verdict = BlowupVerdict(
         outcome=vd["outcome"], t_detect=vd["t_detect"],
         t_extrapolated=vd["t_extrapolated"], trigger=vd["trigger"],

@@ -1,5 +1,6 @@
 """Subcommand behavior through the public entry point."""
 
+import hashlib
 import json
 import os
 import runpy
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from kslab.cli import main
-from kslab.io import load_run
+from kslab.io import load_run, write_snapshot
 
 
 @pytest.fixture()
@@ -77,6 +78,31 @@ def test_verify_missing_dir_is_single_error_line(workdir, capsys):
     assert rc != 0
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_retired_snapshot_layout_is_single_error_line(workdir, capsys):
+    # rewrite a run directory into the one-archive-per-snapshot layout
+    main(["simulate", write_cfg(workdir)])
+    run_dir = workdir / "clirun"
+    stored = load_run(str(run_dir))
+    man = json.loads((run_dir / "manifest.json").read_text())
+    for name in ("snapshots.npz", "snapshots.f64"):
+        os.remove(run_dir / name)
+        del man["files"][name]
+    for i, snap in enumerate(stored.snapshots):
+        name = f"snap_{i:05d}.npz"
+        write_snapshot(snap, str(run_dir / name), man["config_hash"])
+        digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        man["files"][name] = {"sha256": digest}
+    (run_dir / "manifest.json").write_text(json.dumps(man))
+    capsys.readouterr()
+    for argv in (["verify", str(run_dir)], ["plot", str(run_dir)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "retired snap_NNNNN.npz layout" in err
+        assert "simulate the run again" in err
 
 
 def test_simulate_bad_config_reports_error(workdir, capsys):

@@ -19,6 +19,8 @@ from kslab import (
     step,
 )
 from kslab.config import output_root, save_config
+from kslab.functionals import StatePair
+from kslab.grid import RadialField, build_grid
 from kslab.io import (
     SERIES_COLUMNS,
     load_run,
@@ -173,7 +175,9 @@ def test_persist_and_load_run(small_run, tmp_path):
     assert man["config_hash"] == config_hash(cfg)
     assert man["status"] == "complete"
     listed = set(man["files"])
-    assert {"config.json", "series.npz", "verdict.json"} <= listed
+    assert {"config.json", "series.npz", "snapshots.npz", "snapshots.f64",
+            "verdict.json"} <= listed
+    assert not any(name.startswith("snap_") for name in listed)
     on_disk = {p for p in os.listdir(out) if p != "manifest.json"}
     assert listed == on_disk
 
@@ -205,20 +209,70 @@ def test_load_run_rejects_snapshot_from_another_run(small_run, tmp_path):
     mine, other = tmp_path / "mine", tmp_path / "other"
     persist_run(traj, cfg, str(mine))
     persist_run(traj, small_config("other"), str(other))
-    shutil.copyfile(other / "snap_00001.npz", mine / "snap_00001.npz")
-    with pytest.raises(ValueError, match="snap_00001.npz config hash"):
+    shutil.copyfile(other / "snapshots.npz", mine / "snapshots.npz")
+    with pytest.raises(ValueError, match="snapshots.npz config hash"):
         load_run(str(mine))
 
 
 def test_load_run_rejects_snapshot_overwritten_within_run(small_run, tmp_path):
-    # same config hash inside, different bytes: only the manifest sha256
-    # tells the two snapshots apart
+    # row 1 overwritten with row 2: a well-formed row file of the right
+    # length, and only the manifest sha256 tells the two snapshots apart
     cfg, traj = small_run
     out = tmp_path / "run"
     persist_run(traj, cfg, str(out))
-    shutil.copyfile(out / "snap_00002.npz", out / "snap_00001.npz")
-    with pytest.raises(ValueError, match="snap_00001.npz sha256"):
+    rows = out / "snapshots.f64"
+    size = 2 * traj.grid.ncells * 8
+    data = bytearray(rows.read_bytes())
+    data[size:2 * size] = data[2 * size:3 * size]
+    rows.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="snapshots.f64 sha256"):
         load_run(str(out))
+
+
+@pytest.mark.parametrize("change", ["cut", "appended"])
+def test_load_run_refuses_row_file_of_wrong_length(small_run, tmp_path,
+                                                   change):
+    cfg, traj = small_run
+    out = tmp_path / "run"
+    persist_run(traj, cfg, str(out))
+    rows = out / "snapshots.f64"
+    data = rows.read_bytes()
+    rows.write_bytes(data[:-8] if change == "cut" else data + bytes(8))
+    with pytest.raises(ValueError, match="snapshots.f64 holds"):
+        load_run(str(out))
+
+
+def test_snapshot_row_file_format(small_run, tmp_path):
+    cfg, traj = small_run
+    out = tmp_path / "run"
+    persist_run(traj, cfg, str(out))
+    N, S = traj.grid.ncells, len(traj.snapshots)
+    raw = (out / "snapshots.f64").read_bytes()
+    assert len(raw) == S * 2 * N * 8
+    rows = np.frombuffer(raw, dtype="<f8").reshape(S, 2, N)
+    with np.load(str(out / "snapshots.npz"), allow_pickle=False) as z:
+        index = {k: z[k] for k in z.files}
+    assert set(index) == {"n", "R", "edges", "t", "config_hash"}
+    assert np.array_equal(index["edges"].view(np.uint64),
+                          traj.grid.edges.view(np.uint64))
+    for (u, v), t, snap in zip(rows, index["t"], traj.snapshots):
+        assert np.array_equal(u.view(np.uint64),
+                              snap.u.values.view(np.uint64))
+        assert np.array_equal(v.view(np.uint64),
+                              snap.v.values.view(np.uint64))
+        assert t == snap.t
+
+
+def test_persist_run_refuses_snapshot_on_another_grid(small_run, tmp_path):
+    cfg, traj = small_run
+    fine = build_grid(3, 1.0, 64)
+    stray = StatePair(RadialField(fine, np.ones(64)),
+                      RadialField(fine, np.ones(64)), traj.snapshots[1].t)
+    mixed = dataclasses.replace(
+        traj, snapshots=[traj.snapshots[0], stray, *traj.snapshots[2:]])
+    with pytest.raises(ValueError, match="snapshot 1 is not on"):
+        persist_run(mixed, cfg, str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_run_rejects_config_edited_after_persist(small_run, tmp_path):
