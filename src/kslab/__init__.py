@@ -5,7 +5,7 @@ in dimension n >= 3, an energy/dissipation verification harness, and a
 factory for low-energy initial data with arbitrarily negative energy.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .grid import (
     RadialGrid,
@@ -48,7 +48,6 @@ from .solver import (
     BlowupVerdict,
     step,
     run,
-    detect_blowup,
     fit_blowup_time,
     scheme_tolerance,
     SERIES_COLUMNS,
@@ -84,7 +83,7 @@ __all__ = [
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",
     "SolverConfig", "Trajectory", "BlowupVerdict", "step", "run",
-    "detect_blowup", "fit_blowup_time", "scheme_tolerance", "SERIES_COLUMNS",
+    "fit_blowup_time", "scheme_tolerance", "SERIES_COLUMNS",
     "CheckReport", "StateCorpus", "check_conservation",
     "check_energy_inequality", "check_pointwise_bound", "check_gradv_lp",
     "check_odi_blowup", "check_lemma14_sequence", "inequality_suite",

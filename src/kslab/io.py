@@ -187,12 +187,16 @@ def persist_run(
            t=np.array([s.t for s in traj.snapshots], dtype=np.float64),
            config_hash=np.array(h))
     inventory["snapshots.npz"] = None
-    # raw rows straight from the snapshots' arrays: no stacked copy
+    # raw rows straight from the snapshots' arrays, no stacked copy, hashed
+    # as they are written rather than read back
+    digest = hashlib.sha256()
     with open(os.path.join(directory, "snapshots.f64"), "wb") as fh:
         for s in traj.snapshots:
-            fh.write(np.ascontiguousarray(s.u.values, dtype=_ROW_DTYPE))
-            fh.write(np.ascontiguousarray(s.v.values, dtype=_ROW_DTYPE))
-    inventory["snapshots.f64"] = None
+            for vals in (s.u.values, s.v.values):
+                row = np.ascontiguousarray(vals, dtype=_ROW_DTYPE)
+                fh.write(row)
+                digest.update(row)
+    inventory["snapshots.f64"] = digest.hexdigest()
 
     verdict = _verdict_dict(traj.verdict)
     verdict["config_hash"] = h
@@ -208,8 +212,8 @@ def persist_run(
         "name": cfg.name,
         "verdict": verdict,
         "files": {
-            name: {"sha256": _sha256(os.path.join(directory, name))}
-            for name in sorted(inventory)
+            name: {"sha256": digest or _sha256(os.path.join(directory, name))}
+            for name, digest in sorted(inventory.items())
         },
     }
     _commit_manifest(manifest, directory)

@@ -1,22 +1,27 @@
 """Time integration of the radial chemotaxis system with blow-up detection.
 
-One IMEX step, in this order:
+One step of size dt, in this order:
 
   1. v-update: backward Euler in the diffusion and decay terms with the
      current u as source, (1 + dt) v' - dt Lap v' = v + dt u.
-  2. u-update: implicit diffusion, explicit upwinded chemotaxis flux built
-     from the fresh v' face gradients,
-     u' - dt Lap u' = u - dt div(u_upwind * grad v').
+  2. u-update: backward Euler in the whole drift-diffusion operator, with
+     the Scharfetter-Gummel (exponentially fitted) face flux built from the
+     fresh v',
+         (W + dt K(v')) u' = W u,   W = diag(weights),
+     where face i, between cells i and i+1, carries the outflow
+         G_i = (face_area / face_dr)_i [B(-d_i) u_i - B(d_i) u_{i+1}],
+     d_i = v'_{i+1} - v'_i, B(x) = x / (e^x - 1), and (K u)_i = G_i - G_{i-1}
+     with no flux through r = 0 and r = R.  G reduces to the centered flux
+     of u_r - u v_r as d -> 0 and to pure upwinding as |d| grows.
 
 Both solves are tridiagonal and call LAPACK gtsv directly, the routine
 scipy's solve_banded dispatches to for one sub- and one superdiagonal.
-The u-solve is done in increment form,
-(I - dt Lap) du = dt (Lap u - div(...)), u' = u + du, which is the same
-scheme in exact arithmetic but keeps the roundoff mass error proportional
-to the actual motion du instead of to u itself.  Fluxes live on faces with
-zero flux at r = 0 and r = R, so the u mass is conserved to solver roundoff
-and the v mass obeys the exact discrete comparison
-m_v' = (m_v + dt m_u)/(1 + dt).
+Every column of the u-matrix sums to its cell weight and the off-diagonals
+are negative, so it is an M-matrix: u' stays positive and the u mass
+sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
+the weighted sums only to about eps * dt * flux / weight, which is why the
+controller limits growth per step (below).  The v mass obeys the exact
+discrete comparison m_v' = (m_v + dt m_u)/(1 + dt).
 
 The per-step energy comparison this scheme satisfies is the one natural to
 implicit steps, with the dissipation evaluated at the arrival state:
@@ -25,32 +30,24 @@ dissipation at the departure state instead, stiff transients at large dt
 genuinely violate the bound (backward Euler removes a stiff mode in one
 step but only pays its energy once, while D_old charges lambda dt of it).
 
-Step size control: dt follows the explicit advective CFL bound times the
-constant safety factor _CFL_SAFETY, shrinks by halving whenever a trial
-step goes nonpositive or non-finite, and grows by the constant factor
-_DT_GROWTH toward dt_max otherwise.  The CFL bound is read from the face
-gradient of the current v, which the step that produced v has already
-computed for its upwind flux.  A step that fails at dt_min ends the
-run as numerically diverged; nonpositive values are never clipped into
-validity.
+Step size control: a trial step takes dt_try = min(dt, dt_max, t_end - t),
+floored at dt_min.  It is rejected, and dt halved, when u' or v' is not
+positive and finite, or when the growth factor gamma = max(u'/u) exceeds
+_GROWTH_REJECT with dt_try above dt_min.  After an accepted step dt grows
+by _DT_GROWTH toward dt_max, and when gamma > 1 it is also capped at
+dt_try ln(_GROWTH_TARGET) / ln(gamma), so that the next step should grow u
+by about _GROWTH_TARGET at most.  A step rejected at dt_min ends the run as
+numerically diverged; nonpositive values are never clipped into validity.
 
-Blow-up is declared when the sup of u has grown by blowup_factor over its
-initial value AND the controller can no longer advance t.  Both signals
-together are the operational footprint of finite-time blow-up under this
-scheme; either alone is routine.  The controller is stuck in one of two
-ways:
-
-  * dt has been forced onto dt_min (a step accepted there, or a step
-    rejected there), read from the recorded series;
-  * dt is held above dt_min by the CFL bound, so the step budget runs out
-    with t short of t_end.  This counts only if a whole fresh budget at
-    the final state's bound, _CFL_SAFETY * CFL * max_steps, would not
-    cover the remaining time t_end - t either; otherwise the run is
-    inconclusive.
-
-The CFL-stall test is applied once the budget is spent, never inside the
-loop: a collapse keeps sharpening while dt sits on the CFL bound, and an
-early stop would cut the run before the spike reaches the grid scale.
+Blow-up is declared from two grid-visible signals, and the run stops as
+soon as both hold: sup u has grown by blowup_factor over its initial
+value, and cell 0 holds at least half the u mass, omega_n w_0 u_0 >=
+mass_u / 2.  Either alone is routine: a concentrating but resolved profile
+grows without collapsing into one cell, and a datum can start with its
+mass in cell 0.  t_detect is the first row where the growth condition
+held, the onset of the collapse; after the singularity mass keeps piling
+into cell 0, so the half-share row is a grid artifact, not a time of the
+solution.  A run whose step budget ends short of t_end is inconclusive.
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ __all__ = [
     "Trajectory",
     "step",
     "run",
-    "detect_blowup",
     "fit_blowup_time",
     "scheme_tolerance",
     "SERIES_COLUMNS",
@@ -86,6 +82,7 @@ SERIES_COLUMNS = (
     "t", "dt", "mass_u", "mass_v", "sup_u", "sup_v",
     "F", "D", "f_l2", "g_l2", "gradv_lp",
 )
+_MASS_U = SERIES_COLUMNS.index("mass_u")
 _SUP_U = SERIES_COLUMNS.index("sup_u")
 
 # per-step defect allowance of the energy inequality check:
@@ -95,8 +92,10 @@ _SUP_U = SERIES_COLUMNS.index("sup_u")
 _C_SCHEME = 20.0
 _TOL_FLOOR = 1e-12
 
-_CFL_SAFETY = 0.9
 _DT_GROWTH = 1.2
+_GROWTH_REJECT = 10.0   # reject a step above dt_min that grows u more
+_GROWTH_TARGET = 1.5    # per-step growth of u the next dt aims at
+_LN_GROWTH_TARGET = math.log(_GROWTH_TARGET)
 
 
 def scheme_tolerance(dt: float, F: float) -> float:
@@ -140,17 +139,12 @@ class Trajectory:
     rejected_steps: int = 0
 
 
-def _solve(g: RadialGrid, shift: np.ndarray | float, dt: float,
-           rhs: np.ndarray) -> np.ndarray:
-    """Solve ((shift) I - dt Lap) x = rhs, shift broadcastable.  The upper,
-    main and lower diagonals are rows 0, 1, 2 of one (3, N) block, laid out
-    as for solve_banded((1, 1), ...), which gtsv overwrites.  x is a fresh
-    array: writing it into rhs instead raised the collapse run's peak RSS
-    by 2 MB at N=8192 (allocator layout)."""
-    ab = np.empty((3, g.ncells))
-    ab[0, 1:] = -dt * g.lap_upper[:-1]
-    ab[1, :] = shift - dt * g.lap_diag
-    ab[2, :-1] = -dt * g.lap_lower[1:]
+def _gtsv(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system whose upper, main and lower diagonals
+    are rows 0, 1, 2 of the (3, N) block ab, laid out as for
+    solve_banded((1, 1), ...); gtsv overwrites ab.  x is a fresh array:
+    writing it into rhs instead raised the collapse run's peak RSS by 2 MB
+    at N=8192 (allocator layout)."""
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_dl=1,
                         overwrite_d=1, overwrite_du=1)
     if info > 0:
@@ -158,15 +152,51 @@ def _solve(g: RadialGrid, shift: np.ndarray | float, dt: float,
     return x
 
 
+def _solve(g: RadialGrid, shift: np.ndarray | float, dt: float,
+           rhs: np.ndarray) -> np.ndarray:
+    """Solve ((shift) I - dt Lap) x = rhs, shift broadcastable."""
+    ab = np.empty((3, g.ncells))
+    ab[0, 1:] = -dt * g.lap_upper[:-1]
+    ab[1, :] = shift - dt * g.lap_diag
+    ab[2, :-1] = -dt * g.lap_lower[1:]
+    return _gtsv(ab, rhs)
+
+
+def _bernoulli(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B(delta), B(-delta)) for B(x) = x / (e^x - 1), from one expm1(|delta|):
+    B(|d|) = |d| / expm1(|d|), which is 1 at 0 and 0 once expm1 overflows,
+    and B(-|d|) = |d| + B(|d|).  Finite for every finite delta, and free of
+    floating-point warnings."""
+    a = np.abs(delta)
+    with np.errstate(over="ignore"):
+        e = np.expm1(a)
+    small = np.ones_like(a)
+    np.divide(a, e, out=small, where=a > 0.0)
+    large = a + small
+    ahead = delta >= 0.0
+    return np.where(ahead, small, large), np.where(ahead, large, small)
+
+
+def _drift_diffusion_solve(g: RadialGrid, u: np.ndarray, v_new: np.ndarray,
+                           dt: float) -> np.ndarray:
+    """u' from (W + dt K(v')) u' = W u with the Scharfetter-Gummel flux."""
+    b_up, b_down = _bernoulli(v_new[1:] - v_new[:-1])
+    dtt = dt * (g.face_area / g.face_dr)
+    upper = dtt * b_up       # pull of u_{i+1} into cell i through face i
+    lower = dtt * b_down     # pull of u_i into cell i+1 through face i
+    ab = np.empty((3, g.ncells))
+    ab[0, 1:] = -upper
+    ab[2, :-1] = -lower
+    ab[1, :] = g.weights
+    ab[1, :-1] += lower
+    ab[1, 1:] += upper
+    return _gtsv(ab, g.weights * u)
+
+
 def _step_arrays(g: RadialGrid, u: np.ndarray, v: np.ndarray, dt: float):
-    """(u', v', face gradient of v') for one step of size dt."""
+    """(u', v') for one step of size dt."""
     v_new = _solve(g, 1.0 + dt, dt, v + dt * u)
-    vel = g.face_gradient(v_new)
-    # upwind: chemotaxis flux u * v_r through each interior face
-    upw = np.where(vel >= 0.0, u[:-1], u[1:])
-    div = g.flux_divergence(g.face_area * vel * upw)
-    du = _solve(g, 1.0, dt, dt * (g.laplacian(u) - div))
-    return u + du, v_new, vel
+    return _drift_diffusion_solve(g, u, v_new, dt), v_new
 
 
 def _state(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float) -> StatePair:
@@ -174,25 +204,13 @@ def _state(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float) -> StatePair:
 
 
 def step(s: StatePair, dt: float) -> StatePair:
-    """One IMEX step of size dt.  Purely a function of (state, dt)."""
+    """One step of size dt.  Purely a function of (state, dt)."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     g = s.grid
-    u_new, v_new, _ = _step_arrays(g, np.asarray(s.u.values, float),
-                                   np.asarray(s.v.values, float), dt)
+    u_new, v_new = _step_arrays(g, np.asarray(s.u.values, float),
+                                np.asarray(s.v.values, float), dt)
     return _state(g, u_new, v_new, s.t + dt)
-
-
-def _cfl_bound(g: RadialGrid, vel: np.ndarray) -> float:
-    """Largest dt for which explicit upwind advection keeps u nonnegative,
-    estimated from vel, the face gradient of the current v (the fresh v'
-    can tighten it; the step rejection path catches that)."""
-    out = np.zeros(g.ncells)
-    fa = g.face_area
-    out[:-1] += fa * np.maximum(vel, 0.0) / g.weights[:-1]
-    out[1:] += fa * np.maximum(-vel, 0.0) / g.weights[1:]
-    mx = np.max(out)
-    return math.inf if mx == 0.0 else 1.0 / mx
 
 
 def _valid(u: np.ndarray, v: np.ndarray) -> bool:
@@ -217,7 +235,7 @@ def _diagnostics_row(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
 
 
 def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
-    """Integrate from s0 with adaptive dt until t_end, blow-up detection,
+    """Integrate from s0 with adaptive dt until t_end, on-grid collapse,
     numerical divergence, or the step budget."""
     g = s0.grid
     u = np.asarray(s0.u.values, float)
@@ -225,6 +243,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     if not _valid(u, v):
         raise ValueError("initial state must be positive and finite")
     sup0 = float(np.max(u))
+    cell0 = g.omega_n * float(g.weights[0])   # u_0 times this is cell 0's mass
 
     rows = array("d")  # SERIES_COLUMNS values, one row after another
     t = float(s0.t)
@@ -232,42 +251,46 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     rows.extend(_diagnostics_row(g, u, v, s0.t, 0.0, gradv_p))
     # only retained states become StatePairs, which copy u and v
     snapshots = [s0]
-    vel = g.face_gradient(v)
 
     dt = cfg.dt_init
     steps = 0
     rejected = 0
     diverged_at: Optional[float] = None
+    i_grow: Optional[int] = None     # first row with sup_u grown
+    share = 0.0                      # cell 0's share of the u mass
     eps_t = 1e-12 * cfg.t_end
 
     while t < cfg.t_end - eps_t and steps < cfg.max_steps:
-        cfl = _cfl_bound(g, vel)
-        dt_try = min(dt, cfg.dt_max, _CFL_SAFETY * cfl, cfg.t_end - t)
-        dt_try = max(dt_try, cfg.dt_min)
-        u_new, v_new, vel_new = _step_arrays(g, u, v, dt_try)
-        if not _valid(u_new, v_new):
+        dt_try = max(min(dt, cfg.dt_max, cfg.t_end - t), cfg.dt_min)
+        at_floor = dt_try <= cfg.dt_min * (1.0 + 1e-12)
+        u_new, v_new = _step_arrays(g, u, v, dt_try)
+        valid = _valid(u_new, v_new)
+        gamma = float(np.max(u_new / u)) if valid else math.inf
+        if not valid or (gamma > _GROWTH_REJECT and not at_floor):
             rejected += 1
-            if dt_try <= cfg.dt_min * (1.0 + 1e-12):
+            if at_floor:
                 diverged_at = t
                 log.warning("step failed at dt_min=%.3g, t=%.6g: diverged", cfg.dt_min, t)
                 break
             dt = max(0.5 * dt_try, cfg.dt_min)
             continue
-        u, v, vel = u_new, v_new, vel_new
+        u, v = u_new, v_new
         t += dt_try
         steps += 1
         row = _diagnostics_row(g, u, v, t, dt_try, gradv_p)
         rows.extend(row)
         if steps % cfg.snapshot_every == 0:
             snapshots.append(_state(g, u, v, t))
-        # early exit once the blow-up footprint is complete
-        if (
-            row[_SUP_U] >= cfg.blowup_factor * sup0
-            and dt_try <= cfg.dt_min * (1.0 + 1e-9)
-        ):
-            log.info("blow-up footprint at t=%.6g after %d steps", t, steps)
-            break
-        dt = min(dt_try * _DT_GROWTH, cfg.dt_max)
+        if i_grow is None and row[_SUP_U] >= cfg.blowup_factor * sup0:
+            i_grow = steps
+        if i_grow is not None:
+            share = cell0 * float(u[0]) / row[_MASS_U]
+            if share >= 0.5:
+                log.info("collapsed on the grid at t=%.6g after %d steps", t, steps)
+                break
+        dt = min(_DT_GROWTH * dt_try, cfg.dt_max)
+        if gamma > 1.0:
+            dt = min(dt, dt_try * _LN_GROWTH_TARGET / math.log(gamma))
 
     if steps % cfg.snapshot_every:
         snapshots.append(_state(g, u, v, t))
@@ -275,81 +298,31 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     series = {name: table[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
 
     if diverged_at is not None:
-        # The controller can no longer advance: a step failed at dt_min.
-        # If the growth half of the blow-up footprint is already in, this
-        # is the collapse completing, not a scheme failure.
-        if np.max(series["sup_u"]) >= cfg.blowup_factor * sup0:
-            verdict = BlowupVerdict(
-                outcome="blew_up", t_detect=diverged_at,
-                t_extrapolated=fit_blowup_time(series["t"], series["sup_u"]),
-                trigger="controller stalled at dt_min after sup_u growth",
-            )
-        else:
-            verdict = BlowupVerdict(
-                outcome="diverged_numerically", t_detect=diverged_at,
-                t_extrapolated=None, trigger="step_rejected_at_dt_min",
-            )
+        verdict = BlowupVerdict(
+            outcome="diverged_numerically", t_detect=diverged_at,
+            t_extrapolated=None, trigger="step_rejected_at_dt_min",
+        )
+    elif share >= 0.5:
+        verdict = BlowupVerdict(
+            outcome="blew_up", t_detect=float(series["t"][i_grow]),
+            t_extrapolated=fit_blowup_time(series["t"], series["sup_u"]),
+            trigger=f"collapsed_on_grid: cell 0 holds {share:.3g} of the u "
+                    f"mass, sup_u x{series['sup_u'][-1] / sup0:.3g}",
+        )
+    elif t < cfg.t_end - eps_t:
+        verdict = BlowupVerdict(
+            outcome="inconclusive", t_detect=None, t_extrapolated=None,
+            trigger=f"step_budget_exhausted_at_t={t:.6g}",
+        )
     else:
-        verdict = detect_blowup(series, cfg.blowup_factor, cfg.dt_min)
-        if verdict.outcome == "reached_t_end" and t < cfg.t_end - eps_t:
-            # The step budget ran out short of t_end.  If sup_u has grown
-            # and the CFL bound holds dt so low that another whole budget
-            # would not reach t_end either, the collapse is outrunning the
-            # controller above dt_min: the same footprint as a stall at
-            # dt_min.  Otherwise more steps might still settle the run.
-            grew = series["sup_u"] >= cfg.blowup_factor * sup0
-            reach = _CFL_SAFETY * _cfl_bound(g, vel) * cfg.max_steps
-            if np.any(grew) and reach < cfg.t_end - t:
-                verdict = BlowupVerdict(
-                    outcome="blew_up",
-                    t_detect=float(series["t"][int(np.argmax(grew))]),
-                    t_extrapolated=fit_blowup_time(series["t"], series["sup_u"]),
-                    trigger="step budget exhausted with dt held by the CFL "
-                            "bound after sup_u growth",
-                )
-            else:
-                verdict = BlowupVerdict(
-                    outcome="inconclusive", t_detect=None, t_extrapolated=None,
-                    trigger=f"step_budget_exhausted_at_t={t:.6g}",
-                )
+        verdict = BlowupVerdict("reached_t_end", None, None,
+                                "no blow-up footprint")
     log.info("run finished: %s after %d steps (%d rejected), t=%.6g",
              verdict.outcome, steps, rejected, t)
     return Trajectory(
         grid=g, config=cfg, series=series, snapshots=snapshots,
         verdict=verdict, rejected_steps=rejected,
     )
-
-
-def detect_blowup(series: dict, blowup_factor: float, dt_min: float) -> BlowupVerdict:
-    """Post-hoc classification of a recorded series.
-
-    blew_up needs both signals: sup_u grew by blowup_factor over its initial
-    value, and the step controller was forced onto dt_min.  The reported
-    t_extrapolated comes from a power-law fit sup_u ~ C (T - t)^{-q} over
-    the growing tail.
-    """
-    t = series["t"]
-    dt = series["dt"]
-    sup = series["sup_u"]
-    if t.size == 0:
-        raise ValueError("empty series")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(sup))):
-        return BlowupVerdict("diverged_numerically", None, None, "nonfinite_series")
-
-    sup0 = sup[0]
-    grew = sup >= blowup_factor * sup0
-    stepped = dt > 0.0  # row 0 records the initial state with dt = 0
-    collapsed = stepped & (dt <= dt_min * (1.0 + 1e-9))
-    if np.any(grew) and np.any(collapsed):
-        i_grow = int(np.argmax(grew))
-        i_coll = int(np.argmax(collapsed))
-        i_det = max(i_grow, i_coll)
-        t_ex = fit_blowup_time(t, sup)
-        return BlowupVerdict(
-            outcome="blew_up", t_detect=float(t[i_det]), t_extrapolated=t_ex,
-            trigger=f"sup_u x{sup[i_det] / sup0:.3g} with dt at dt_min",
-        )
-    return BlowupVerdict("reached_t_end", None, None, "no blow-up footprint")
 
 
 def fit_blowup_time(t: np.ndarray, sup: np.ndarray) -> Optional[float]:

@@ -288,7 +288,7 @@ def test_criterion_07_uniform_bounds_along_blowup(resolved_runs):
 
 
 def test_criterion_08_inequality_suite(run4, spike_table, collapse_run,
-                                       tmp_path):
+                                       k_runs, resolved_runs, tmp_path):
     _, traj4 = run4
     _, table = spike_table
     gc = collapse_run.grid
@@ -297,6 +297,10 @@ def test_criterion_08_inequality_suite(run4, spike_table, collapse_run,
     members += [(f"run4_{i}", s) for i, s in enumerate(traj4.snapshots)]
     members += [(f"collapse_{i}", s)
                 for i, s in enumerate(collapse_run.snapshots)]
+    members += [(f"k{k}_{i}", s) for k, tr in k_runs.items()
+                for i, s in enumerate(tr.snapshots)]
+    members += [(f"resolved_k{k}_{i}", s) for k, (_, tr) in resolved_runs.items()
+                for i, s in enumerate(tr.snapshots)]
     members += [(f"spike_{d.k}", StatePair(d.u0, d.v0)) for d in table]
     corpus = StateCorpus.from_states(members, kappa=2.0)
     reports = inequality_suite(corpus)
@@ -442,7 +446,10 @@ def _odi_monotone_reference(traj):
 def test_energy_checks_match_per_row_reference(run4, collapse_run,
                                                resolved_runs):
     # collapse_run fails inside its trust horizon, so the worst margin and
-    # its row are pinned on a failing run as well as on passing ones
+    # its row are pinned on a failing run as well as on passing ones.  The
+    # ODI half reads resolved_k2 in its place: the collapse run stops once
+    # cell 0 holds half the mass, and its F < 0 tail is shorter than the
+    # 16 rows check_odi_blowup needs to apply.
     theta = theta_exponent(3, 2.0)
     runs = {"run4": run4[1], "collapse": collapse_run,
             "resolved_k4": resolved_runs[4][1]}
@@ -451,6 +458,9 @@ def test_energy_checks_match_per_row_reference(run4, collapse_run,
         got = (rep.passed, rep.worst_ratio, rep.location,
                rep.details["rows_checked"])
         assert got == _energy_rows_reference(traj), name
+    odi_runs = {"run4": run4[1], "resolved_k2": resolved_runs[2][1],
+                "resolved_k4": resolved_runs[4][1]}
+    for name, traj in odi_runs.items():
         odi = check_odi_blowup(traj, theta)
         assert odi.details["applicable"], name
         got = (odi.details["monotone"], odi.location)

@@ -1,6 +1,7 @@
 """Config hashing and on-disk run artifacts."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ from kslab import (
 from kslab.config import output_root, save_config
 from kslab.functionals import StatePair
 from kslab.grid import RadialField, build_grid
+import kslab.io as kio
 from kslab.io import (
     SERIES_COLUMNS,
     load_run,
@@ -261,6 +263,25 @@ def test_snapshot_row_file_format(small_run, tmp_path):
         assert np.array_equal(v.view(np.uint64),
                               snap.v.values.view(np.uint64))
         assert t == snap.t
+
+
+def test_row_file_digest_taken_while_writing(small_run, tmp_path,
+                                             monkeypatch):
+    # the manifest's sha256 of snapshots.f64 comes from the row bytes as
+    # they are written; only the other files are read back to hash them
+    read_back = []
+    real = kio._sha256
+    monkeypatch.setattr(kio, "_sha256",
+                        lambda path: read_back.append(path) or real(path))
+    cfg, traj = small_run
+    out = tmp_path / "run"
+    manifest = persist_run(traj, cfg, str(out))
+    assert sorted(os.path.basename(p) for p in read_back) == [
+        "config.json", "series.npz", "snapshots.npz", "verdict.json"]
+    raw = (out / "snapshots.f64").read_bytes()
+    assert (manifest["files"]["snapshots.f64"]["sha256"]
+            == hashlib.sha256(raw).hexdigest())
+    load_run(str(out))
 
 
 def test_persist_run_refuses_snapshot_on_another_grid(small_run, tmp_path):

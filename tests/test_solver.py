@@ -12,10 +12,11 @@ from kslab import (
     StatePair,
     baseline_profiles,
     build_grid,
-    detect_blowup,
+    constant_recipe,
     energy_report,
     fit_blowup_time,
     integrate,
+    lemma14_pair,
     lp_norm,
     perturbed_constant,
     radial_derivative,
@@ -24,8 +25,9 @@ from kslab import (
     step,
     sup_norm,
 )
+from kslab import solver
 from kslab.functionals import _gradv_exponent
-from kslab.solver import _solve
+from kslab.solver import _bernoulli, _solve
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +54,8 @@ def test_mass_conservation_per_step(grid):
     for _ in range(200):
         s = step(s, 5e-4)
     drift = abs(grid.integrate_values(s.u.values) - m0) / m0
-    # increment-form update keeps per-step mass error near machine epsilon
+    # the weighted u-matrix has column sums w, so per-step mass error stays
+    # near machine epsilon
     assert drift < 1e-12
 
 
@@ -215,7 +218,7 @@ def _solve_reference(g, shift, dt, rhs):
 @pytest.mark.parametrize("dt", [1e-16, 1e-6, 1e-2])
 @pytest.mark.parametrize("v_shift", [False, True])
 def test_solve_matches_solve_banded_bitwise(N, grading, dt, v_shift):
-    # shift 1 + dt is the v-solve, shift 1 the u increment solve
+    # shift 1 + dt is the v-solve, shift 1 plain implicit diffusion
     g = build_grid(3, 1.0, N, grading)
     rhs = np.random.default_rng(3).uniform(-1.0, 2.0, N)
     shift = 1.0 + dt if v_shift else 1.0
@@ -274,29 +277,6 @@ def test_config_validation():
 # --- detection ----------------------------------------------------------
 
 
-def synthetic_series(sup, dt):
-    sup = np.asarray(sup, dtype=float)
-    dt = np.asarray(dt, dtype=float)
-    t = np.concatenate([[0.0], np.cumsum(dt[1:])])
-    return {"t": t, "dt": dt, "sup_u": sup}
-
-
-def test_detect_blowup_needs_both_triggers():
-    dt_min = 1e-9
-    # growth without dt collapse: not a detection
-    s1 = synthetic_series([1, 10, 1e2, 1e5], [0, 1e-3, 1e-3, 1e-3])
-    assert detect_blowup(s1, 1e4, dt_min).outcome == "reached_t_end"
-    # dt at the floor without growth: no footprint either (a run that
-    # crawled but completed is not a blow-up)
-    s2 = synthetic_series([1, 1, 1, 1], [0, 1e-3, 1e-9, 1e-9])
-    assert detect_blowup(s2, 1e4, dt_min).outcome == "reached_t_end"
-    # both: detected
-    s3 = synthetic_series([1, 10, 1e3, 2e4], [0, 1e-3, 1e-6, 1e-9])
-    v = detect_blowup(s3, 1e4, dt_min)
-    assert v.outcome == "blew_up"
-    assert v.t_detect == pytest.approx(s3["t"][-1])
-
-
 def test_fit_blowup_time_exact_power_law():
     t = np.linspace(0.0, 0.49, 2000)
     sup = 2.0 * (0.5 - t) ** -1.5
@@ -317,8 +297,8 @@ def test_fit_blowup_time_declines_flat_series():
 
 
 def test_blowup_run_end_to_end():
-    # concentrated data on a uniform grid: collapse detected, dt pinned at
-    # dt_min, extrapolated time slightly past detection
+    # concentrated data on a uniform grid: collapse detected once cell 0
+    # holds half the mass, extrapolated time slightly past detection
     grid = build_grid(3, 1.0, 256)
     ub = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
     vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2)
@@ -336,52 +316,182 @@ def test_blowup_run_end_to_end():
     assert np.max(sup) >= 1e4 * sup[0]
 
 
-def _cfl_stall_run(**overrides):
-    # the bump collapse on a coarse grid with dt_min far below the CFL
-    # bound: once the spike sharpens, dt sits on the CFL bound (about 1e-7)
-    # and the 400-step budget runs out long before t_end
+def _collapse_run(**overrides):
+    # the collapse datum: a mass-50 bump over half a wider mass-25 signal on
+    # the uniform N=256 grid; sup_u has grown 1e4-fold after 40 steps, and
+    # cell 0 holds half the mass after 50
     grid = build_grid(3, 1.0, 256)
     ub = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
     vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2)
     s = StatePair(ub.u, RadialField(grid, 0.5 * vb.v.values))
-    cfg = dict(t_end=1.0, dt_init=1e-7, dt_min=1e-12, dt_max=1e-4,
-               blowup_factor=1e4, snapshot_every=50, max_steps=400)
+    cfg = dict(t_end=0.02, dt_init=1e-6, dt_min=2e-8, dt_max=1e-4,
+               blowup_factor=1e4, snapshot_every=8, max_steps=500)
     cfg.update(overrides)
     return run(s, SolverConfig(**cfg))
 
 
-@pytest.fixture(scope="module")
-def cfl_stall():
-    return _cfl_stall_run()
+def _cell0_share(s):
+    g = s.grid
+    return g.omega_n * g.weights[0] * s.u.values[0] / integrate(s.u)
 
 
-def test_budget_exhausted_on_cfl_stall_after_growth_is_blowup(cfl_stall):
-    traj = cfl_stall
-    s = traj.series
-    assert s["t"].size - 1 == traj.config.max_steps
-    assert s["t"][-1] < 1e-3
-    assert s["dt"][-1] > 1e4 * traj.config.dt_min  # never near dt_min
+def test_collapse_datum_blows_up_on_grid_within_budget():
+    traj = _collapse_run()
     v = traj.verdict
     assert v.outcome == "blew_up"
-    assert "CFL" in v.trigger
-    grew = s["sup_u"] >= 1e4 * s["sup_u"][0]
-    assert v.t_detect == s["t"][np.argmax(grew)]
-    assert v.t_extrapolated is not None
+    assert v.trigger.startswith("collapsed_on_grid")
+    assert traj.series["t"].size - 1 < traj.config.max_steps
+    assert _cell0_share(traj.snapshots[-1]) >= 0.5
+    grew = traj.series["sup_u"] >= 1e4 * traj.series["sup_u"][0]
+    assert v.t_detect == traj.series["t"][np.argmax(grew)]
 
 
-def test_budget_exhausted_without_growth_is_inconclusive(cfl_stall):
-    # the same trajectory, judged against a growth factor it never reaches
-    traj = _cfl_stall_run(blowup_factor=1e9)
-    assert np.array_equal(traj.series["sup_u"], cfl_stall.series["sup_u"])
+def test_blowup_needs_growth_and_half_share():
+    # growth without the half share: stop the collapse between the growth
+    # row and the half-share row
+    full = _collapse_run()
+    t_end = 0.5 * (full.verdict.t_detect + full.series["t"][-1])
+    traj = _collapse_run(t_end=t_end)
+    sup = traj.series["sup_u"]
+    assert np.max(sup) >= 1e4 * sup[0]
+    assert _cell0_share(traj.snapshots[-1]) < 0.5
+    assert traj.verdict.outcome == "reached_t_end"
+    # the half share without growth: the same trajectory judged against a
+    # growth factor it never reaches runs on past the collapse
+    traj = _collapse_run(t_end=5e-3, blowup_factor=1e6)
+    sup = traj.series["sup_u"]
+    assert np.max(sup) < 1e6 * sup[0]
+    assert _cell0_share(traj.snapshots[-1]) > 0.9
+    assert traj.verdict.outcome == "reached_t_end"
+    assert traj.verdict.t_detect is None
+
+
+@pytest.mark.parametrize("blowup_factor, grows", [(1e4, True), (1e9, False)])
+def test_budget_exhausted_short_of_t_end_is_inconclusive(blowup_factor, grows):
+    # 45 steps: past the growth row, short of the half-share row
+    traj = _collapse_run(max_steps=45, blowup_factor=blowup_factor)
+    sup = traj.series["sup_u"]
+    assert traj.series["t"].size - 1 == 45
+    assert (np.max(sup) >= blowup_factor * sup[0]) == grows
+    assert _cell0_share(traj.snapshots[-1]) < 0.5
     assert traj.verdict.outcome == "inconclusive"
     assert traj.verdict.t_detect is None
 
 
-def test_budget_exhausted_within_reach_of_t_end_is_inconclusive(cfl_stall):
-    # growth is in, but t_end is so close that another budget at the final
-    # CFL-limited dt would get there: the stall does not settle the run
-    s = cfl_stall.series
-    t_end = s["t"][-1] + 0.5 * s["dt"][-1] * cfl_stall.config.max_steps
-    traj = _cfl_stall_run(t_end=t_end)
-    assert np.array_equal(traj.series["t"], s["t"])
-    assert traj.verdict.outcome == "inconclusive"
+def test_controller_rejects_a_step_that_grows_u_tenfold():
+    # mid-collapse, a step of dt_max = 1e-4 grows u about 40-fold: it is
+    # rejected and retried at half the dt, and no accepted step above
+    # dt_min grows u by more than 10
+    mid = _collapse_run(max_steps=30).snapshots[-1]
+    traj = run(mid, SolverConfig(t_end=0.02, dt_init=1e-4, dt_min=2e-8,
+                                 dt_max=1e-4, snapshot_every=1, max_steps=20))
+    assert traj.rejected_steps >= 1
+    growth = [np.max(b.u.values / a.u.values)
+              for a, b in zip(traj.snapshots, traj.snapshots[1:])]
+    assert max(growth) <= 10.0
+
+
+@pytest.mark.parametrize("grown", [False, True])
+def test_step_rejected_at_dt_min_is_diverged_whatever_the_growth(
+        monkeypatch, grown):
+    # every step fails from the start, or once sup_u has grown 1e4-fold;
+    # the controller halves dt down to dt_min and the step fails there too
+    real = solver._step_arrays
+    sup0 = _collapse_run(max_steps=1).series["sup_u"][0]
+
+    def failing(g, u, v, dt):
+        u_new, v_new = real(g, u, v, dt)
+        if not grown or np.max(u) >= 1e4 * sup0:
+            u_new = -u_new
+        return u_new, v_new
+
+    monkeypatch.setattr(solver, "_step_arrays", failing)
+    traj = _collapse_run()
+    sup = traj.series["sup_u"]
+    assert (np.max(sup) >= 1e4 * sup0) == grown
+    assert traj.verdict.outcome == "diverged_numerically"
+    assert traj.verdict.trigger == "step_rejected_at_dt_min"
+
+
+# --- the Scharfetter-Gummel u-step ----------------------------------------
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 700.0,
+                               -700.0, 800.0, -800.0, 1e300, -1e300])
+def test_bernoulli_pair_finite_and_exact_identity(x):
+    with np.errstate(all="raise"):
+        b, b_neg = _bernoulli(np.array([x]))
+    b, b_neg = float(b[0]), float(b_neg[0])
+    assert math.isfinite(b) and math.isfinite(b_neg)
+    a = abs(x)
+    small, large = (b, b_neg) if x >= 0 else (b_neg, b)
+    assert large == a + small                     # B(-a) = a + B(a)
+    # B(a) = a e^{-a} / (1 - e^{-a}), 1 at a = 0
+    ref = 1.0 if a == 0.0 else a * math.exp(-a) / -math.expm1(-a)
+    assert small == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+@pytest.fixture(scope="module", params=[1.0, 1.013, 1.035])
+def step_data(request):
+    g = build_grid(3, 1.0, 1024, request.param)
+    ub = baseline_profiles("bump", g, m=50.0, width=0.15, floor=1e-2)
+    vb = baseline_profiles("bump", g, m=25.0, width=0.3, floor=1e-2)
+    d = lemma14_pair(constant_recipe(g, c=1.0, p=1.1), 4)
+    deep = lemma14_pair(constant_recipe(g, c=4.0, p=1.1,
+                                        r_rule=lambda k: 0.8 * 0.97 ** k), 4)
+    return {"bump": StatePair(ub.u, RadialField(g, 0.5 * vb.v.values)),
+            "lemma14": StatePair(d.u0, d.v0),
+            "lemma14_resolved": StatePair(deep.u0, deep.v0)}
+
+
+@pytest.mark.parametrize("dt", [1e-16, 1e-12, 1e-6])
+@pytest.mark.parametrize("kind", ["bump", "lemma14"])
+def test_one_step_positive_and_conservative(step_data, kind, dt):
+    s = step_data[kind]
+    m0 = integrate(s.u)
+    s1 = step(s, dt)
+    assert np.all(s1.u.values > 0) and np.all(s1.v.values > 0)
+    assert abs(integrate(s1.u) - m0) <= 1e-12 * m0
+
+
+@pytest.mark.parametrize("dt", [1e-16, 1e-12, 1e-6, 1e-2])
+def test_one_step_mass_error_at_flux_roundoff_scale(step_data, dt):
+    # the resolved k=4 member: one solve keeps the weighted sum only to
+    # about eps * dt * flux, which on this datum exceeds 1e-12 of the mass
+    # at dt = 1e-6 (the run's growth limit keeps its steps far smaller)
+    s = step_data["lemma14_resolved"]
+    g = s.grid
+    m0 = integrate(s.u)
+    s1 = step(s, dt)
+    u, v = s1.u.values, s1.v.values
+    assert np.all(u > 0) and np.all(v > 0) and np.all(np.isfinite(u))
+    b, b_neg = _bernoulli(v[1:] - v[:-1])
+    flux = g.omega_n * np.sum(g.face_area / g.face_dr
+                              * (b * u[1:] + b_neg * u[:-1]))
+    eps = np.finfo(float).eps
+    assert abs(integrate(s1.u) - m0) <= 16.0 * eps * (m0 + dt * flux)
+
+
+def _property_state(kind, grid, mass):
+    if kind == "perturbed_constant":
+        return perturbed_constant(grid, c=mass / grid.domain_volume,
+                                  amplitude=0.3, mode=2)
+    if kind == "bump":
+        return baseline_profiles("bump", grid, m=mass, width=0.15, floor=1e-2)
+    rec = constant_recipe(grid, c=mass / grid.domain_volume, p=1.1,
+                          r_rule=lambda k: 0.8 * 0.97 ** k)
+    d = lemma14_pair(rec, 4)
+    return StatePair(d.u0, d.v0)
+
+
+@pytest.mark.parametrize("mass", [4.0, 200.0])
+@pytest.mark.parametrize("N", [64, 256, 1024])
+@pytest.mark.parametrize("kind", ["perturbed_constant", "bump", "lemma14"])
+def test_every_run_ends_in_a_named_outcome_within_budget(kind, N, mass):
+    s0 = _property_state(kind, build_grid(3, 1.0, N), mass)
+    cfg = SolverConfig(t_end=0.2, dt_init=1e-6, dt_min=1e-12, dt_max=1e-3,
+                       snapshot_every=50, max_steps=2000)
+    traj = run(s0, cfg)
+    assert traj.verdict.outcome in ("blew_up", "reached_t_end",
+                                    "diverged_numerically"), traj.verdict
+    assert traj.series["t"].size - 1 < cfg.max_steps
