@@ -1,5 +1,5 @@
 """End-to-end: configured run, persisted artifacts, verification battery,
-then a finite-time collapse with the detector and the fitted blow-up time.
+then a finite-time collapse with the on-grid detector's outcome and onset.
 
 Outputs land under ./demo_out (or $KSLAB_OUT if set).
 """
@@ -52,5 +52,3 @@ print(f"collapse run: outcome {v.outcome} (trigger: {v.trigger})")
 print(f"  sup u: {S['sup_u'][0]:.4g} -> {S['sup_u'].max():.4g}")
 print(f"  F:     {S['F'][0]:.4g} -> {S['F'][-1]:.4g}")
 print(f"  detected at t = {v.t_detect:.6g}")
-print(f"  fitted singular time  = {v.t_extrapolated:.6g} "
-      f"(from the free-growth window of sup u)")

@@ -48,7 +48,6 @@ from .solver import (
     BlowupVerdict,
     step,
     run,
-    fit_blowup_time,
     scheme_tolerance,
     SERIES_COLUMNS,
 )
@@ -83,7 +82,7 @@ __all__ = [
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",
     "SolverConfig", "Trajectory", "BlowupVerdict", "step", "run",
-    "fit_blowup_time", "scheme_tolerance", "SERIES_COLUMNS",
+    "scheme_tolerance", "SERIES_COLUMNS",
     "CheckReport", "StateCorpus", "check_conservation",
     "check_energy_inequality", "check_pointwise_bound", "check_gradv_lp",
     "check_odi_blowup", "check_lemma14_sequence", "inequality_suite",

@@ -69,7 +69,7 @@ def _cmd_simulate(args) -> int:
     out = _resolve_out(cfg, args.out)
     v = _simulate(cfg, out)
     print(f"{cfg.name}: {v.outcome} t_detect={v.t_detect} "
-          f"t_extrapolated={v.t_extrapolated} dir={out}")
+          f"trigger={v.trigger!r} dir={out}")
     return 0
 
 

@@ -217,8 +217,8 @@ class ParamWindow:
 
     p lives in (1, 2n/(n+2)) (construction integrability), alpha in
     (n - n/p, (n-2)/2) (spike steepness window), kappa > n - 2 (signal decay),
-    theta the derived dissipation exponent.  The mass / signal-mass / decay
-    caps (m, M, B) and the initial-data size A are carried when known.
+    theta the derived dissipation exponent.  The signal-mass and decay caps
+    (M, B) are carried when known.
     """
 
     n: int
@@ -227,10 +227,8 @@ class ParamWindow:
     alpha: float
     alpha_window: tuple
     theta: float
-    m: Optional[float] = None
     M: Optional[float] = None
     B: Optional[float] = None
-    A: Optional[float] = None
 
 
 def _exponent_window(n: int, p: float, alpha: Optional[float] = None):
@@ -253,20 +251,18 @@ def param_window(
     p: float,
     kappa: float,
     alpha: Optional[float] = None,
-    m: Optional[float] = None,
     M: Optional[float] = None,
     B: Optional[float] = None,
-    A: Optional[float] = None,
 ) -> ParamWindow:
     """Validate exponents and fill alpha with the window midpoint if absent."""
     if n < 3:
         raise ValueError(f"dimension n must be >= 3, got {n}")
     alpha, (lo, hi) = _exponent_window(n, p, alpha)
     theta = theta_exponent(n, kappa)
-    for name, val in (("m", m), ("M", M), ("B", B), ("A", A)):
+    for name, val in (("M", M), ("B", B)):
         if val is not None and not val > 0:
             raise ValueError(f"{name} must be positive when given, got {val}")
     return ParamWindow(
         n=n, p=p, kappa=kappa, alpha=alpha, alpha_window=(lo, hi),
-        theta=theta, m=m, M=M, B=B, A=A,
+        theta=theta, M=M, B=B,
     )

@@ -132,10 +132,6 @@ def _write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def _verdict_dict(v: BlowupVerdict) -> dict:
-    return dataclasses.asdict(v)
-
-
 def _report_dict(rep: CheckReport) -> dict:
     d = dataclasses.asdict(rep)
     loc = d["location"]
@@ -198,7 +194,7 @@ def persist_run(
                 digest.update(row)
     inventory["snapshots.f64"] = digest.hexdigest()
 
-    verdict = _verdict_dict(traj.verdict)
+    verdict = dataclasses.asdict(traj.verdict)
     verdict["config_hash"] = h
     verdict["rejected_steps"] = traj.rejected_steps
     _write_json(verdict, os.path.join(directory, "verdict.json"))
@@ -333,10 +329,10 @@ def load_run(directory: str) -> RunData:
     buf = open_listed("verdict.json")
     vd = json.load(buf)
     check_buf("verdict.json", buf)
-    verdict = BlowupVerdict(
-        outcome=vd["outcome"], t_detect=vd["t_detect"],
-        t_extrapolated=vd["t_extrapolated"], trigger=vd["trigger"],
-    )
+    # older run directories also hold a fitted "t_extrapolated", which is
+    # no longer part of a verdict and is ignored
+    verdict = BlowupVerdict(outcome=vd["outcome"], t_detect=vd["t_detect"],
+                            trigger=vd["trigger"])
     return RunData(
         directory=directory, config=cfg, series=series,
         snapshots=snaps, verdict=verdict, manifest=manifest,

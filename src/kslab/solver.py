@@ -48,6 +48,8 @@ mass in cell 0.  t_detect is the first row where the growth condition
 held, the onset of the collapse; after the singularity mass keeps piling
 into cell 0, so the half-share row is a grid artifact, not a time of the
 solution.  A run whose step budget ends short of t_end is inconclusive.
+The verdict fits no singular time; verifier.check_odi_blowup fits one
+from the energy (its implied_T).
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ __all__ = [
     "Trajectory",
     "step",
     "run",
-    "fit_blowup_time",
     "scheme_tolerance",
     "SERIES_COLUMNS",
 ]
@@ -125,7 +126,6 @@ class SolverConfig:
 class BlowupVerdict:
     outcome: str            # blew_up | reached_t_end | diverged_numerically | inconclusive
     t_detect: Optional[float]
-    t_extrapolated: Optional[float]
     trigger: str
 
 
@@ -300,82 +300,24 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     if diverged_at is not None:
         verdict = BlowupVerdict(
             outcome="diverged_numerically", t_detect=diverged_at,
-            t_extrapolated=None, trigger="step_rejected_at_dt_min",
+            trigger="step_rejected_at_dt_min",
         )
     elif share >= 0.5:
         verdict = BlowupVerdict(
             outcome="blew_up", t_detect=float(series["t"][i_grow]),
-            t_extrapolated=fit_blowup_time(series["t"], series["sup_u"]),
             trigger=f"collapsed_on_grid: cell 0 holds {share:.3g} of the u "
                     f"mass, sup_u x{series['sup_u'][-1] / sup0:.3g}",
         )
     elif t < cfg.t_end - eps_t:
         verdict = BlowupVerdict(
-            outcome="inconclusive", t_detect=None, t_extrapolated=None,
+            outcome="inconclusive", t_detect=None,
             trigger=f"step_budget_exhausted_at_t={t:.6g}",
         )
     else:
-        verdict = BlowupVerdict("reached_t_end", None, None,
-                                "no blow-up footprint")
+        verdict = BlowupVerdict("reached_t_end", None, "no blow-up footprint")
     log.info("run finished: %s after %d steps (%d rejected), t=%.6g",
              verdict.outcome, steps, rejected, t)
     return Trajectory(
         grid=g, config=cfg, series=series, snapshots=snapshots,
         verdict=verdict, rejected_steps=rejected,
     )
-
-
-def fit_blowup_time(t: np.ndarray, sup: np.ndarray) -> Optional[float]:
-    """Least-squares fit of sup ~ C (T - t)^{-q} on the growing tail.
-
-    For each candidate T the model is linear in (log(T - t), log sup); T is
-    picked by golden-section search on the residual.  Returns None when
-    there is not enough growth to pin a singularity down.
-    """
-    smax = float(np.max(sup))
-    # On-grid collapse saturates at sup ~ mass / (smallest cell volume) and
-    # piles up rows there; fit the free-growth band and drop the pile-up.
-    keep = (sup >= 4.0 * sup[0]) & (sup <= 0.5 * smax) & (sup > 0)
-    tt, ss = t[keep], sup[keep]
-    if tt.size < 8 or ss[-1] < 4.0 * ss[0]:
-        # Short burst or no saturation: fall back to the growing tail.
-        n = t.size
-        i0 = int(np.argmax(sup >= 2.0 * sup[0])) if np.any(
-            sup >= 2.0 * sup[0]) else 0
-        tt = t[max(i0, n - 400):]
-        ss = sup[max(i0, n - 400):]
-        pos = ss > 0
-        tt, ss = tt[pos], ss[pos]
-        if tt.size < 8 or ss[-1] < 4.0 * ss[0]:
-            return None
-    ls = np.log(ss)
-    t_last = tt[-1]
-    span = t_last - tt[0]
-
-    def resid(T: float) -> float:
-        x = np.log(T - tt)
-        A = np.vstack([x, np.ones_like(x)]).T
-        sol, res, *_ = np.linalg.lstsq(A, ls, rcond=None)
-        if res.size == 0:
-            return float(np.sum((A @ sol - ls) ** 2))
-        return float(res[0])
-
-    lo = t_last + 1e-9 * span
-    hi = t_last + 10.0 * span
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = resid(c), resid(d)
-    for _ in range(200):
-        if abs(b - a) <= 1e-12 * span:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = resid(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = resid(d)
-    return float(0.5 * (a + b))

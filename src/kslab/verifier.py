@@ -37,7 +37,6 @@ from .functionals import (
     _require_positive,
     param_window,
     theta_exponent,
-    w12_norm,
 )
 from .initial_data import BlowupDatum
 from .solver import Trajectory, scheme_tolerance
@@ -394,15 +393,13 @@ class StateCorpus:
         n = labeled[0][1].grid.n
         M = 0.0
         B = 0.0
-        A = 0.0
         for label, s in labeled:
             if s.grid.n != n:
                 raise ValueError("corpus members must share the dimension n")
             _require_admissible(label, s)
             M = max(M, s.grid.integrate_values(s.v.values))
             B = max(B, _snapshot_sup_vrk(s, kappa))
-            A = max(A, w12_norm(s.v))
-        window = param_window(n=n, p=1.1, kappa=kappa, M=M, B=B, A=A)
+        window = param_window(n=n, p=1.1, kappa=kappa, M=M, B=B)
         return StateCorpus(members=tuple(labeled), window=window)
 
     @property

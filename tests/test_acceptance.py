@@ -343,7 +343,7 @@ def test_criterion_09_odi_fit(resolved_runs, collapse_run):
         grid=grid, config=SolverConfig(), snapshots=[],
         series={"t": t, "dt": np.full_like(t, t[1]), "F": -y,
                 "D": np.zeros_like(t)},
-        verdict=BlowupVerdict("reached_t_end", None, None, ""))
+        verdict=BlowupVerdict("reached_t_end", None, ""))
     rep = check_odi_blowup(fake, theta)
     C = rep.details["fitted_C"]
     resid = rep.details["fit_residual"]

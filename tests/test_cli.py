@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from kslab.cli import main
-from kslab.io import load_run, write_snapshot
+from kslab.config import ExperimentConfig
+from kslab.functionals import StatePair
+from kslab.grid import RadialField
+from kslab.initial_data import baseline_profiles
+from kslab.io import load_run, persist_run, write_snapshot
+from kslab.solver import SolverConfig, run
 
 
 @pytest.fixture()
@@ -103,6 +108,51 @@ def test_retired_snapshot_layout_is_single_error_line(workdir, capsys):
         assert err.count("\n") == 1
         assert "retired snap_NNNNN.npz layout" in err
         assert "simulate the run again" in err
+
+
+@pytest.mark.parametrize("kind", ["relaxation", "collapse"])
+def test_run_dir_with_fitted_time_still_loads(workdir, capsys, kind):
+    # older run directories hold a power-law "t_extrapolated" in verdict.json
+    # and in the manifest's verdict; a verdict no longer has one
+    if kind == "relaxation":
+        main(["simulate", write_cfg(workdir)])
+        run_dir = workdir / "clirun"
+    else:
+        # the collapse datum of the solver tests, persisted directly: a
+        # config's initial block cannot scale v, so this one is a record
+        cfg = ExperimentConfig(
+            name="collapse", grid={"n": 3, "R": 1.0, "N": 256, "grading": 1.0},
+            initial={"kind": "bump", "m": 50.0, "width": 0.15, "floor": 1e-2},
+            solver=SolverConfig(t_end=0.02, dt_init=1e-6, dt_min=2e-8,
+                                dt_max=1e-4, snapshot_every=8),
+            checks={"kappa": 2.0})
+        grid = cfg.build_grid()
+        u = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2).u
+        vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2).v
+        s0 = StatePair(u, RadialField(grid, 0.5 * vb.values))
+        run_dir = workdir / "collapse"
+        persist_run(run(s0, cfg.solver), cfg, str(run_dir))
+    before = load_run(str(run_dir)).verdict
+    vd = json.loads((run_dir / "verdict.json").read_text())
+    assert "t_extrapolated" not in vd
+    vd["t_extrapolated"] = 1.43e-3
+    (run_dir / "verdict.json").write_text(
+        json.dumps(vd, indent=2, sort_keys=True) + "\n")
+    man = json.loads((run_dir / "manifest.json").read_text())
+    man["verdict"]["t_extrapolated"] = 1.43e-3
+    man["files"]["verdict.json"]["sha256"] = hashlib.sha256(
+        (run_dir / "verdict.json").read_bytes()).hexdigest()
+    (run_dir / "manifest.json").write_text(json.dumps(man))
+
+    after = load_run(str(run_dir)).verdict
+    assert (after.outcome, after.t_detect, after.trigger) == (
+        before.outcome, before.t_detect, before.trigger)
+    if kind == "collapse":
+        assert after.outcome == "blew_up" and after.t_detect > 0
+    capsys.readouterr()
+    for argv in (["verify", str(run_dir)], ["plot", str(run_dir)]):
+        assert main(argv) in (0, 1)
+        assert "error:" not in capsys.readouterr().err
 
 
 def test_simulate_bad_config_reports_error(workdir, capsys):

@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+import kslab
 from kslab import (
     ExperimentConfig,
     SolverConfig,
@@ -195,6 +196,20 @@ def test_persist_and_load_run(small_run, tmp_path):
     # one grid per loaded run, shared by every snapshot
     assert all(s.grid is back.snapshots[0].grid for s in back.snapshots)
     assert np.all(back.snapshots[0].grid.weights == traj.grid.weights)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_project_version_is_package_version(small_run, tmp_path):
+    # pyproject.toml takes its version from kslab.__version__, which every
+    # manifest records as artifact_version
+    from setuptools.config.pyprojecttoml import read_configuration
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    meta = read_configuration(os.path.join(root, "pyproject.toml"),
+                              expand=True)
+    assert meta["project"]["version"] == kslab.__version__
+    cfg, traj = small_run
+    man = persist_run(traj, cfg, str(tmp_path / "run"))
+    assert man["artifact_version"] == kslab.__version__
 
 
 def test_rejected_steps_round_trip(small_run, tmp_path):
