@@ -5,7 +5,7 @@ Subcommands:
     simulate <config.json>            run and persist a trajectory
     construct <config.json>           emit a constructed-data sequence table
     verify <run_dir> --battery NAME   run checks against a stored run
-    sweep <config.json> --ks ...      concurrent runs over k or N
+    sweep <config.json> --ks ...      one run per k or N, in turn
     constants <n> <kappa> <p>         print the derived exponents/windows
     plot <run_dir>                    emit plot scripts (no rendering)
 
@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -139,13 +138,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _sweep_worker(payload: tuple) -> tuple:
-    cfg_dict, directory = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    v = _simulate(cfg, directory)
-    return cfg.name, v.outcome, v.t_detect
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args.out)
@@ -170,11 +162,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs --ks or --resolutions")
     os.makedirs(out, exist_ok=True)
     results = []
-    with ProcessPoolExecutor(max_workers=min(len(jobs), args.jobs)) as pool:
-        for name, outcome, t_detect in pool.map(_sweep_worker, jobs):
-            results.append({"name": name, "outcome": outcome,
-                            "t_detect": t_detect})
-            print(f"{name}: {outcome} t_detect={t_detect}")
+    for d, directory in jobs:
+        v = _simulate(ExperimentConfig.from_dict(d), directory)
+        results.append({"name": d["name"], "outcome": v.outcome,
+                        "t_detect": v.t_detect})
+        print(f"{d['name']}: {v.outcome} t_detect={v.t_detect}")
     with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"config_hash": config_hash(cfg), "runs": results},
                   fh, indent=2, sort_keys=True)
@@ -282,11 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--battery", default="trajectory", choices=_BATTERIES)
     s.set_defaults(fn=_cmd_verify)
 
-    s = sub.add_parser("sweep", help="concurrent runs over k or N")
+    s = sub.add_parser("sweep", help="one run per k or N, in turn")
     s.add_argument("config")
     s.add_argument("--ks", default=None)
     s.add_argument("--resolutions", default=None)
-    s.add_argument("--jobs", type=int, default=os.cpu_count() or 2)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=_cmd_sweep)
 

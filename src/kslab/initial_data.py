@@ -24,16 +24,19 @@ for display.  Pointwise evaluation at representable radii stays correctly
 rounded: below the underflow threshold r^2 + eta_k rounds to r^2 at every
 representable r > 0, so the float profiles are the pure power tails there.
 
-Convergence and energy numbers of a datum are computed by adaptive
-quadrature of the closed-form profiles, not by grid sums; the sampled grid
-fields are a separate (renormalized-on-grid) representation, and they
-carry the construction only if the grid resolves the core sqrt(eta_k).
-When the core lies below the smallest cell, the grid samples only the
-power tail, and the sampled pair has nothing of the energy the core
-holds.  On the N=1024 grid graded 1.013 (smallest cell 2.3e-8) the default
-members k = 1, 12, 20 have F0 = -9.27, -152.9, -253.4 but grid energies
--1.28, -2.09, -2.09, i.e. the constant baseline's.  Compare F0 with
-functionals.energy_report of (u0, v0) before evolving a member.
+The baseline is the constant u = v = c, the only one the lab builds data
+over.  Convergence and energy numbers of a datum are continuum integrals,
+not grid sums: the baseline terms (the shell r_k < r < R, the mass
+c |B_R|) are closed form, and adaptive quadrature runs only over the
+spike pieces inside B_{r_k}.  The sampled grid fields are a separate
+(renormalized-on-grid) representation, and they carry the construction
+only if the grid resolves the core sqrt(eta_k).  When the core lies below
+the smallest cell, the grid samples only the power tail, and the sampled
+pair has nothing of the energy the core holds.  On the N=1024 grid
+graded 1.013 (smallest cell 2.3e-8) the default members k = 1, 12, 20
+have F0 = -9.27, -152.9, -253.4 but grid energies -1.28, -2.09, -2.09,
+i.e. the constant baseline's.  Compare F0 with functionals.energy_report
+of (u0, v0) before evolving a member.
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .functionals import StatePair, _exponent_window
-from .grid import RadialField, RadialGrid, integrate
+from .grid import RadialField, RadialGrid
 
 __all__ = [
     "phi",
@@ -73,26 +75,19 @@ _MIN_CELLS_INSIDE = 8
 _Q_ENERGY = dict(epsabs=1e-14, epsrel=1e-11, limit=400)
 _Q_MASS = dict(epsabs=1e-300, epsrel=1e-11, limit=400)
 
-_tail_const_cache: dict[int, float] = {}
-
 
 def _tail_constant(n: int) -> float:
-    """I_n = lim_{xi->0} (phi(xi) + 0.5 ln xi), via the exact decomposition
+    """I_n = lim_{xi->0} (phi(xi) + 0.5 ln xi) = -(digamma(n/2) + gamma)/2.
 
-    phi(xi) = 0.5 ln((1+xi)/xi) + int_0^{1/sqrt(xi)} h_n(s) ds,
-    h_n(s) = s/(s^2+1) * ((s^2/(s^2+1))^{(n-2)/2} - 1).
-
-    For n = 3 this equals ln 2 - 1.
+    That is -H_{(n-2)/2} / 2 with the harmonic number H_x at an integer or
+    half-integer x, built up from H_0 = 0 or H_{1/2} = 2 - 2 ln 2 by
+    H_{x+1} = H_x + 1/(x+1).  For n = 3 this equals ln 2 - 1.
     """
-    if n not in _tail_const_cache:
-        def h(s):
-            w = s * s / (s * s + 1.0)
-            return s / (s * s + 1.0) * (w ** ((n - 2) / 2.0) - 1.0)
-
-        a1, _ = quad(h, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-        a2, _ = quad(h, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-        _tail_const_cache[n] = a1 + a2
-    return _tail_const_cache[n]
+    x, h = (0.5, 2.0 - 2.0 * math.log(2.0)) if n % 2 else (0.0, 0.0)
+    while x < (n - 2) / 2.0:
+        x += 1.0
+        h += 1.0 / x
+    return -0.5 * h
 
 
 def phi(xi: float, n: int) -> float:
@@ -108,6 +103,9 @@ def phi(xi: float, n: int) -> float:
         raise ValueError(f"dimension n must be >= 3, got {n}")
     if xi < _PHI_ASYMPTOTIC_CUTOFF:
         return phi_log(math.log(xi), n)
+    # scipy.integrate is most of the package's import time: load it only
+    # where quadrature runs
+    from scipy.integrate import quad
 
     def f(rho):
         return rho ** (n - 1) * (rho * rho + xi) ** (-n / 2.0)
@@ -184,38 +182,27 @@ def choose_eta_log(r_k: float, k: float, n: int, R: float) -> tuple[float, float
 
 @dataclass
 class Lemma14Recipe:
-    """Baseline pair plus the exponents and radius rule of the construction.
+    """The constant baseline u = v = c on a grid, plus the exponents and the
+    radius rule of the construction.
 
-    base_u / base_v are positive radial fields on the grid the data will be
-    sampled on; u_fn, v_fn and v_prime_fn are the same baselines (and v')
-    as callables, which the quadratures evaluate.
+    grid is the grid the data will be sampled on; c must be positive.  alpha
+    defaults to the midpoint of the exponent window for (n, p), and r_rule
+    to r_k = (R/2) 2^-k.
     """
 
-    base_u: RadialField
-    base_v: RadialField
+    grid: RadialGrid
+    c: float
     p: float
-    u_fn: Callable[[float], float]
-    v_fn: Callable[[float], float]
-    v_prime_fn: Callable[[float], float]
     alpha: Optional[float] = None
     r_rule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
-        g = self.base_u.grid
-        if np.any(self.base_u.values <= 0) or np.any(self.base_v.values <= 0):
-            raise ValueError("baselines must be strictly positive")
+        g = self.grid
+        self.c = _constant_level(g, {"c": self.c}, "constant baseline")
         self.alpha, _ = _exponent_window(g.n, self.p, self.alpha)
         if self.r_rule is None:
             R = g.R
             self.r_rule = lambda k: (R / 2.0) * 2.0 ** (-k)
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.base_u.grid
-
-    @property
-    def mass(self) -> float:
-        return integrate(self.base_u)
 
 
 @dataclass(frozen=True)
@@ -287,10 +274,9 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     eta = math.exp(log_eta)  # may underflow; profiles below use it as-is
     # log(r_k^2 + eta) without cancellation for astronomically small eta
     log_s = 2.0 * math.log(r_k) + math.log1p(math.exp(min(log_xi, 700.0)))
-    u_rk = recipe.u_fn(r_k)
-    v_rk = recipe.v_fn(r_k)
-    a = _powq(log_s, (n - alpha) / 2.0) * u_rk
-    b = _powq(log_s, alpha / 2.0) * v_rk
+    c = recipe.c
+    a = _powq(log_s, (n - alpha) / 2.0) * c
+    b = _powq(log_s, alpha / 2.0) * c
 
     def u_spike(r):
         return a * (r * r + eta) ** (-(n - alpha) / 2.0)
@@ -301,78 +287,71 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     def v_spike_prime(r):
         return -alpha * b * r * (r * r + eta) ** (-(alpha + 2.0) / 2.0)
 
+    from scipy.integrate import IntegrationWarning, quad  # see phi
+
     wn = g.omega_n
 
     # cusp integrands trip quad's subdivision warning long after the
     # absolute error is far below what any downstream check uses; keep the
     # warning out of user output but on the debug log
-    def shell(lo, hi, label):
-        def integral(f, **kw):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", IntegrationWarning)
-                val, err = quad(lambda r: r ** (n - 1) * f(r), lo, hi, **kw)
-            for w in caught:
-                log.debug("%s quad (k=%d): %s [abserr=%.3g]", label, k,
-                          w.message, err)
-            return val
-        return integral
+    def inner(f, **kw):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IntegrationWarning)
+            val, err = quad(lambda r: r ** (n - 1) * f(r), 0.0, r_k, **kw)
+        for w in caught:
+            log.debug("inner quad (k=%d): %s [abserr=%.3g]", k, w.message, err)
+        return val
 
-    inner, outer = shell(0.0, r_k, "inner"), shell(r_k, R, "outer")
+    # the baseline is constant on the shell r_k < r < R (so v' = 0 there),
+    # and each shell term is its value times int_{r_k}^R r^{n-1} dr
+    shell = (R ** n - r_k ** n) / n
 
     # mass of the unnormalized modification and the renormalization factor.
     # scale - 1 is kept as the exact ratio -delta / (mass + delta): for deep
     # spikes delta is far below one ulp of the mass, and forming the sum
     # first would quantize scale to 1 +- 1 ulp and put a plateau under the
     # convergence norms
-    m = wn * (inner(recipe.u_fn, **_Q_MASS) + outer(recipe.u_fn, **_Q_MASS))
-    delta = wn * inner(lambda r: u_spike(r) - recipe.u_fn(r), **_Q_MASS)
+    m = c * g.domain_volume
+    delta = wn * inner(lambda r: u_spike(r) - c, **_Q_MASS)
     norm1_tilde = m + delta
     scale = m / norm1_tilde
     scale_m1 = -delta / norm1_tilde
 
     # the u v overlap: the inner piece is exactly a b phi(xi) and must go
     # through the log-space phi (its mass hides at unrepresentable radii)
-    uv = wn * scale * (
-        a * b * phi_log(log_xi, n)
-        + outer(lambda r: recipe.u_fn(r) * recipe.v_fn(r), **_Q_MASS)
-    )
+    uv = wn * scale * (a * b * phi_log(log_xi, n) + c * c * shell)
 
-    grad_v_sq = wn * (
-        inner(lambda r: v_spike_prime(r) ** 2, **_Q_ENERGY)
-        + outer(lambda r: recipe.v_prime_fn(r) ** 2, **_Q_ENERGY)
-    )
-    v_sq = wn * (
-        inner(lambda r: v_spike(r) ** 2, **_Q_ENERGY)
-        + outer(lambda r: recipe.v_fn(r) ** 2, **_Q_ENERGY)
-    )
+    grad_v_sq = wn * inner(lambda r: v_spike_prime(r) ** 2, **_Q_ENERGY)
+    v_sq = wn * (inner(lambda r: v_spike(r) ** 2, **_Q_ENERGY) + c * c * shell)
 
     def xlogx(x):
         return x * math.log(x)
 
     entropy = wn * (
         inner(lambda r: xlogx(scale * u_spike(r)), **_Q_ENERGY)
-        + outer(lambda r: xlogx(scale * recipe.u_fn(r)), **_Q_ENERGY)
+        + xlogx(scale * c) * shell
     )
     F0 = 0.5 * grad_v_sq + 0.5 * v_sq - uv + entropy
 
     # convergence records against the baseline
     du_p = wn * (
-        inner(lambda r: abs(scale * u_spike(r) - recipe.u_fn(r)) ** p, **_Q_MASS)
-        + outer(lambda r: abs(scale_m1) ** p * recipe.u_fn(r) ** p, **_Q_MASS)
+        inner(lambda r: abs(scale * u_spike(r) - c) ** p, **_Q_MASS)
+        + abs(scale_m1) ** p * c ** p * shell
     )
     du_lp = du_p ** (1.0 / p)
     dv_sq = wn * (
-        inner(lambda r: (v_spike(r) - recipe.v_fn(r)) ** 2, **_Q_MASS)
-        + inner(lambda r: (v_spike_prime(r) - recipe.v_prime_fn(r)) ** 2, **_Q_MASS)
+        inner(lambda r: (v_spike(r) - c) ** 2, **_Q_MASS)
+        + inner(lambda r: v_spike_prime(r) ** 2, **_Q_MASS)
     )
     dv_w12 = math.sqrt(dv_sq)
 
     # grid sampling: spike inside, baseline outside, renormalized on-grid
     r = g.centers
     inside = r < r_k
-    u_vals = np.where(inside, u_spike(r), recipe.base_u.values)
-    v_vals = np.where(inside, v_spike(r), recipe.base_v.values)
-    u_vals = u_vals * (recipe.mass / g.integrate_values(u_vals))
+    u_vals = np.where(inside, u_spike(r), c)
+    v_vals = np.where(inside, v_spike(r), c)
+    grid_mass = g.integrate_values(np.full(g.ncells, c))
+    u_vals = u_vals * (grid_mass / g.integrate_values(u_vals))
     u0 = RadialField(g, u_vals)
     v0 = RadialField(g, v_vals)
 
@@ -383,9 +362,7 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     return BlowupDatum(
         k=k, r_k=r_k, eta=eta, log_eta=log_eta, margin=margin, a=a, b=b,
         scale=scale, mass=m, F0=F0, uv_integral=uv, du_lp=du_lp,
-        dv_w12=dv_w12, uv_over_k=uv / k,
-        center_uv=recipe.u_fn(0.0) * recipe.v_fn(0.0),
-        u0=u0, v0=v0,
+        dv_w12=dv_w12, uv_over_k=uv / k, center_uv=c * c, u0=u0, v0=v0,
     )
 
 
@@ -401,6 +378,28 @@ def _constant_level(grid: RadialGrid, params: dict, what: str) -> float:
     if not c > 0:
         raise ValueError(f"constant level must be positive, got {c}")
     return c
+
+
+def _gaussian_moment(n: int, width: float, R: float) -> float:
+    """int_0^R r^{n-1} exp(-(r/width)^2) dr in closed form.
+
+    I_1 = (sqrt(pi)/2) width erf(R/width), I_2 = -(width^2/2) expm1(-R^2/width^2),
+    and integration by parts gives
+    I_{j+2} = (width^2/2) (j I_j - R^j exp(-R^2/width^2)).
+    The recursion subtracts nearly equal terms once width grows past R (at
+    n = 7 and width = 5R it is off by 3.6e-12 relative); bumps narrower than
+    a few R keep it near machine precision for n <= 6.
+    """
+    w2 = width * width
+    tail = math.exp(-R * R / w2)
+    if n % 2:
+        j, val = 1, 0.5 * math.sqrt(math.pi) * width * math.erf(R / width)
+    else:
+        j, val = 2, -0.5 * w2 * math.expm1(-R * R / w2)
+    while j < n:
+        val = 0.5 * w2 * (j * val - R ** j * tail)
+        j += 2
+    return val
 
 
 def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
@@ -421,11 +420,8 @@ def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
         floor = float(params.get("floor", 1e-3))
         if not (m > 0 and width > 0 and floor > 0):
             raise ValueError("bump needs positive m, width, floor")
-        shape_mass, _ = quad(
-            lambda r: r ** (grid.n - 1) * math.exp(-((r / width) ** 2)),
-            0.0, grid.R, epsabs=1e-300, epsrel=1e-12, limit=200,
-        )
-        amp = (m - floor * grid.domain_volume) / (grid.omega_n * shape_mass)
+        amp = ((m - floor * grid.domain_volume)
+               / (grid.omega_n * _gaussian_moment(grid.n, width, grid.R)))
         if amp <= 0:
             raise ValueError("floor already exceeds the requested mass")
         vals = floor + amp * np.exp(-((grid.centers / width) ** 2))
@@ -457,9 +453,5 @@ def constant_recipe(
     alpha: Optional[float] = None,
     r_rule: Optional[Callable[[int], float]] = None,
 ) -> Lemma14Recipe:
-    """Recipe over the constant baseline u = v = c, with exact callables."""
-    s = baseline_profiles("constant", grid, c=c)
-    return Lemma14Recipe(
-        base_u=s.u, base_v=s.v, p=p, alpha=alpha, r_rule=r_rule,
-        u_fn=lambda r: c, v_fn=lambda r: c, v_prime_fn=lambda r: 0.0,
-    )
+    """Recipe over the constant baseline u = v = c."""
+    return Lemma14Recipe(grid=grid, c=c, p=p, alpha=alpha, r_rule=r_rule)

@@ -263,7 +263,7 @@ def test_plot_scripts_read_stored_run(workdir, monkeypatch, capsys):
 
 def test_sweep_over_resolutions(workdir, capsys):
     cfg = write_cfg(workdir, name="sw")
-    rc = main(["sweep", cfg, "--resolutions", "32,48", "--jobs", "2"])
+    rc = main(["sweep", cfg, "--resolutions", "32,48"])
     assert rc == 0
     sweep = json.loads((workdir / "sw" / "sweep.json").read_text())
     assert [r["name"] for r in sweep["runs"]] == ["sw_N32", "sw_N48"]

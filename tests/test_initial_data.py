@@ -1,6 +1,10 @@
 """Profile constructors: singular-pair recipes, baselines, perturbations."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from kslab import (
     phi,
     phi_log,
 )
+from kslab.initial_data import _gaussian_moment, _tail_constant
 
 
 # --- phi kernel ---------------------------------------------------------
@@ -53,6 +58,19 @@ def test_phi_log_handles_sub_float_arguments():
     # log xi = -10^6 is far below exp() range; the expansion keeps working
     val = phi_log(-1.0e6, 3)
     assert val == pytest.approx(0.5e6 + math.log(2.0) - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tail_constant_matches_quadrature(n):
+    # phi(xi) = 0.5 ln((1+xi)/xi) + int_0^{1/sqrt(xi)} h_n(s) ds, so the
+    # constant is the integral of h_n over (0, inf)
+    def h(s):
+        w = s * s / (s * s + 1.0)
+        return s / (s * s + 1.0) * (w ** ((n - 2) / 2.0) - 1.0)
+
+    a1, _ = quad(h, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    a2, _ = quad(h, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert abs(_tail_constant(n) - (a1 + a2)) <= 1e-14
 
 
 def test_phi_rejects_nonpositive():
@@ -139,6 +157,12 @@ def test_margin_recorded_nonnegative(recipe):
         assert lemma14_pair(recipe, k).margin >= 0.0
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+def test_constant_recipe_rejects_nonpositive_level(c):
+    with pytest.raises(ValueError, match="positive"):
+        constant_recipe(build_grid(3, 1.0, 64), c=c, p=1.1)
+
+
 def test_unresolvable_radius_raises():
     coarse = build_grid(3, 1.0, 64, grading=1.0)
     recipe = constant_recipe(coarse, c=1.0, p=1.1)
@@ -171,6 +195,17 @@ def test_bump_baseline_mass_and_positivity():
     assert errs[1] < errs[0] / 3.0
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("width", [0.02, 0.05, 0.15, 0.3, 1.0, 2.0, 5.0])
+def test_bump_shape_mass_matches_quadrature(n, width):
+    # the recursion cancels as width/R grows: at n = 7 and width 5R it is
+    # off by 3.6e-12, so the range checked here is n <= 6, width <= 5R
+    R = 1.0
+    direct, _ = quad(lambda r: r ** (n - 1) * math.exp(-((r / width) ** 2)),
+                     0.0, R, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert _gaussian_moment(n, width, R) == pytest.approx(direct, rel=1e-12)
+
+
 def test_bump_rejects_overfull_floor():
     grid = build_grid(3, 1.0, 64)
     with pytest.raises(ValueError):
@@ -194,3 +229,25 @@ def test_perturbed_constant_properties():
         perturbed_constant(grid, amplitude=1.0)
     with pytest.raises(ValueError):
         perturbed_constant(grid, c=-1.0)
+
+
+def test_setup_leaves_scipy_integrate_unimported():
+    """Importing the package and building the collapse bump baseline and a
+    construction recipe load no quadrature code, which is slow to import."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "import kslab, kslab.cli, kslab.io\n"
+        "g = kslab.build_grid(3, 1.0, 256)\n"
+        "kslab.baseline_profiles('bump', g, m=50.0, width=0.15, floor=1e-2)\n"
+        "kslab.baseline_profiles('bump', g, m=25.0, width=0.3, floor=1e-2)\n"
+        "kslab.constant_recipe(g, c=1.0, p=1.1)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.strip() == "False"
