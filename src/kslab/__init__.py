@@ -48,7 +48,6 @@ from .solver import (
     BlowupVerdict,
     step,
     run,
-    scheme_tolerance,
     SERIES_COLUMNS,
 )
 from .verifier import (
@@ -62,6 +61,7 @@ from .verifier import (
     check_lemma14_sequence,
     inequality_suite,
     fit_odi_constant,
+    scheme_tolerance,
     trajectory_battery,
 )
 from .config import (

@@ -129,23 +129,20 @@ def dissipation(s: StatePair) -> float:
 
 
 def energy_report(s: StatePair) -> EnergyReport:
-    return _report_and_vr(s)[0]
-
-
-def _report_and_vr(s: StatePair) -> tuple[EnergyReport, np.ndarray]:
-    """energy_report(s) and the Neumann v_r it was built from: one positivity
-    check and one derivative of v serve F, g and the caller's v_r norms."""
+    """F and D with their pieces: one positivity check of u and of v, and
+    one derivative of v serving both F and g."""
     u = np.asarray(s.u.values, float)
     v = np.asarray(s.v.values, float)
     _require_positive(u, "u")
     _require_positive(v, "v")
-    return _report_arrays(s.grid, u, v)
+    return _report_arrays(s.grid, u, v)[0]
 
 
 def _report_arrays(g: RadialGrid, u: np.ndarray,
                    v: np.ndarray) -> tuple[EnergyReport, np.ndarray]:
-    """_report_and_vr on bare arrays, with no positivity check: for callers
-    that have already checked u and v."""
+    """energy_report on bare arrays, with no positivity check, and the
+    Neumann v_r it was built from: for callers that have already checked
+    u and v and may reuse v_r."""
     vr = g.derivative(v, "neumann")
     grad_v_sq = g.integrate_values(vr * vr)
     v_sq = g.integrate_values(v * v)

@@ -321,7 +321,9 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     # through the log-space phi (its mass hides at unrepresentable radii)
     uv = wn * scale * (a * b * phi_log(log_xi, n) + c * c * shell)
 
-    grad_v_sq = wn * inner(lambda r: v_spike_prime(r) ** 2, **_Q_ENERGY)
+    # one v'^2 integral at the mass profile serves grad_v_sq and dv_sq
+    vp_sq = inner(lambda r: v_spike_prime(r) ** 2, **_Q_MASS)
+    grad_v_sq = wn * vp_sq
     v_sq = wn * (inner(lambda r: v_spike(r) ** 2, **_Q_ENERGY) + c * c * shell)
 
     def xlogx(x):
@@ -340,9 +342,7 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     )
     du_lp = du_p ** (1.0 / p)
     dv_sq = wn * (
-        inner(lambda r: (v_spike(r) - c) ** 2, **_Q_MASS)
-        + inner(lambda r: v_spike_prime(r) ** 2, **_Q_MASS)
-    )
+        inner(lambda r: (v_spike(r) - c) ** 2, **_Q_MASS) + vp_sq)
     dv_w12 = math.sqrt(dv_sq)
 
     # grid sampling: spike inside, baseline outside, renormalized on-grid

@@ -1,6 +1,6 @@
 """Run persistence: .npz series and snapshot index, a raw float64 row file
-for the snapshot states, JSON verdict and check reports, and a manifest
-written last.
+for the snapshot states, JSON check reports, and a manifest, holding the
+verdict, written last.
 
 Layout of a run directory:
 
@@ -9,9 +9,9 @@ Layout of a run directory:
     snapshots.npz    snapshot index: grid (n, R, edges), times t, config hash
     snapshots.f64    one little-endian float64 row per snapshot, u then v
                      (2N values), in the order of the index's t
-    verdict.json     the BlowupVerdict and the rejected-step count
     checks_*.json    CheckReports, one file per verify battery
-    manifest.json    inventory with file hashes; written last, atomically
+    manifest.json    the BlowupVerdict and the rejected-step count, and an
+                     inventory with file hashes; written last, atomically
 
 A directory containing manifest.json is complete: everything else is
 written first and the manifest lands via os.replace.  The .npz files are
@@ -25,7 +25,8 @@ quadrature weights bitwise, which center-only storage does not.  The row
 file is append-only: a row is the raw bytes of (u, v), so it is read back
 bit-exactly and a reader needs only the index to parse it.  Run
 directories of the retired one-archive-per-snapshot layout
-(snap_NNNNN.npz) are refused.
+(snap_NNNNN.npz) are refused.  Older directories that also hold a
+verdict.json load, and the verdict is still read from the manifest.
 
 Single states written by write_snapshot (`kslab construct`'s datum files)
 stay self-describing .npz archives (n, R, t, edges, r, u, v).
@@ -197,8 +198,6 @@ def persist_run(
     verdict = dataclasses.asdict(traj.verdict)
     verdict["config_hash"] = h
     verdict["rejected_steps"] = traj.rejected_steps
-    _write_json(verdict, os.path.join(directory, "verdict.json"))
-    inventory["verdict.json"] = None
 
     manifest = {
         "artifact_version": _VERSION,
@@ -326,9 +325,7 @@ def load_run(directory: str) -> RunData:
                 f"snapshots.f64 holds more than the {times.size} rows "
                 "its index lists")
     check_sha256("snapshots.f64", digest.hexdigest())
-    buf = open_listed("verdict.json")
-    vd = json.load(buf)
-    check_buf("verdict.json", buf)
+    vd = manifest["verdict"]
     # older run directories also hold a fitted "t_extrapolated", which is
     # no longer part of a verdict and is ignored
     verdict = BlowupVerdict(outcome=vd["outcome"], t_detect=vd["t_detect"],

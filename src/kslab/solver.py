@@ -23,13 +23,6 @@ the weighted sums only to about eps * dt * flux / weight, which is why the
 controller limits growth per step (below).  The v mass obeys the exact
 discrete comparison m_v' = (m_v + dt m_u)/(1 + dt).
 
-The per-step energy comparison this scheme satisfies is the one natural to
-implicit steps, with the dissipation evaluated at the arrival state:
-F_{j+1} - F_j <= -dt_j D_{j+1} + scheme_tolerance(dt_j, F_j).  With the
-dissipation at the departure state instead, stiff transients at large dt
-genuinely violate the bound (backward Euler removes a stiff mode in one
-step but only pays its energy once, while D_old charges lambda dt of it).
-
 Step size control: a trial step takes dt_try = min(dt, dt_max, t_end - t),
 floored at dt_min.  It is rejected, and dt halved, when u' or v' is not
 positive and finite, or when the growth factor gamma = max(u'/u) exceeds
@@ -73,7 +66,6 @@ __all__ = [
     "Trajectory",
     "step",
     "run",
-    "scheme_tolerance",
     "SERIES_COLUMNS",
 ]
 
@@ -86,21 +78,10 @@ SERIES_COLUMNS = (
 _MASS_U = SERIES_COLUMNS.index("mass_u")
 _SUP_U = SERIES_COLUMNS.index("sup_u")
 
-# per-step defect allowance of the energy inequality check:
-# F_{j+1} - F_j <= -D_{j+1} dt_j + scheme_tolerance(dt_j, F_j).
-# The dt^2 term is the formal consistency defect of the first-order split;
-# the floor absorbs roundoff in the functional evaluations themselves.
-_C_SCHEME = 20.0
-_TOL_FLOOR = 1e-12
-
 _DT_GROWTH = 1.2
 _GROWTH_REJECT = 10.0   # reject a step above dt_min that grows u more
 _GROWTH_TARGET = 1.5    # per-step growth of u the next dt aims at
 _LN_GROWTH_TARGET = math.log(_GROWTH_TARGET)
-
-
-def scheme_tolerance(dt: float, F: float) -> float:
-    return _C_SCHEME * dt * dt * (1.0 + abs(F)) + _TOL_FLOOR * (1.0 + abs(F))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,17 @@ last-quartile supremum of the ratio series is at most 1.5 times the
 first-quartile supremum.  A finite run cannot certify t-uniformity; this is
 the concrete surrogate used throughout.
 
+The energy law the solver's implicit steps satisfy charges the dissipation
+at the arrival state:
+
+    F_{j+1} - F_j <= -dt_j D_{j+1} + scheme_tolerance(dt_j, F_j).
+
+With the dissipation at the departure state instead, stiff transients at
+large dt genuinely violate the bound (backward Euler removes a stiff mode in
+one step but only pays its energy once, while D_old charges lambda dt of
+it).  check_energy_inequality tests this law row by row, and
+check_odi_blowup's monotonicity test on y = -F uses the same allowance.
+
 The energy check trusts the spatial discretization only while the solution
 stays resolved: rows after sup_u first exceeds 100 x its initial value are
 outside the trust horizon (a one-cell spike has unbounded truncation error,
@@ -33,13 +44,13 @@ from .functionals import (
     ParamWindow,
     StatePair,
     _gradv_exponent,
-    _report_and_vr,
+    _report_arrays,
     _require_positive,
     param_window,
     theta_exponent,
 )
 from .initial_data import BlowupDatum
-from .solver import Trajectory, scheme_tolerance
+from .solver import Trajectory
 
 __all__ = [
     "CheckReport",
@@ -52,6 +63,7 @@ __all__ = [
     "check_lemma14_sequence",
     "inequality_suite",
     "fit_odi_constant",
+    "scheme_tolerance",
     "trajectory_battery",
 ]
 
@@ -61,6 +73,16 @@ MASS_DRIFT_TOL = 1e-10
 V_MASS_TOL = 1e-8
 GROWTH_LIMIT = 1.5
 ENERGY_TRUST_FACTOR = 100.0
+
+# the per-step energy allowance: the dt^2 term is the formal consistency
+# defect of the first-order split; the floor absorbs roundoff in the
+# functional evaluations themselves
+_C_SCHEME = 20.0
+_TOL_FLOOR = 1e-12
+
+
+def scheme_tolerance(dt: float, F: float) -> float:
+    return _C_SCHEME * dt * dt * (1.0 + abs(F)) + _TOL_FLOOR * (1.0 + abs(F))
 
 
 @dataclass(frozen=True)
@@ -120,23 +142,10 @@ def check_conservation(traj: Trajectory) -> CheckReport:
     )
 
 
-def _step_allowances(F: np.ndarray, D: np.ndarray, dt: np.ndarray):
-    """Per-step energy allowances for rows j >= 1: (arrival, departure).
-
-    The arrival allowance is scheme_tolerance(dt_j, F_{j-1}).  The departure
-    allowance adds dt_j (D_{j-1} - D_j)_+ : an implicit step only pays the
-    dissipation it sees on arrival, so charging the departure-state D
-    overdraws by exactly that first-order difference.
-    """
-    arrival = scheme_tolerance(dt[1:], F[:-1])
-    return arrival, arrival + dt[1:] * np.maximum(D[:-1] - D[1:], 0.0)
-
-
 def check_energy_inequality(traj: Trajectory) -> CheckReport:
-    """Per-step F(t_{j+1}) - F(t_j) <= -D_j dt_j + tol_j inside the trust
-    horizon, with tol_j the departure allowance of _step_allowances.  The
-    arrival-state form, -D_{j+1} dt_j with the arrival allowance, is
-    enforced as well.  Passes only when every margin is <= 0.
+    """Per-step margin F_{j+1} - F_j + D_{j+1} dt_j - scheme_tolerance(dt_j,
+    F_j) of the arrival-state energy law inside the trust horizon.  Passes
+    only when every margin is <= 0.
     """
     s = traj.series
     F, D, dt, sup = s["F"], s["D"], s["dt"], s["sup_u"]
@@ -145,11 +154,11 @@ def check_energy_inequality(traj: Trajectory) -> CheckReport:
                            notes="fewer than two records")
     beyond = np.nonzero(sup >= ENERGY_TRUST_FACTOR * sup[0])[0]
     hi = int(beyond[0]) if beyond.size else F.size
-    tol_arr, tol_dep = _step_allowances(F[:hi], D[:hi], dt[:hi])
-    dF, step = F[1:hi] - F[:hi - 1], dt[1:hi]
-    # np.maximum and argmax both propagate NaN, so a non-finite margin
-    # fails the check and is reported as the worst row
-    m = np.maximum(dF + D[:hi - 1] * step - tol_dep, dF + D[1:hi] * step - tol_arr)
+    step = dt[1:hi]
+    # argmax stops at the first NaN, so a non-finite margin fails the
+    # check and is reported as the worst row
+    m = (F[1:hi] - F[:hi - 1] + D[1:hi] * step
+         - scheme_tolerance(step, F[:hi - 1]))
     j = int(np.argmax(m)) if m.size else None
     return CheckReport(
         name="energy_inequality",
@@ -277,10 +286,9 @@ def check_odi_blowup(traj: Trajectory, theta: float) -> CheckReport:
             notes="inapplicable: no terminal stretch with F < 0 to fit",
         )
     F, t, dt = F[start:], t[start:], dt[start:]
-    D = s["D"][start:]
     y = -F
-    # monotone within the energy check's departure allowance
-    dec = y[1:] - y[:-1] + _step_allowances(F, D, dt)[1]
+    # monotone within the energy law's per-step allowance
+    dec = y[1:] - y[:-1] + scheme_tolerance(dt[1:], F[:-1])
     monotone = bool(np.all(dec >= 0.0))
     C, resid = fit_odi_constant(t - t[0], y, theta)
     resid_ok = resid <= 0.1
@@ -357,12 +365,10 @@ def check_lemma14_sequence(
 @dataclass(frozen=True)
 class _MemberStats:
     label: str
-    m: float
-    v_mass: float
+    v_l1: float               # |v|_1, the v-mass since v > 0
     uv: float
     grad_v_sq: float
     v_sq: float
-    v_l1: float
     v_l2: float
     f_l2: float
     g_l2: float
@@ -374,60 +380,18 @@ class _MemberStats:
     r0: float
 
 
-@dataclass(frozen=True)
-class StateCorpus:
-    """Labeled admissible states plus the parameter window they target.
-
-    Membership conditions are envelope-style: masses are recorded per
-    member (the corpus may mix masses), while M and B bound every member's
-    v-mass and v r^kappa sup.
-    """
-    members: tuple            # ((label, StatePair), ...)
-    window: ParamWindow
-
-    @staticmethod
-    def from_states(labeled: Sequence[tuple[str, StatePair]],
-                    kappa: float) -> "StateCorpus":
-        if not labeled:
-            raise ValueError("corpus must be nonempty")
-        n = labeled[0][1].grid.n
-        M = 0.0
-        B = 0.0
-        for label, s in labeled:
-            if s.grid.n != n:
-                raise ValueError("corpus members must share the dimension n")
-            _require_admissible(label, s)
-            M = max(M, s.grid.integrate_values(s.v.values))
-            B = max(B, _snapshot_sup_vrk(s, kappa))
-        window = param_window(n=n, p=1.1, kappa=kappa, M=M, B=B)
-        return StateCorpus(members=tuple(labeled), window=window)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def validate(self) -> None:
-        kappa = self.window.kappa
-        for label, s in self.members:
-            _require_admissible(label, s)
-            vm = s.grid.integrate_values(s.v.values)
-            if vm > self.window.M * (1 + 1e-12):
-                raise ValueError(f"{label}: v-mass {vm} exceeds M={self.window.M}")
-            if _snapshot_sup_vrk(s, kappa) > self.window.B * (1 + 1e-12):
-                raise ValueError(f"{label}: v r^kappa exceeds B={self.window.B}")
-
-
-def _require_admissible(label: str, s: StatePair) -> None:
-    _require_positive(s.u.values, f"{label}: u")
-    _require_positive(s.v.values, f"{label}: v")
+def _split_exponent(n: int, kappa: float) -> float:
+    """beta = (2n+4) kappa / n, the power of the inner/outer split radius."""
+    return (2.0 * n + 4.0) * kappa / n
 
 
 def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _MemberStats:
     g = s.grid
-    rep, vr = _report_and_vr(s)
-    v = s.v.values
-    m = g.integrate_values(s.u.values)
-    v_l1 = g.integrate_values(np.abs(v))
+    u = np.asarray(s.u.values, float)
+    v = np.asarray(s.v.values, float)
+    _require_positive(u, f"{label}: u")
+    _require_positive(v, f"{label}: v")
+    rep, vr = _report_arrays(g, u, v)
     f_l2 = math.sqrt(rep.f_norm_sq)
     g_l2 = math.sqrt(rep.g_norm_sq)
     # the inner/outer split radius used by the interior/exterior estimates
@@ -437,14 +401,49 @@ def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _Membe
     gv_in = g.omega_n * float(np.sum(g.weights[inner] * gv[inner]))
     gv_out = rep.grad_v_sq - gv_in
     return _MemberStats(
-        label=label, m=m,
-        v_mass=g.integrate_values(v),
+        label=label,
+        v_l1=g.integrate_values(v),
         uv=rep.uv, grad_v_sq=rep.grad_v_sq, v_sq=rep.v_sq,
-        v_l1=v_l1, v_l2=math.sqrt(rep.v_sq),
+        v_l2=math.sqrt(rep.v_sq),
         f_l2=f_l2, g_l2=g_l2, F=rep.F, D=rep.D,
         sup_vrk=_snapshot_sup_vrk(s, kappa),
         grad_v_sq_inner=gv_in, grad_v_sq_outer=gv_out, r0=r0,
     )
+
+
+@dataclass(frozen=True)
+class StateCorpus:
+    """The per-member numbers of labeled admissible states, plus the
+    parameter window they target.
+
+    Membership conditions are envelope-style: masses are recorded per
+    member (the corpus may mix masses), while M and B are the largest
+    member v-mass and v r^kappa sup.
+    """
+    stats: tuple              # (_MemberStats, ...), one per member
+    window: ParamWindow
+
+    @staticmethod
+    def from_states(labeled: Sequence[tuple[str, StatePair]],
+                    kappa: float) -> "StateCorpus":
+        """Check each (label, state) positive and compute its numbers once."""
+        if not labeled:
+            raise ValueError("corpus must be nonempty")
+        n = labeled[0][1].grid.n
+        beta = _split_exponent(n, kappa)
+        stats = []
+        for label, s in labeled:
+            if s.grid.n != n:
+                raise ValueError("corpus members must share the dimension n")
+            stats.append(_member_stats(label, s, kappa, beta))
+        window = param_window(n=n, p=1.1, kappa=kappa,
+                              M=max(st.v_l1 for st in stats),
+                              B=max(st.sup_vrk for st in stats))
+        return StateCorpus(stats=tuple(stats), window=window)
+
+    @property
+    def size(self) -> int:
+        return len(self.stats)
 
 
 def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
@@ -457,16 +456,12 @@ def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
     corpus; the empirical constant is the persisted ratio, never an
     asserted value.
     """
-    corpus.validate()
     eps = 0.25
     n = corpus.window.n
-    kappa = corpus.window.kappa
     theta = corpus.window.theta
-    beta = (2.0 * n + 4.0) * kappa / n
+    beta = _split_exponent(n, corpus.window.kappa)
     q74 = (2.0 * n + 4.0) / (n + 4.0)
-    stats = [
-        _member_stats(label, s, kappa, beta) for label, s in corpus.members
-    ]
+    stats = corpus.stats
 
     def report(name: str, vals: list[float], note: str = "") -> CheckReport:
         arr = np.array(vals)

@@ -20,12 +20,12 @@ from kslab.functionals import StatePair, energy_report, theta_exponent
 from kslab.grid import RadialField, build_grid, laplacian_radial
 from kslab.initial_data import baseline_profiles, constant_recipe, lemma14_pair
 from kslab.io import load_run, persist_run
-from kslab.solver import (BlowupVerdict, SolverConfig, Trajectory, run,
-                          scheme_tolerance, step)
+from kslab.solver import BlowupVerdict, SolverConfig, Trajectory, run, step
 from kslab.verifier import (StateCorpus, check_conservation,
                             check_energy_inequality, check_gradv_lp,
                             check_lemma14_sequence, check_odi_blowup,
-                            check_pointwise_bound, inequality_suite)
+                            check_pointwise_bound, inequality_suite,
+                            scheme_tolerance)
 
 BALL3 = 4.0 * math.pi / 3.0
 
@@ -416,10 +416,7 @@ def _energy_rows_reference(traj, trust_factor=100.0):
     hi = int(beyond[0]) if beyond.size else F.size
     worst, worst_t, passed = -math.inf, None, True
     for j in range(1, hi):
-        tol_arr = scheme_tolerance(dt[j], F[j - 1])
-        tol_dep = tol_arr + dt[j] * max(D[j - 1] - D[j], 0.0)
-        m = max(F[j] - F[j - 1] + D[j - 1] * dt[j] - tol_dep,
-                F[j] - F[j - 1] + D[j] * dt[j] - tol_arr)
+        m = F[j] - F[j - 1] + D[j] * dt[j] - scheme_tolerance(dt[j], F[j - 1])
         if m > worst:
             worst, worst_t = m, float(s["t"][j])
         if m > 0:
@@ -432,11 +429,9 @@ def _odi_monotone_reference(traj):
     (monotone, t of the largest |step change + slack|)."""
     s = traj.series
     start = int(np.argmax(s["F"] < 0))
-    F, D, dt = s["F"][start:], s["D"][start:], s["dt"][start:]
-    slack = np.array([
-        scheme_tolerance(dt[j], F[j - 1]) + dt[j] * max(D[j - 1] - D[j], 0.0)
-        for j in range(1, F.size)
-    ])
+    F, dt = s["F"][start:], s["dt"][start:]
+    slack = np.array([scheme_tolerance(dt[j], F[j - 1])
+                      for j in range(1, F.size)])
     y = -F
     dec = y[1:] - y[:-1] + slack
     t = s["t"][start:]

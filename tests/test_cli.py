@@ -112,8 +112,9 @@ def test_retired_snapshot_layout_is_single_error_line(workdir, capsys):
 
 @pytest.mark.parametrize("kind", ["relaxation", "collapse"])
 def test_run_dir_with_fitted_time_still_loads(workdir, capsys, kind):
-    # older run directories hold a power-law "t_extrapolated" in verdict.json
-    # and in the manifest's verdict; a verdict no longer has one
+    # older run directories hold a power-law "t_extrapolated" in the
+    # manifest's verdict and in a verdict.json the manifest lists; a verdict
+    # no longer has one, and a run directory no longer has verdict.json
     if kind == "relaxation":
         main(["simulate", write_cfg(workdir)])
         run_dir = workdir / "clirun"
@@ -133,15 +134,15 @@ def test_run_dir_with_fitted_time_still_loads(workdir, capsys, kind):
         run_dir = workdir / "collapse"
         persist_run(run(s0, cfg.solver), cfg, str(run_dir))
     before = load_run(str(run_dir)).verdict
-    vd = json.loads((run_dir / "verdict.json").read_text())
+    assert not (run_dir / "verdict.json").exists()
+    man = json.loads((run_dir / "manifest.json").read_text())
+    vd = man["verdict"]
     assert "t_extrapolated" not in vd
     vd["t_extrapolated"] = 1.43e-3
     (run_dir / "verdict.json").write_text(
         json.dumps(vd, indent=2, sort_keys=True) + "\n")
-    man = json.loads((run_dir / "manifest.json").read_text())
-    man["verdict"]["t_extrapolated"] = 1.43e-3
-    man["files"]["verdict.json"]["sha256"] = hashlib.sha256(
-        (run_dir / "verdict.json").read_bytes()).hexdigest()
+    man["files"]["verdict.json"] = {"sha256": hashlib.sha256(
+        (run_dir / "verdict.json").read_bytes()).hexdigest()}
     (run_dir / "manifest.json").write_text(json.dumps(man))
 
     after = load_run(str(run_dir)).verdict

@@ -178,8 +178,11 @@ def test_persist_and_load_run(small_run, tmp_path):
     assert man["config_hash"] == config_hash(cfg)
     assert man["status"] == "complete"
     listed = set(man["files"])
-    assert {"config.json", "series.npz", "snapshots.npz", "snapshots.f64",
-            "verdict.json"} <= listed
+    assert {"config.json", "series.npz", "snapshots.npz",
+            "snapshots.f64"} <= listed
+    # the verdict lives in the manifest only
+    assert "verdict.json" not in listed
+    assert man["verdict"]["outcome"] == traj.verdict.outcome
     assert not any(name.startswith("snap_") for name in listed)
     on_disk = {p for p in os.listdir(out) if p != "manifest.json"}
     assert listed == on_disk
@@ -216,7 +219,7 @@ def test_rejected_steps_round_trip(small_run, tmp_path):
     cfg, traj = small_run
     out = tmp_path / "run"
     persist_run(dataclasses.replace(traj, rejected_steps=7), cfg, str(out))
-    verdict = json.loads((out / "verdict.json").read_text())
+    verdict = json.loads((out / "manifest.json").read_text())["verdict"]
     assert verdict["rejected_steps"] == 7
     assert load_run(str(out)).as_trajectory().rejected_steps == 7
 
@@ -292,7 +295,7 @@ def test_row_file_digest_taken_while_writing(small_run, tmp_path,
     out = tmp_path / "run"
     manifest = persist_run(traj, cfg, str(out))
     assert sorted(os.path.basename(p) for p in read_back) == [
-        "config.json", "series.npz", "snapshots.npz", "verdict.json"]
+        "config.json", "series.npz", "snapshots.npz"]
     raw = (out / "snapshots.f64").read_bytes()
     assert (manifest["files"]["snapshots.f64"]["sha256"]
             == hashlib.sha256(raw).hexdigest())

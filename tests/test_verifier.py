@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kslab import (
+    RadialField,
     SolverConfig,
     StateCorpus,
     StatePair,
@@ -23,6 +24,7 @@ from kslab import (
     lemma14_pair,
     perturbed_constant,
     run,
+    scheme_tolerance,
     trajectory_battery,
 )
 from kslab.verifier import GROWTH_LIMIT, _quartile_trend
@@ -157,6 +159,30 @@ def test_odi_check_rejects_bad_theta(decay_run):
         check_odi_blowup(decay_run, theta=0.4)
 
 
+@pytest.mark.parametrize("of_tol, of_drop, monotone", [
+    (0.5, 0.0, True), (1.0, 0.1, False), (1.0, 0.9, False)])
+def test_odi_monotone_allowance_is_the_energy_law(decay_run, of_tol, of_drop,
+                                                  monotone):
+    # a terminal F < 0 stretch where D drops sharply into row j and F rises
+    # there by of_tol * tol_j + of_drop * dt_j (D_{j-1} - D_j): the
+    # allowance is scheme_tolerance alone, so a rise past it breaks
+    # monotonicity even when dt_j (D_{j-1} - D_j)_+ would cover it
+    t = np.linspace(0.0, 0.2, 40)
+    dt = np.concatenate([[0.0], np.diff(t)])
+    F = -2.0 * (1.0 - t) ** -3.0
+    D = np.ones_like(t)
+    j = 20
+    D[j - 1] = 11.0
+    tol = scheme_tolerance(dt[j], F[j - 1])
+    assert tol < 0.1 * dt[j] * (D[j - 1] - D[j])
+    F[j] = F[j - 1] + of_tol * tol + of_drop * dt[j] * (D[j - 1] - D[j])
+    assert np.all(F < 0)
+    odi = check_odi_blowup(dataclasses.replace(
+        decay_run, series={"t": t, "dt": dt, "F": F, "D": D}), 20.0 / 23.0)
+    assert odi.details["applicable"]
+    assert odi.details["monotone"] is monotone
+
+
 # --- sequence check -----------------------------------------------------
 
 
@@ -201,7 +227,7 @@ def corpus(decay_run, spike_sequence):
 
 def test_corpus_envelope(corpus):
     assert corpus.window.theta == pytest.approx(20.0 / 23.0, rel=1e-15)
-    assert len(corpus.members) >= 20
+    assert corpus.size >= 20
     # mass is a per-member quantity; the window carries the envelopes only
     assert corpus.window.M > 0
     assert corpus.window.B > 0
@@ -222,6 +248,17 @@ def test_energy_vs_dissipation_constant_state_value(corpus):
     expected = 4 * math.pi / 3 * (50.0 - 10.0 * math.log(10.0))
     assert reports["energy_vs_dissipation"].worst_ratio == pytest.approx(
         expected, rel=1e-6)
+
+
+def test_corpus_rejects_nonpositive_u_naming_its_label():
+    grid = build_grid(3, 1.0, 32)
+    good = baseline_profiles("constant", grid, c=1.0)
+    u = good.u.values.copy()
+    u[5] = 0.0
+    bad = StatePair(RadialField(grid, u), good.v)
+    with pytest.raises(ValueError, match="^zero_cell: u must be strictly"):
+        StateCorpus.from_states([("fine", good), ("zero_cell", bad)],
+                                kappa=2.0)
 
 
 def test_corpus_rejects_mixed_dimensions(decay_run):
