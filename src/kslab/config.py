@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 from .functionals import StatePair, param_window
 from .grid import RadialGrid, build_grid
@@ -62,6 +63,7 @@ class ExperimentConfig:
             alpha = self.initial.get("alpha")
             param_window(n=int(g["n"]), p=p, kappa=self.kappa,
                          alpha=None if alpha is None else float(alpha))
+            _r_rule_from(self.initial, float(g["R"]))
 
     @property
     def kappa(self) -> float:
@@ -152,6 +154,22 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
+def _r_rule_from(init: dict, R: float) -> Optional[Callable[[int], float]]:
+    """The radius rule r_k = r0 q^k of initial.r_rule = {"r0", "q"}, or
+    None (the recipe's default (R/2) 2^-k) when the key is absent."""
+    rule = init.get("r_rule")
+    if rule is None:
+        return None
+    if not isinstance(rule, dict) or set(rule) != {"r0", "q"}:
+        raise ValueError('initial.r_rule must be {"r0": ..., "q": ...}')
+    r0, q = float(rule["r0"]), float(rule["q"])
+    if not 0 < r0 < R:
+        raise ValueError(f"initial.r_rule.r0 must lie in (0, {R}), got {r0}")
+    if not 0 < q < 1:
+        raise ValueError(f"initial.r_rule.q must lie in (0, 1), got {q}")
+    return lambda k: r0 * q ** k
+
+
 def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:
     baseline = init.get("baseline", {"kind": "constant", "c": 1.0})
     if baseline.get("kind", "constant") != "constant":
@@ -160,7 +178,8 @@ def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:
     alpha = init.get("alpha")
     return constant_recipe(
         grid, c=c, p=float(init.get("p", 1.1)),
-        alpha=None if alpha is None else float(alpha))
+        alpha=None if alpha is None else float(alpha),
+        r_rule=_r_rule_from(init, grid.R))
 
 
 def output_root() -> str:

@@ -16,6 +16,9 @@ One step of size dt, in this order:
 
 Both solves are tridiagonal and call LAPACK gtsv directly, the routine
 scipy's solve_banded dispatches to for one sub- and one superdiagonal.
+scipy.linalg is most of the package's import time, so gtsv is loaded at
+the first solve, not at import: kslab verify, plot and constants load no
+scipy at all, and construct loads scipy.integrate at its first quad.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
@@ -54,8 +57,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from .functionals import StatePair, _gradv_exponent, _report_arrays
 from .grid import RadialField, RadialGrid
@@ -82,6 +84,10 @@ _DT_GROWTH = 1.2
 _GROWTH_REJECT = 10.0   # reject a step above dt_min that grows u more
 _GROWTH_TARGET = 1.5    # per-step growth of u the next dt aims at
 _LN_GROWTH_TARGET = math.log(_GROWTH_TARGET)
+
+# scipy.linalg.lapack.dgtsv, loaded once by the first _gtsv call (see the
+# module docstring); an import statement in _gtsv would run twice a step
+_dgtsv = None
 
 
 @dataclass(frozen=True)
@@ -126,8 +132,12 @@ def _gtsv(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solve_banded((1, 1), ...); gtsv overwrites ab.  x is a fresh array:
     writing it into rhs instead raised the collapse run's peak RSS by 2 MB
     at N=8192 (allocator layout)."""
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_dl=1,
-                        overwrite_d=1, overwrite_du=1)
+    global _dgtsv
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv
+        _dgtsv = dgtsv
+    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_dl=1,
+                         overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise LinAlgError("singular matrix")
     return x

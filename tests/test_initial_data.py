@@ -1,5 +1,6 @@
 """Profile constructors: singular-pair recipes, baselines, perturbations."""
 
+import json
 import math
 import os
 import pathlib
@@ -231,23 +232,70 @@ def test_perturbed_constant_properties():
         perturbed_constant(grid, c=-1.0)
 
 
-def test_setup_leaves_scipy_integrate_unimported():
-    """Importing the package and building the collapse bump baseline and a
-    construction recipe load no quadrature code, which is slow to import."""
+def _fresh_process(script: str) -> str:
+    """stdout of a new interpreter running script against ./src."""
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    script = (
-        "import sys\n"
-        "import kslab, kslab.cli, kslab.io\n"
-        "g = kslab.build_grid(3, 1.0, 256)\n"
-        "kslab.baseline_profiles('bump', g, m=50.0, width=0.15, floor=1e-2)\n"
-        "kslab.baseline_profiles('bump', g, m=25.0, width=0.3, floor=1e-2)\n"
-        "kslab.constant_recipe(g, c=1.0, p=1.1)\n"
-        "print('scipy.integrate' in sys.modules)\n"
-    )
     res = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.strip() == "False"
+    return res.stdout
+
+
+_SETUP = (
+    "import json, sys\n"
+    "import kslab, kslab.cli, kslab.io\n"
+    "g = kslab.build_grid(3, 1.0, 256)\n"
+    "kslab.baseline_profiles('bump', g, m=50.0, width=0.15, floor=1e-2)\n"
+    "kslab.baseline_profiles('bump', g, m=25.0, width=0.3, floor=1e-2)\n"
+    "kslab.constant_recipe(g, c=1.0, p=1.1)\n"
+)
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_setup_leaves_scipy_integrate_unimported():
+    """Importing the package and building the collapse bump baseline and a
+    construction recipe load no quadrature code, which is slow to import."""
+    out = _fresh_process(_SETUP + "print('scipy.integrate' in sys.modules)\n")
+    assert out.strip() == "False"
+
+
+def test_scipy_linalg_loads_at_the_first_solve():
+    """The same set-up loads no scipy module at all; LAPACK arrives with
+    the first step, and a singular solve still raises the error class
+    scipy.linalg callers catch."""
+    out = _fresh_process(
+        _SETUP
+        + f"setup = {_SCIPY_LOADED}\n"
+        "kslab.step(kslab.baseline_profiles('constant', g, c=1.0), 1e-3)\n"
+        "import scipy.linalg\n"
+        "print(json.dumps([setup, 'scipy.linalg.lapack' in sys.modules,\n"
+        "                  kslab.solver.LinAlgError is scipy.linalg.LinAlgError]))\n")
+    setup, lapack_after_step, same_error = json.loads(out)
+    assert setup == []
+    assert lapack_after_step
+    assert same_error
+
+
+def test_verify_plot_constants_leave_scipy_unimported(tmp_path):
+    """Every verify battery, plot and constants run on a stored relaxation
+    run in a fresh process load no scipy module."""
+    from kslab.cli import main
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    run_dir = str(tmp_path / "relaxation")
+    assert main(["simulate", str(root / "demos" / "configs" / "relaxation.json"),
+                 "--out", run_dir]) == 0
+    out = _fresh_process(
+        "import json, sys\n"
+        "from kslab.cli import main\n"
+        f"d = {run_dir!r}\n"
+        "codes = [main(['verify', d, '--battery', b]) for b in\n"
+        "         ('trajectory', 'suite', 'energy', 'conservation')]\n"
+        "codes += [main(['plot', d]), main(['constants', '3', '2', '1.1'])]\n"
+        f"print(json.dumps([codes, {_SCIPY_LOADED}]))\n")
+    codes, loaded = json.loads(out.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0, 0]
+    assert loaded == []

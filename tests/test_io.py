@@ -15,6 +15,8 @@ from kslab import (
     SolverConfig,
     build_initial_state,
     config_hash,
+    constant_recipe,
+    lemma14_pair,
     load_config,
     perturbed_constant,
     run,
@@ -93,6 +95,45 @@ def test_config_rejects_unknown_initial_kind():
             name="x", grid={"n": 3, "R": 1.0, "N": 8, "grading": 1.0},
             initial={"kind": "vortex"}, solver=SolverConfig(),
             checks={}, output={})
+
+
+def _lemma14_config(**initial):
+    return ExperimentConfig(
+        name="x", grid={"n": 3, "R": 1.0, "N": 1024, "grading": 1.013},
+        initial={"kind": "lemma14", "p": 1.1,
+                 "baseline": {"kind": "constant", "c": 4.0}, **initial},
+        solver=SolverConfig(), checks={}, output={})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_config_r_rule_builds_the_resolved_family(k):
+    """initial.r_rule {"r0", "q"} is the rule r_k = r0 q^k of the resolved
+    family the acceptance suite evolves, bit for bit."""
+    cfg = _lemma14_config(k=k, r_rule={"r0": 0.8, "q": 0.97})
+    grid = cfg.build_grid()
+    s = build_initial_state(cfg, grid)
+    ref = lemma14_pair(constant_recipe(grid, c=4.0, p=1.1,
+                                       r_rule=lambda k: 0.8 * 0.97 ** k), k)
+    assert s.u.values.tobytes() == ref.u0.values.tobytes()
+    assert s.v.values.tobytes() == ref.v0.values.tobytes()
+
+
+@pytest.mark.parametrize("rule", [
+    {"r0": 0.0, "q": 0.97}, {"r0": 1.0, "q": 0.97}, {"r0": -0.5, "q": 0.5},
+    {"r0": float("nan"), "q": 0.5}, {"r0": 0.8, "q": 0.0},
+    {"r0": 0.8, "q": 1.0}, {"r0": 0.8, "q": 1.5}, {"r0": 0.8}, [0.8, 0.97],
+])
+def test_config_rejects_bad_r_rule(rule):
+    with pytest.raises(ValueError):
+        _lemma14_config(k=1, r_rule=rule)
+
+
+def test_config_without_r_rule_keeps_its_hash():
+    """Configs that predate initial.r_rule hash as they did."""
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
+    cfg = load_config(os.path.join(root, "spike_family.json"))
+    assert config_hash(cfg) == (
+        "c160907cb0b599acc1a33cb7374176f1871d41b20f36afec6c7dd38c6df6bbbf")
 
 
 def test_output_root_env_override(tmp_path, monkeypatch):
