@@ -15,7 +15,8 @@ import os
 import numpy as np
 import pytest
 
-from kslab.config import ExperimentConfig, build_initial_state
+from kslab.config import (ExperimentConfig, build_initial_state,
+                          lemma14_recipe_from)
 from kslab.functionals import StatePair, energy_report, theta_exponent
 from kslab.grid import RadialField, build_grid, laplacian_radial
 from kslab.initial_data import baseline_profiles, constant_recipe, lemma14_pair
@@ -88,11 +89,12 @@ def resolved_runs():
     log(r_k / sqrt(eta_k)) ~ k / r_k^n, so under the default radius rule
     (R/2) 2^-k the core sqrt(eta_k) is far below the smallest cell and the
     sampled datum is the constant baseline.  Baseline c = 4 with the slowly
-    shrinking rule r_k = 0.8 * 0.97^k keeps the core on the grid.
-    Maps k -> (datum, trajectory).
+    shrinking rule r_k = 0.8 * 0.97^k (config key initial.r_rule) keeps the
+    core on the grid.  Maps k -> (datum, trajectory).
     """
-    recipe = constant_recipe(_k_grid(), c=4.0, p=1.1,
-                             r_rule=lambda k: 0.8 * 0.97 ** k)
+    recipe = lemma14_recipe_from(
+        {"p": 1.1, "baseline": {"kind": "constant", "c": 4.0},
+         "r_rule": {"r0": 0.8, "q": 0.97}}, _k_grid())
     out = {}
     for k in (1, 2, 3, 4):
         d = lemma14_pair(recipe, k)

@@ -25,6 +25,7 @@ from kslab import (
     sup_norm,
 )
 from kslab import solver
+from kslab.config import lemma14_recipe_from
 from kslab.functionals import _gradv_exponent
 from kslab.solver import _bernoulli, _solve
 
@@ -408,14 +409,20 @@ def test_bernoulli_pair_finite_and_exact_identity(x):
     assert small == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
+def _resolved_recipe(grid, c):
+    """The grid-resolved construction family, r_k = 0.8 * 0.97^k."""
+    return lemma14_recipe_from(
+        {"p": 1.1, "baseline": {"kind": "constant", "c": c},
+         "r_rule": {"r0": 0.8, "q": 0.97}}, grid)
+
+
 @pytest.fixture(scope="module", params=[1.0, 1.013, 1.035])
 def step_data(request):
     g = build_grid(3, 1.0, 1024, request.param)
     ub = baseline_profiles("bump", g, m=50.0, width=0.15, floor=1e-2)
     vb = baseline_profiles("bump", g, m=25.0, width=0.3, floor=1e-2)
     d = lemma14_pair(constant_recipe(g, c=1.0, p=1.1), 4)
-    deep = lemma14_pair(constant_recipe(g, c=4.0, p=1.1,
-                                        r_rule=lambda k: 0.8 * 0.97 ** k), 4)
+    deep = lemma14_pair(_resolved_recipe(g, c=4.0), 4)
     return {"bump": StatePair(ub.u, RadialField(g, 0.5 * vb.v.values)),
             "lemma14": StatePair(d.u0, d.v0),
             "lemma14_resolved": StatePair(deep.u0, deep.v0)}
@@ -455,9 +462,7 @@ def _property_state(kind, grid, mass):
                                   amplitude=0.3, mode=2)
     if kind == "bump":
         return baseline_profiles("bump", grid, m=mass, width=0.15, floor=1e-2)
-    rec = constant_recipe(grid, c=mass / grid.domain_volume, p=1.1,
-                          r_rule=lambda k: 0.8 * 0.97 ** k)
-    d = lemma14_pair(rec, 4)
+    d = lemma14_pair(_resolved_recipe(grid, c=mass / grid.domain_volume), 4)
     return StatePair(d.u0, d.v0)
 
 
