@@ -21,9 +21,10 @@ from .grid import RadialGrid, build_grid
 from .initial_data import (
     Lemma14Recipe,
     _constant_level,
+    _sampled_member,
     baseline_profiles,
     constant_recipe,
-    lemma14_pair,
+    lemma14_pair,  # noqa: F401  perfbench's span hooks wrap config.lemma14_pair
     perturbed_constant,
 )
 from .solver import SolverConfig
@@ -147,10 +148,11 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
             "bump", grid, m=float(init["m"]), width=float(init["width"]),
             floor=float(init.get("floor", 1e-3)))
     if kind == "lemma14":
-        k = int(init["k"])
-        recipe = lemma14_recipe_from(init, grid)
-        datum = lemma14_pair(recipe, k)
-        return StatePair(datum.u0, datum.v0)
+        # the grid data alone: lemma14_pair's continuum integrals (quad)
+        # serve construct, not a run
+        *_, u0, v0 = _sampled_member(lemma14_recipe_from(init, grid),
+                                     int(init["k"]))
+        return StatePair(u0, v0)
     raise ValueError(f"unknown initial kind {kind!r}")
 
 

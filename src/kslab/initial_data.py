@@ -238,24 +238,17 @@ def _powq(base_log: float, expo: float) -> float:
     return math.exp(expo * base_log)
 
 
-def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
-    """Build the k-th datum of the family defined by a recipe.
-
-    Raises if the sampling grid puts fewer than 8 cell centers inside the
-    spike radius r_k.  That guard does not look at the core width
-    sqrt(eta_k), which for deep members lies far below the smallest cell:
-    such a member is built without error, but its sampled (u0, v0) lacks
-    the energy F0 reports (see the module docstring).  Construction tables
-    rely on building those members, so the core is reported through
-    log_eta, not refused.
-    """
+def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
+    """The k-th member's spike and its grid data, without the continuum
+    integrals that lemma14_pair adds: (r_k, log_eta, margin, log_xi, eta,
+    a, b, u_spike, v_spike, u0, v0), with u_spike and v_spike the profiles
+    inside B_{r_k}.  Raises as lemma14_pair does."""
     if k < 1 or k != int(k):
         raise ValueError(f"family index k must be a positive integer, got {k}")
     k = int(k)
     g = recipe.grid
     n, R = g.n, g.R
     alpha = recipe.alpha
-    p = recipe.p
     r_k = recipe.r_rule(k)
     if not 0 < r_k < R:
         raise ValueError(f"radius rule gave r_k={r_k} outside (0, {R})")
@@ -283,6 +276,37 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
 
     def v_spike(r):
         return b * (r * r + eta) ** (-alpha / 2.0)
+
+    # grid sampling: spike inside, baseline outside, renormalized on-grid
+    r = g.centers
+    inside = r < r_k
+    u_vals = np.where(inside, u_spike(r), c)
+    v_vals = np.where(inside, v_spike(r), c)
+    grid_mass = g.integrate_values(np.full(g.ncells, c))
+    u_vals = u_vals * (grid_mass / g.integrate_values(u_vals))
+    return (r_k, log_eta, margin, log_xi, eta, a, b, u_spike, v_spike,
+            RadialField(g, u_vals), RadialField(g, v_vals))
+
+
+def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
+    """Build the k-th datum of the family defined by a recipe.
+
+    Raises if the sampling grid puts fewer than 8 cell centers inside the
+    spike radius r_k.  That guard does not look at the core width
+    sqrt(eta_k), which for deep members lies far below the smallest cell:
+    such a member is built without error, but its sampled (u0, v0) lacks
+    the energy F0 reports (see the module docstring).  Construction tables
+    rely on building those members, so the core is reported through
+    log_eta, not refused.
+    """
+    g = recipe.grid
+    n, R = g.n, g.R
+    alpha = recipe.alpha
+    p = recipe.p
+    c = recipe.c
+    (r_k, log_eta, margin, log_xi, eta, a, b, u_spike, v_spike, u0,
+     v0) = _sampled_member(recipe, k)
+    k = int(k)
 
     def v_spike_prime(r):
         return -alpha * b * r * (r * r + eta) ** (-(alpha + 2.0) / 2.0)
@@ -344,16 +368,6 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     dv_sq = wn * (
         inner(lambda r: (v_spike(r) - c) ** 2, **_Q_MASS) + vp_sq)
     dv_w12 = math.sqrt(dv_sq)
-
-    # grid sampling: spike inside, baseline outside, renormalized on-grid
-    r = g.centers
-    inside = r < r_k
-    u_vals = np.where(inside, u_spike(r), c)
-    v_vals = np.where(inside, v_spike(r), c)
-    grid_mass = g.integrate_values(np.full(g.ncells, c))
-    u_vals = u_vals * (grid_mass / g.integrate_values(u_vals))
-    u0 = RadialField(g, u_vals)
-    v0 = RadialField(g, v_vals)
 
     log.info(
         "datum k=%d: r_k=%.3g log_eta=%.6g margin=%.3g F0=%.6g", k, r_k,

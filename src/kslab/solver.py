@@ -16,9 +16,15 @@ One step of size dt, in this order:
 
 Both solves are tridiagonal and call LAPACK gtsv directly, the routine
 scipy's solve_banded dispatches to for one sub- and one superdiagonal.
-scipy.linalg is most of the package's import time, so gtsv is loaded at
-the first solve, not at import: kslab verify, plot and constants load no
-scipy at all, and construct loads scipy.integrate at its first quad.
+gtsv is loaded at the first solve, from scipy's compiled LAPACK module
+scipy.linalg._flapack alone: after import kslab, the scipy.linalg package
+takes a fresh process 0.27-0.30 s and 23 MB to import, that module 4-7 ms
+and 2.5 MB (2-core x86-64 VM).  kslab verify, plot and constants load no
+scipy at all, simulate loads that one module (and scipy.integrate for
+the depth parameter of a lemma14 datum), and construct loads
+scipy.integrate at its first quad.  A run steps in one _Workspace: both
+solves write the trial state into preallocated rows, and each
+diagnostics row is one pass over them.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
@@ -50,8 +56,12 @@ from the energy (its implied_T).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Optional
@@ -59,7 +69,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .functionals import StatePair, _gradv_exponent, _report_arrays
+from .functionals import (StatePair, _gradv_exponent, _integrals,
+                          _INTEGRANDS, _REPORT_ROWS, _report)
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -86,7 +97,7 @@ _GROWTH_TARGET = 1.5    # per-step growth of u the next dt aims at
 _LN_GROWTH_TARGET = math.log(_GROWTH_TARGET)
 
 # scipy.linalg.lapack.dgtsv, loaded once by the first _gtsv call (see the
-# module docstring); an import statement in _gtsv would run twice a step
+# module docstring)
 _dgtsv = None
 
 
@@ -126,31 +137,44 @@ class Trajectory:
     rejected_steps: int = 0
 
 
-def _gtsv(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system whose upper, main and lower diagonals
-    are rows 0, 1, 2 of the (3, N) block ab, laid out as for
-    solve_banded((1, 1), ...); gtsv overwrites ab.  x is a fresh array:
-    writing it into rhs instead raised the collapse run's peak RSS by 2 MB
-    at N=8192 (allocator layout)."""
+def _load_dgtsv():
+    """scipy.linalg.lapack.dgtsv, taken from scipy's compiled LAPACK module
+    scipy.linalg._flapack without running scipy/linalg/__init__.py (see the
+    module docstring).  A module already in sys.modules is reused;
+    otherwise the extension file is loaded by its location and registered
+    under its name, so a later import of scipy.linalg reuses it and
+    scipy.linalg.lapack.dgtsv is the same object."""
+    name = "scipy.linalg._flapack"
+    mod = sys.modules.get(name)
+    if mod is None:
+        scipy = importlib.util.find_spec("scipy")   # locates, imports nothing
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        spec = importlib.machinery.FileFinder(where, (
+            importlib.machinery.ExtensionFileLoader,
+            importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension module in {where}",
+                              name=name, path=where)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        sys.modules[name] = mod
+    return mod.dgtsv
+
+
+def _gtsv(ab: np.ndarray, b: np.ndarray) -> None:
+    """Solve, in place into b, the tridiagonal system whose upper, main and
+    lower diagonals are rows 0, 1, 2 of the (3, N) block ab, laid out as
+    for solve_banded((1, 1), ...); gtsv overwrites ab.  b must be a
+    contiguous float64 row, which gtsv takes without a copy."""
     global _dgtsv
     if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv
-        _dgtsv = dgtsv
-    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, overwrite_dl=1,
-                         overwrite_d=1, overwrite_du=1)
+        _dgtsv = _load_dgtsv()
+    info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
+                  overwrite_d=1, overwrite_du=1, overwrite_b=1)[-1]
     if info > 0:
         raise LinAlgError("singular matrix")
-    return x
-
-
-def _solve(g: RadialGrid, shift: np.ndarray | float, dt: float,
-           rhs: np.ndarray) -> np.ndarray:
-    """Solve ((shift) I - dt Lap) x = rhs, shift broadcastable."""
-    ab = np.empty((3, g.ncells))
-    ab[0, 1:] = -dt * g.lap_upper[:-1]
-    ab[1, :] = shift - dt * g.lap_diag
-    ab[2, :-1] = -dt * g.lap_lower[1:]
-    return _gtsv(ab, rhs)
 
 
 def _bernoulli(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,26 +192,81 @@ def _bernoulli(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ahead, small, large), np.where(ahead, large, small)
 
 
-def _drift_diffusion_solve(g: RadialGrid, u: np.ndarray, v_new: np.ndarray,
-                           dt: float) -> np.ndarray:
-    """u' from (W + dt K(v')) u' = W u with the Scharfetter-Gummel flux."""
-    b_up, b_down = _bernoulli(v_new[1:] - v_new[:-1])
-    dtt = dt * (g.face_area / g.face_dr)
-    upper = dtt * b_up       # pull of u_{i+1} into cell i through face i
-    lower = dtt * b_down     # pull of u_i into cell i+1 through face i
-    ab = np.empty((3, g.ncells))
-    ab[0, 1:] = -upper
-    ab[2, :-1] = -lower
-    ab[1, :] = g.weights
-    ab[1, :-1] += lower
-    ab[1, 1:] += upper
-    return _gtsv(ab, g.weights * u)
+class _Workspace:
+    """The buffers that every step of a run on one grid reuses.
 
+    state and trial are (2, N), rows u and v: the accepted state and the
+    step being tried.  A step writes only into trial, so a rejected trial
+    leaves state as it was, and accepting a step swaps the two buffers.
+    band is the (3, N) block of the tridiagonal matrix that each solve
+    builds and gtsv overwrites, and block holds the integrand rows of one
+    diagnostics row (functionals._integrals).
+    """
 
-def _step_arrays(g: RadialGrid, u: np.ndarray, v: np.ndarray, dt: float):
-    """(u', v') for one step of size dt."""
-    v_new = _solve(g, 1.0 + dt, dt, v + dt * u)
-    return _drift_diffusion_solve(g, u, v_new, dt), v_new
+    def __init__(self, g: RadialGrid):
+        self.g = g
+        self.state = np.empty((2, g.ncells))
+        self.trial = np.empty((2, g.ncells))
+        self.band = np.empty((3, g.ncells))
+        self.block = np.empty((len(_INTEGRANDS), g.ncells))
+        self.trans = g.face_area / g.face_dr     # face transmissibility
+
+    def diffusion_solve(self, shift: float, dt: float, x: np.ndarray) -> None:
+        """x <- the solution of ((shift) I - dt Lap) x' = x, in place."""
+        g, ab = self.g, self.band
+        np.multiply(g.lap_upper[:-1], -dt, out=ab[0, 1:])
+        np.subtract(shift, np.multiply(g.lap_diag, dt, out=ab[1]), out=ab[1])
+        np.multiply(g.lap_lower[1:], -dt, out=ab[2, :-1])
+        _gtsv(ab, x)
+
+    def drift_diffusion_solve(self, dt: float) -> None:
+        """Trial u <- u' from (W + dt K(v')) u' = W u with the
+        Scharfetter-Gummel flux, u the state's and v' the trial's."""
+        g, ab = self.g, self.band
+        v_new = self.trial[1]
+        b_up, b_down = _bernoulli(v_new[1:] - v_new[:-1])
+        upper, lower = ab[0, 1:], ab[2, :-1]
+        np.multiply(self.trans, dt, out=lower)
+        np.multiply(lower, b_up, out=upper)   # pull of u_{i+1} into cell i
+        lower *= b_down                       # pull of u_i into cell i+1
+        ab[1] = g.weights
+        ab[1, :-1] += lower
+        ab[1, 1:] += upper
+        np.negative(upper, out=upper)
+        np.negative(lower, out=lower)
+        _gtsv(ab, np.multiply(g.weights, self.state[0], out=self.trial[0]))
+
+    def try_step(self, dt: float) -> None:
+        """trial <- (u', v') for one step of size dt from state."""
+        u, v = self.state
+        v_new = np.multiply(u, dt, out=self.trial[1])
+        v_new += v
+        self.diffusion_solve(1.0 + dt, dt, v_new)
+        self.drift_diffusion_solve(dt)
+
+    def trial_sups(self) -> Optional[tuple[float, float]]:
+        """(sup u', sup v') when every trial value is positive and finite,
+        else None.  A NaN makes min and max NaN, and every comparison with
+        NaN is false, so NaN fails like +-inf does."""
+        sup_u, sup_v = self.trial.max(axis=1).tolist()
+        if self.trial.min() > 0.0 and sup_u < math.inf and sup_v < math.inf:
+            return sup_u, sup_v
+        return None
+
+    def accept(self) -> None:
+        self.state, self.trial = self.trial, self.state
+
+    def row(self, t: float, dt: float, sups: tuple[float, float]) -> tuple:
+        """The SERIES_COLUMNS values of the state, whose sups trial_sups
+        took while it was the trial."""
+        sums, _ = _integrals(self.g, *self.state, self.block)
+        rep = _report(sums)
+        mass_u, mass_v, gradv_int = sums[_REPORT_ROWS:]
+        return (
+            t, dt, mass_u, mass_v, *sups,
+            rep.F, rep.D, math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
+            gradv_int ** (1.0 / _gradv_exponent(self.g.n)),
+        )
 
 
 def _state(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float) -> StatePair:
@@ -198,48 +277,30 @@ def step(s: StatePair, dt: float) -> StatePair:
     """One step of size dt.  Purely a function of (state, dt)."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g = s.grid
-    u_new, v_new = _step_arrays(g, np.asarray(s.u.values, float),
-                                np.asarray(s.v.values, float), dt)
-    return _state(g, u_new, v_new, s.t + dt)
-
-
-def _valid(u: np.ndarray, v: np.ndarray) -> bool:
-    """Every value positive and finite.  A NaN makes min and max NaN, and
-    every comparison with NaN is false, so NaN fails like +-inf does."""
-    return bool(u.min() > 0.0 and u.max() < math.inf
-                and v.min() > 0.0 and v.max() < math.inf)
-
-
-def _diagnostics_row(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float,
-                     dt: float, gradv_p: float):
-    """The SERIES_COLUMNS values of a state that _valid has passed."""
-    rep, vr = _report_arrays(g, u, v)
-    gradv = g.integrate_values(np.abs(vr) ** gradv_p) ** (1.0 / gradv_p)
-    return (
-        t, dt,
-        g.integrate_values(u), g.integrate_values(v),
-        float(np.max(u)), float(np.max(v)),
-        rep.F, rep.D, math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
-        gradv,
-    )
+    ws = _Workspace(s.grid)
+    ws.state[0] = s.u.values
+    ws.state[1] = s.v.values
+    ws.try_step(dt)
+    return _state(s.grid, *ws.trial, s.t + dt)
 
 
 def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     """Integrate from s0 with adaptive dt until t_end, on-grid collapse,
     numerical divergence, or the step budget."""
     g = s0.grid
-    u = np.asarray(s0.u.values, float)
-    v = np.asarray(s0.v.values, float)
-    if not _valid(u, v):
+    ws = _Workspace(g)
+    ws.trial[0] = s0.u.values
+    ws.trial[1] = s0.v.values
+    sups = ws.trial_sups()
+    if sups is None:
         raise ValueError("initial state must be positive and finite")
-    sup0 = float(np.max(u))
+    ws.accept()
+    sup0 = sups[0]
     cell0 = g.omega_n * float(g.weights[0])   # u_0 times this is cell 0's mass
 
     rows = array("d")  # SERIES_COLUMNS values, one row after another
     t = float(s0.t)
-    gradv_p = _gradv_exponent(g.n)
-    rows.extend(_diagnostics_row(g, u, v, s0.t, 0.0, gradv_p))
+    rows.extend(ws.row(s0.t, 0.0, sups))
     # only retained states become StatePairs, which copy u and v
     snapshots = [s0]
 
@@ -254,10 +315,11 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     while t < cfg.t_end - eps_t and steps < cfg.max_steps:
         dt_try = max(min(dt, cfg.dt_max, cfg.t_end - t), cfg.dt_min)
         at_floor = dt_try <= cfg.dt_min * (1.0 + 1e-12)
-        u_new, v_new = _step_arrays(g, u, v, dt_try)
-        valid = _valid(u_new, v_new)
-        gamma = float(np.max(u_new / u)) if valid else math.inf
-        if not valid or (gamma > _GROWTH_REJECT and not at_floor):
+        ws.try_step(dt_try)
+        sups = ws.trial_sups()
+        gamma = (float(np.max(ws.trial[0] / ws.state[0])) if sups
+                 else math.inf)
+        if sups is None or (gamma > _GROWTH_REJECT and not at_floor):
             rejected += 1
             if at_floor:
                 diverged_at = t
@@ -265,17 +327,17 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
                 break
             dt = max(0.5 * dt_try, cfg.dt_min)
             continue
-        u, v = u_new, v_new
+        ws.accept()
         t += dt_try
         steps += 1
-        row = _diagnostics_row(g, u, v, t, dt_try, gradv_p)
+        row = ws.row(t, dt_try, sups)
         rows.extend(row)
         if steps % cfg.snapshot_every == 0:
-            snapshots.append(_state(g, u, v, t))
+            snapshots.append(_state(g, *ws.state, t))
         if i_grow is None and row[_SUP_U] >= cfg.blowup_factor * sup0:
             i_grow = steps
         if i_grow is not None:
-            share = cell0 * float(u[0]) / row[_MASS_U]
+            share = cell0 * float(ws.state[0, 0]) / row[_MASS_U]
             if share >= 0.5:
                 log.info("collapsed on the grid at t=%.6g after %d steps", t, steps)
                 break
@@ -284,7 +346,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
             dt = min(dt, dt_try * _LN_GROWTH_TARGET / math.log(gamma))
 
     if steps % cfg.snapshot_every:
-        snapshots.append(_state(g, u, v, t))
+        snapshots.append(_state(g, *ws.state, t))
     table = np.frombuffer(rows).reshape(-1, len(SERIES_COLUMNS))
     series = {name: table[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
 

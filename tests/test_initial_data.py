@@ -23,6 +23,8 @@ from kslab import (
     phi,
     phi_log,
 )
+from kslab.config import (ExperimentConfig, build_initial_state,
+                          lemma14_recipe_from)
 from kslab.initial_data import _gaussian_moment, _tail_constant
 
 
@@ -263,20 +265,123 @@ def test_setup_leaves_scipy_integrate_unimported():
 
 
 def test_scipy_linalg_loads_at_the_first_solve():
-    """The same set-up loads no scipy module at all; LAPACK arrives with
-    the first step, and a singular solve still raises the error class
-    scipy.linalg callers catch."""
+    """The same set-up loads no scipy module at all.  The first step loads
+    scipy's compiled LAPACK module and nothing else of scipy; a later
+    import of scipy.linalg reuses that module, and a singular solve still
+    raises the error class scipy.linalg callers catch."""
     out = _fresh_process(
         _SETUP
         + f"setup = {_SCIPY_LOADED}\n"
         "kslab.step(kslab.baseline_profiles('constant', g, c=1.0), 1e-3)\n"
-        "import scipy.linalg\n"
-        "print(json.dumps([setup, 'scipy.linalg.lapack' in sys.modules,\n"
+        f"stepped = {_SCIPY_LOADED}\n"
+        "import numpy as np, scipy.linalg.lapack\n"
+        "from scipy.integrate import quad\n"
+        "x = scipy.linalg.solve_banded((1, 1), np.array(\n"
+        "    [[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]), np.ones(3))\n"
+        "print(json.dumps([setup, stepped,\n"
+        "                  scipy.linalg.lapack.dgtsv is kslab.solver._dgtsv,\n"
+        "                  x.tolist(), quad(lambda r: r * r, 0.0, 1.0)[0],\n"
         "                  kslab.solver.LinAlgError is scipy.linalg.LinAlgError]))\n")
-    setup, lapack_after_step, same_error = json.loads(out)
+    setup, stepped, same_dgtsv, x, q, same_error = json.loads(out)
     assert setup == []
-    assert lapack_after_step
+    assert stepped == ["scipy.linalg._flapack"]
+    assert same_dgtsv
+    assert x == pytest.approx([3 / 14, 1 / 7, 3 / 14], rel=1e-15)
+    assert q == pytest.approx(1 / 3, rel=1e-15)
     assert same_error
+
+
+def test_first_solve_reuses_a_loaded_scipy_linalg():
+    """With scipy.linalg already imported (here by quad), the solver takes
+    dgtsv from the module scipy loaded."""
+    out = _fresh_process(
+        "import json, sys\n"
+        "from scipy.integrate import quad\n"
+        "quad(lambda r: r * r, 0.0, 1.0)\n"
+        "flapack = sys.modules['scipy.linalg._flapack']\n"
+        "import kslab, scipy.linalg.lapack\n"
+        "g = kslab.build_grid(3, 1.0, 64)\n"
+        "kslab.step(kslab.baseline_profiles('constant', g, c=1.0), 1e-3)\n"
+        "print(json.dumps([kslab.solver._dgtsv is flapack.dgtsv,\n"
+        "                  sys.modules['scipy.linalg._flapack'] is flapack,\n"
+        "                  kslab.solver._dgtsv is scipy.linalg.lapack.dgtsv]))\n")
+    assert json.loads(out) == [True, True, True]
+
+
+def test_missing_lapack_extension_names_its_path(tmp_path):
+    """A scipy without its compiled LAPACK module fails at the first solve
+    with an ImportError that names where it looked, and the package
+    import of scipy.linalg is not tried instead."""
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "linalg" / "__init__.py").write_text(
+        "raise AssertionError('scipy.linalg package imported')\n")
+    out = _fresh_process(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(tmp_path)!r})\n"
+        "import kslab\n"
+        "g = kslab.build_grid(3, 1.0, 64)\n"
+        "try:\n"
+        "    kslab.step(kslab.baseline_profiles('constant', g, c=1.0), 1e-3)\n"
+        "except ImportError as exc:\n"
+        f"    print(json.dumps([type(exc).__name__, str(exc), {_SCIPY_LOADED}]))\n")
+    name, msg, loaded = json.loads(out)
+    assert name == "ImportError"
+    assert str(tmp_path / "scipy" / "linalg") in msg
+    assert "scipy.linalg._flapack" in msg
+    assert loaded == []
+
+
+def test_simulate_loads_only_the_lapack_module(tmp_path):
+    """A fresh kslab simulate of the relaxation demo loads scipy's compiled
+    LAPACK module and no other part of scipy."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = root / "demos" / "configs" / "relaxation.json"
+    out = _fresh_process(
+        "import json, sys\n"
+        "from kslab.cli import main\n"
+        f"code = main(['simulate', {str(cfg)!r}, '--out', "
+        f"{str(tmp_path / 'run')!r}])\n"
+        f"print(json.dumps([code, {_SCIPY_LOADED}]))\n")
+    code, loaded = json.loads(out.strip().splitlines()[-1])
+    assert code == 0
+    assert loaded == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("grading, k, r_rule", [
+    (1.035, 20, None), (1.013, 4, {"r0": 0.8, "q": 0.97}),
+])
+def test_run_initial_state_skips_the_continuum_integrals(
+        monkeypatch, grading, k, r_rule):
+    """A config's lemma14 initial state is lemma14_pair's grid data,
+    bitwise, and its quadratures are only those of choose_eta_log: the
+    continuum integrals behind F0 serve construct, not a run."""
+    import scipy.integrate
+
+    init = {"kind": "lemma14", "k": k, "p": 1.1,
+            "baseline": {"kind": "constant", "c": 4.0 if r_rule else 1.0}}
+    if r_rule:
+        init["r_rule"] = r_rule
+    cfg = ExperimentConfig.from_dict({
+        "name": "member", "initial": init,
+        "grid": {"n": 3, "R": 1.0, "N": 1024, "grading": grading}})
+    g = cfg.build_grid()
+    datum = lemma14_pair(lemma14_recipe_from(init, g), k)
+    calls = []
+    real = scipy.integrate.quad
+
+    def counted(*args, **kw):
+        calls.append(args[1:3])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    choose_eta_log(datum.r_k, k, 3, 1.0)
+    eta_calls = calls.copy()
+    calls.clear()
+    s = build_initial_state(cfg, g)
+    assert calls == eta_calls
+    assert s.u.values.tobytes() == datum.u0.values.tobytes()
+    assert s.v.values.tobytes() == datum.v0.values.tobytes()
 
 
 def test_verify_plot_constants_leave_scipy_unimported(tmp_path):

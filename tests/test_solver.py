@@ -27,7 +27,7 @@ from kslab import (
 from kslab import solver
 from kslab.config import lemma14_recipe_from
 from kslab.functionals import _gradv_exponent
-from kslab.solver import _bernoulli, _solve
+from kslab.solver import _bernoulli, _Workspace
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +186,7 @@ def test_snapshot_retention_rule(grid, every, multiple):
     cfg = SolverConfig(t_end=1.2e-2, dt_init=1e-3, dt_max=1e-3,
                        snapshot_every=every)
     traj = run(s0, cfg)
-    t, dt = traj.series["t"], traj.series["dt"]
+    t = traj.series["t"]
     steps = t.size - 1
     assert (steps % every == 0) == multiple
     rows = list(range(0, steps + 1, every))
@@ -194,8 +194,15 @@ def test_snapshot_retention_rule(grid, every, multiple):
         rows.append(steps)
     assert traj.snapshots[0] is s0
     assert [s.t for s in traj.snapshots] == [t[i] for i in rows]
+    _assert_snapshots_replay(traj, s0, rows)
+
+
+def _assert_snapshots_replay(traj, s0, rows):
+    """Snapshot j is bitwise the state reached by stepping s0 through
+    step with the accepted dt's up to series row rows[j]."""
+    dt = traj.series["dt"]
     s = s0
-    for i in range(1, steps + 1):
+    for i in range(1, rows[-1] + 1):
         s = step(s, dt[i])
         if i in rows:
             snap = traj.snapshots[rows.index(i)]
@@ -204,9 +211,29 @@ def test_snapshot_retention_rule(grid, every, multiple):
             assert snap.v.values.tobytes() == s.v.values.tobytes()
 
 
+def test_rejected_trials_leave_the_state_untouched():
+    # the collapse datum on a grid graded 1.2 toward the origin, stepped
+    # from dt 1e-16: the controller rejects several trials on the way to
+    # the collapse.  A trial is built in its own buffer, so each retained
+    # state is the replay of the accepted steps alone
+    grid = build_grid(3, 1.0, 256, 1.2)
+    ub = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
+    vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2)
+    s0 = StatePair(ub.u, RadialField(grid, 0.5 * vb.v.values))
+    traj = run(s0, SolverConfig(t_end=1.0, dt_init=1e-16, dt_min=1e-18,
+                                dt_max=1e-2, snapshot_every=20,
+                                max_steps=20000))
+    steps = traj.series["t"].size - 1
+    assert traj.rejected_steps >= 3
+    assert traj.verdict.outcome == "blew_up"
+    rows = list(range(0, steps, 20)) + [steps]
+    assert [s.t for s in traj.snapshots] == [traj.series["t"][i] for i in rows]
+    _assert_snapshots_replay(traj, s0, rows)
+
+
 def _solve_reference(g, shift, dt, rhs):
     """The band solve through scipy's solve_banded, which dispatches to the
-    same LAPACK gtsv that _solve calls directly."""
+    same LAPACK gtsv that _Workspace.diffusion_solve calls directly."""
     ab = np.zeros((3, g.ncells))
     ab[0, 1:] = -dt * g.lap_upper[:-1]
     ab[1, :] = shift - dt * g.lap_diag
@@ -223,7 +250,9 @@ def test_solve_matches_solve_banded_bitwise(N, grading, dt, v_shift):
     rhs = np.random.default_rng(3).uniform(-1.0, 2.0, N)
     shift = 1.0 + dt if v_shift else 1.0
     ref = _solve_reference(g, shift, dt, rhs.copy())
-    assert _solve(g, shift, dt, rhs.copy()).tobytes() == ref.tobytes()
+    x = rhs.copy()
+    _Workspace(g).diffusion_solve(shift, dt, x)
+    assert x.tobytes() == ref.tobytes()
 
 
 def test_solve_refuses_singular_band():
@@ -232,7 +261,7 @@ def test_solve_refuses_singular_band():
     with pytest.raises(LinAlgError):
         _solve_reference(g, 0.0, 0.0, rhs.copy())
     with pytest.raises(LinAlgError):
-        _solve(g, 0.0, 0.0, rhs.copy())
+        _Workspace(g).diffusion_solve(0.0, 0.0, rhs.copy())
 
 
 def test_controller_grows_dt_to_cap(grid):
@@ -374,16 +403,15 @@ def test_step_rejected_at_dt_min_is_diverged_whatever_the_growth(
         monkeypatch, grown):
     # every step fails from the start, or once sup_u has grown 1e4-fold;
     # the controller halves dt down to dt_min and the step fails there too
-    real = solver._step_arrays
+    real = solver._Workspace.try_step
     sup0 = _collapse_run(max_steps=1).series["sup_u"][0]
 
-    def failing(g, u, v, dt):
-        u_new, v_new = real(g, u, v, dt)
-        if not grown or np.max(u) >= 1e4 * sup0:
-            u_new = -u_new
-        return u_new, v_new
+    def failing(ws, dt):
+        real(ws, dt)
+        if not grown or np.max(ws.state[0]) >= 1e4 * sup0:
+            np.negative(ws.trial[0], out=ws.trial[0])
 
-    monkeypatch.setattr(solver, "_step_arrays", failing)
+    monkeypatch.setattr(solver._Workspace, "try_step", failing)
     traj = _collapse_run()
     sup = traj.series["sup_u"]
     assert (np.max(sup) >= 1e4 * sup0) == grown
