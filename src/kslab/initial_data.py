@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._scipy_ext import extension
 from .functionals import StatePair, _exponent_window
 from .grid import RadialField, RadialGrid
 
@@ -75,6 +75,43 @@ _MIN_CELLS_INSIDE = 8
 _Q_ENERGY = dict(epsabs=1e-14, epsrel=1e-11, limit=400)
 _Q_MASS = dict(epsabs=1e-300, epsrel=1e-11, limit=400)
 
+# scipy.integrate._quadpack, loaded once by the first _quad call
+_quadpack = None
+
+
+def _quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
+          points=None) -> float:
+    """int_a^b f for finite a < b: QUADPACK qagse, or qagpe with the
+    breakpoints in points, called with exactly the arguments
+    scipy.integrate.quad passes them, so the value is quad's bit for bit.
+
+    QUADPACK comes from scipy's compiled module alone (kslab._scipy_ext),
+    not from the scipy.integrate package.  Invalid input (ier 6) raises
+    ValueError, as quad does.  An early stop (ier 1-5: subdivision limit,
+    roundoff, bad integrand, extrapolation, divergence) returns the value
+    and goes to the debug log, not to a warning: cusp integrands trip it
+    long after the absolute error is far below what any downstream check
+    uses.
+    """
+    global _quadpack
+    if _quadpack is None:
+        _quadpack = extension("integrate", "_quadpack")
+    if points is None:
+        val, err, ier = _quadpack._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
+    else:
+        pts = np.unique(points)
+        pts = pts[(a < pts) & (pts < b)]
+        val, err, ier = _quadpack._qagpe(
+            f, a, b, np.concatenate((pts, (0.0, 0.0))), (), 0, epsabs,
+            epsrel, limit)
+    if ier == 6:
+        raise ValueError(f"invalid QUADPACK input on ({a}, {b}): epsabs="
+                         f"{epsabs}, epsrel={epsrel}, limit={limit}")
+    if ier:
+        log.debug("quad on (%.6g, %.6g): QUADPACK ier=%d [abserr=%.3g]",
+                  a, b, ier, err)
+    return val
+
 
 def _tail_constant(n: int) -> float:
     """I_n = lim_{xi->0} (phi(xi) + 0.5 ln xi) = -(digamma(n/2) + gamma)/2.
@@ -93,7 +130,7 @@ def _tail_constant(n: int) -> float:
 def phi(xi: float, n: int) -> float:
     """phi(xi) = int_0^1 rho^{n-1} (rho^2 + xi)^{-n/2} drho for xi > 0.
 
-    Adaptive quadrature for moderate xi; below 1e-8 the exact small-xi
+    QUADPACK (_quad) for moderate xi; below 1e-8 the exact small-xi
     expansion -0.5 ln xi + I_n + 0.5 log1p(xi) + (n-2) xi / 4 is already
     accurate far beyond 1e-10 absolute.
     """
@@ -103,17 +140,15 @@ def phi(xi: float, n: int) -> float:
         raise ValueError(f"dimension n must be >= 3, got {n}")
     if xi < _PHI_ASYMPTOTIC_CUTOFF:
         return phi_log(math.log(xi), n)
-    # scipy.integrate is most of the package's import time: load it only
-    # where quadrature runs
-    from scipy.integrate import quad
 
     def f(rho):
         return rho ** (n - 1) * (rho * rho + xi) ** (-n / 2.0)
 
+    # the integrand turns from rho^{n-1} xi^{-n/2} to 1/rho at the core
+    # width sqrt(xi): a breakpoint there when it lies inside (0, 1)
     s = math.sqrt(xi)
     pts = [s] if s < 1.0 else None
-    val, _ = quad(f, 0.0, 1.0, points=pts, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    return _quad(f, 0.0, 1.0, 1e-12, 1e-12, 200, points=pts)
 
 
 def phi_log(log_xi: float, n: int) -> float:
@@ -311,20 +346,10 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     def v_spike_prime(r):
         return -alpha * b * r * (r * r + eta) ** (-(alpha + 2.0) / 2.0)
 
-    from scipy.integrate import IntegrationWarning, quad  # see phi
-
     wn = g.omega_n
 
-    # cusp integrands trip quad's subdivision warning long after the
-    # absolute error is far below what any downstream check uses; keep the
-    # warning out of user output but on the debug log
     def inner(f, **kw):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            val, err = quad(lambda r: r ** (n - 1) * f(r), 0.0, r_k, **kw)
-        for w in caught:
-            log.debug("inner quad (k=%d): %s [abserr=%.3g]", k, w.message, err)
-        return val
+        return _quad(lambda r: r ** (n - 1) * f(r), 0.0, r_k, **kw)
 
     # the baseline is constant on the shell r_k < r < R (so v' = 0 there),
     # and each shell term is its value times int_{r_k}^R r^{n-1} dr

@@ -1,11 +1,13 @@
 """Profile constructors: singular-pair recipes, baselines, perturbations."""
 
 import json
+import logging
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from kslab import (
 )
 from kslab.config import (ExperimentConfig, build_initial_state,
                           lemma14_recipe_from)
+from kslab import initial_data
 from kslab.initial_data import _gaussian_moment, _tail_constant
 
 
@@ -81,6 +84,97 @@ def test_phi_rejects_nonpositive():
         phi(0.0, 3)
     with pytest.raises(ValueError):
         phi(-1.0, 3)
+
+
+# phi_n(xi) = int_0^T t^{n-1} / (1 - t^2) dt with T = (1 + xi)^{-1/2}
+# (substitute t = rho / sqrt(rho^2 + xi)), in closed form for n = 3, 4
+_PHI_CLOSED_FORM = {
+    3: lambda xi: math.asinh(1.0 / math.sqrt(xi)) - 1.0 / math.sqrt(1.0 + xi),
+    4: lambda xi: 0.5 * math.log1p(1.0 / xi) - 0.5 / (1.0 + xi),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_phi_matches_its_closed_form(n):
+    """phi against the closed form, no scipy involved, over xi in
+    [1e-8, 1e3]: the breakpoint path for xi < 1 and the plain one above."""
+    for xi in np.logspace(-8.0, 3.0, 45):
+        exact = _PHI_CLOSED_FORM[n](xi)
+        assert abs(phi(xi, n) / exact - 1.0) <= 1e-12, xi
+
+
+# --- QUADPACK -----------------------------------------------------------
+
+
+def _deep_member_quadratures(monkeypatch) -> list:
+    """(f, a, b, epsabs, epsrel, limit, points, value) of every _quad call
+    that builds member k=5 over c=1 (the spike integrals and
+    choose_eta_log's phi at xi > 1, all on the plain path), then of phi at
+    xi < 1, on the breakpoint path."""
+    calls = []
+    real = initial_data._quad
+
+    def recorded(f, a, b, epsabs, epsrel, limit, points=None):
+        val = real(f, a, b, epsabs, epsrel, limit, points=points)
+        calls.append((f, a, b, epsabs, epsrel, limit, points, val))
+        return val
+
+    monkeypatch.setattr(initial_data, "_quad", recorded)
+    g = build_grid(3, 1.0, 1024, grading=1.035)
+    lemma14_pair(constant_recipe(g, c=1.0, p=1.1), 5)
+    for xi in (1e-6, 0.3, 0.99):
+        phi(xi, 4)
+    return calls
+
+
+def test_quad_is_scipy_quad_bit_for_bit(monkeypatch):
+    """Every quadrature returns scipy.integrate.quad's value bit for bit, on
+    both QUADPACK paths and on a cusp integrand where QUADPACK stops with
+    ier > 0 (quad warns there)."""
+    calls = _deep_member_quadratures(monkeypatch)
+    paths, stopped_short = set(), 0
+    for f, a, b, epsabs, epsrel, limit, points, val in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ref, _ = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                          points=points)
+        assert val.hex() == ref.hex()
+        paths.add(points is None)
+        stopped_short += bool(caught)
+    assert paths == {True, False}
+    assert stopped_short > 0
+
+
+def test_quad_logs_an_early_stop_without_a_warning(monkeypatch, caplog):
+    """Where QUADPACK stops with ier > 0, _quad returns its value, raises
+    no user-visible warning and puts the reason on the debug log."""
+    calls = _deep_member_quadratures(monkeypatch)
+    monkeypatch.undo()
+    stops = 0
+    for f, a, b, epsabs, epsrel, limit, points, val in calls:
+        caplog.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with caplog.at_level(logging.DEBUG, logger="kslab.initial_data"):
+                again = initial_data._quad(f, a, b, epsabs, epsrel, limit,
+                                           points=points)
+        assert caught == []
+        assert again.hex() == val.hex()
+        stops += len(caplog.records)
+    assert stops > 0
+
+
+@pytest.mark.parametrize("points", [None, [0.5]])
+def test_quad_rejects_invalid_input_as_quad_does(points):
+    """Input QUADPACK refuses (ier 6: no subinterval allowed for the
+    breakpoints) raises ValueError on both paths, as quad does."""
+    limit = 0 if points is None else 1
+    with pytest.raises(ValueError):
+        quad(math.sin, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=limit,
+             points=points)
+    with pytest.raises(ValueError):
+        initial_data._quad(math.sin, 0.0, 1.0, 1e-12, 1e-12, limit,
+                           points=points)
 
 
 # --- eta selection ------------------------------------------------------
@@ -266,9 +360,10 @@ def test_setup_leaves_scipy_integrate_unimported():
 
 def test_scipy_linalg_loads_at_the_first_solve():
     """The same set-up loads no scipy module at all.  The first step loads
-    scipy's compiled LAPACK module and nothing else of scipy; a later
-    import of scipy.linalg reuses that module, and a singular solve still
-    raises the error class scipy.linalg callers catch."""
+    scipy's compiled LAPACK module from its file and leaves no scipy module
+    behind in sys.modules; a later import of scipy.linalg loads it as an
+    attribute of the package with the same dgtsv, and a singular solve
+    still raises the error class scipy.linalg callers catch."""
     out = _fresh_process(
         _SETUP
         + f"setup = {_SCIPY_LOADED}\n"
@@ -280,12 +375,15 @@ def test_scipy_linalg_loads_at_the_first_solve():
         "    [[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]), np.ones(3))\n"
         "print(json.dumps([setup, stepped,\n"
         "                  scipy.linalg.lapack.dgtsv is kslab.solver._dgtsv,\n"
+        "                  scipy.linalg._flapack.dgtsv is kslab.solver._dgtsv,\n"
         "                  x.tolist(), quad(lambda r: r * r, 0.0, 1.0)[0],\n"
         "                  kslab.solver.LinAlgError is scipy.linalg.LinAlgError]))\n")
-    setup, stepped, same_dgtsv, x, q, same_error = json.loads(out)
+    (setup, stepped, same_dgtsv, attribute_dgtsv, x, q,
+     same_error) = json.loads(out)
     assert setup == []
-    assert stepped == ["scipy.linalg._flapack"]
+    assert stepped == []
     assert same_dgtsv
+    assert attribute_dgtsv
     assert x == pytest.approx([3 / 14, 1 / 7, 3 / 14], rel=1e-15)
     assert q == pytest.approx(1 / 3, rel=1e-15)
     assert same_error
@@ -334,7 +432,7 @@ def test_missing_lapack_extension_names_its_path(tmp_path):
 
 def test_simulate_loads_only_the_lapack_module(tmp_path):
     """A fresh kslab simulate of the relaxation demo loads scipy's compiled
-    LAPACK module and no other part of scipy."""
+    LAPACK module by its file and leaves no scipy module in sys.modules."""
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = root / "demos" / "configs" / "relaxation.json"
     out = _fresh_process(
@@ -345,7 +443,94 @@ def test_simulate_loads_only_the_lapack_module(tmp_path):
         f"print(json.dumps([code, {_SCIPY_LOADED}]))\n")
     code, loaded = json.loads(out.strip().splitlines()[-1])
     assert code == 0
-    assert loaded == ["scipy.linalg._flapack"]
+    assert loaded == []
+
+
+_SCIPY_SUBPACKAGES = ("sorted(m for m in sys.modules\n"
+                      "       if m.split('.')[:2] in (['scipy', 'linalg'],\n"
+                      "                              ['scipy', 'integrate']))")
+
+
+def test_quadpack_loads_at_the_first_quadrature():
+    """The first quadrature (phi on the breakpoint path) loads scipy's
+    compiled QUADPACK module and neither the scipy.integrate nor the
+    scipy.linalg package; a later import of scipy.integrate loads that
+    module as an attribute of the package with the same functions."""
+    out = _fresh_process(
+        _SETUP
+        + "value = kslab.phi(0.5, 3)\n"
+        f"loaded = {_SCIPY_SUBPACKAGES}\n"
+        "from kslab import initial_data\n"
+        "import scipy.integrate\n"
+        "print(json.dumps([loaded,\n"
+        "    scipy.integrate._quadpack._qagse is initial_data._quadpack._qagse,\n"
+        "    scipy.integrate._quadpack._qagpe is initial_data._quadpack._qagpe,\n"
+        "    scipy.integrate.quad(lambda r: r * r, 0.0, 1.0)[0],\n"
+        "    value.hex() == kslab.phi(0.5, 3).hex()]))\n")
+    loaded, same_qagse, same_qagpe, q, same_value = json.loads(out)
+    assert loaded == []
+    assert same_qagse and same_qagpe
+    assert q == pytest.approx(1 / 3, rel=1e-15)
+    assert same_value
+
+
+def test_missing_quadpack_extension_names_its_path(tmp_path):
+    """A scipy without its compiled QUADPACK module fails at the first
+    quadrature with an ImportError that names where it looked, and the
+    package import of scipy.integrate is not tried instead."""
+    (tmp_path / "scipy" / "integrate").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "integrate" / "__init__.py").write_text(
+        "raise AssertionError('scipy.integrate package imported')\n")
+    out = _fresh_process(
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(tmp_path)!r})\n"
+        "import kslab\n"
+        "try:\n"
+        "    kslab.phi(0.5, 3)\n"
+        "except ImportError as exc:\n"
+        f"    print(json.dumps([type(exc).__name__, str(exc), {_SCIPY_LOADED}]))\n")
+    name, msg, loaded = json.loads(out)
+    assert name == "ImportError"
+    assert str(tmp_path / "scipy" / "integrate") in msg
+    assert "scipy.integrate._quadpack" in msg
+    assert loaded == []
+
+
+def _lemma14_config(tmp_path) -> str:
+    cfg = {"name": "member",
+           "grid": {"n": 3, "R": 1.0, "N": 256, "grading": 1.013},
+           "initial": {"kind": "lemma14", "k": 3, "p": 1.1,
+                       "baseline": {"kind": "constant", "c": 4.0},
+                       "r_rule": {"r0": 0.8, "q": 0.97}},
+           "solver": {"t_end": 1e-3, "dt_init": 1e-10, "dt_min": 1e-14,
+                      "dt_max": 1e-4, "max_steps": 200}}
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["construct", "simulate"])
+def test_lemma14_commands_leave_scipy_subpackages_unimported(
+        tmp_path, command):
+    """A fresh kslab construct of the spike-family demo and a fresh lemma14
+    kslab simulate import neither the scipy.integrate nor the scipy.linalg
+    package: QUADPACK and LAPACK come from their compiled modules alone."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = (str(root / "demos" / "configs" / "spike_family.json")
+           if command == "construct" else _lemma14_config(tmp_path))
+    out = _fresh_process(
+        "import json, sys\n"
+        "from kslab.cli import main\n"
+        "from kslab import initial_data\n"
+        f"code = main([{command!r}, {cfg!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}])\n"
+        f"print(json.dumps([code, initial_data._quadpack is not None,\n"
+        f"                  {_SCIPY_SUBPACKAGES}]))\n")
+    code, quadrature_ran, loaded = json.loads(out.strip().splitlines()[-1])
+    assert code == 0
+    assert quadrature_ran
+    assert loaded == []
 
 
 @pytest.mark.parametrize("grading, k, r_rule", [
@@ -356,8 +541,6 @@ def test_run_initial_state_skips_the_continuum_integrals(
     """A config's lemma14 initial state is lemma14_pair's grid data,
     bitwise, and its quadratures are only those of choose_eta_log: the
     continuum integrals behind F0 serve construct, not a run."""
-    import scipy.integrate
-
     init = {"kind": "lemma14", "k": k, "p": 1.1,
             "baseline": {"kind": "constant", "c": 4.0 if r_rule else 1.0}}
     if r_rule:
@@ -368,16 +551,17 @@ def test_run_initial_state_skips_the_continuum_integrals(
     g = cfg.build_grid()
     datum = lemma14_pair(lemma14_recipe_from(init, g), k)
     calls = []
-    real = scipy.integrate.quad
+    real = initial_data._quad
 
     def counted(*args, **kw):
         calls.append(args[1:3])
         return real(*args, **kw)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    monkeypatch.setattr(initial_data, "_quad", counted)
     choose_eta_log(datum.r_k, k, 3, 1.0)
     eta_calls = calls.copy()
     calls.clear()
+    assert eta_calls
     s = build_initial_state(cfg, g)
     assert calls == eta_calls
     assert s.u.values.tobytes() == datum.u0.values.tobytes()
