@@ -148,7 +148,7 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
             "bump", grid, m=float(init["m"]), width=float(init["width"]),
             floor=float(init.get("floor", 1e-3)))
     if kind == "lemma14":
-        # the grid data alone: lemma14_pair's continuum quadratures
+        # the grid data alone: lemma14_pair's continuum integrals
         # serve construct, not a run
         *_, u0, v0 = _sampled_member(lemma14_recipe_from(init, grid),
                                      int(init["k"]))

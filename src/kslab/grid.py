@@ -6,13 +6,14 @@ cells with centers r_i = (e_{i-1} + e_i)/2.  The quadrature weight of a cell
 is the exact integral of r^{n-1} over it, so integrals of radial functions
 over the ball are omega_n * sum(w * f) and constants integrate exactly.
 
-Operators come in flux form and live on the grid, so the solver, the
-functionals, the verifier and io share one discrete calculus: a face
-gradient on the N-1 interior faces, the divergence of face fluxes, and the
-radial Laplacian, the cell average of r^{1-n} d/dr (r^{n-1} df/dr), which
-is the divergence of face_area * face_gradient.  The faces at r = 0 and
-r = R carry zero flux (the r = 0 face has area factor 0 anyway), so the
-origin needs no special casing.
+Operators come in flux form and live on the grid: the solver, the
+functionals and the verifier share the face data, the radial Laplacian
+(the cell average of r^{1-n} d/dr (r^{n-1} df/dr), stored as three bands)
+and a centered derivative.  The Laplacian is the divergence of
+face_area * face_gradient; only tests/test_grid.py calls face_gradient
+and flux_divergence, as the reference for the bands.  The faces at r = 0
+and r = R carry zero flux (the r = 0 face has area factor 0 anyway), so
+the origin needs no special casing.
 """
 
 from __future__ import annotations

@@ -27,9 +27,10 @@ representable r > 0, so the float profiles are the pure power tails there.
 The baseline is the constant u = v = c, the only one the lab builds data
 over.  Convergence and energy numbers of a datum are continuum integrals,
 not grid sums: the baseline terms (the shell r_k < r < R, the mass
-c |B_R|) are closed form, and adaptive quadrature runs only over the
-spike pieces inside B_{r_k}.  The sampled grid fields are a separate
-(renormalized-on-grid) representation, and they carry the construction
+c |B_R|) and the u v overlap (through phi) are closed form, and the other
+spike pieces inside B_{r_k} take one fixed Gauss-Legendre rule in log r.
+The sampled grid fields are a separate (renormalized-on-grid)
+representation, and they carry the construction
 only if the grid resolves the core sqrt(eta_k).  When the core lies below
 the smallest cell, the grid samples only the power tail, and the sampled
 pair has nothing of the energy the core holds.  On the N=1024 grid
@@ -41,6 +42,7 @@ of (u0, v0) before evolving a member.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -48,7 +50,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._scipy_ext import extension
 from .functionals import StatePair, _exponent_window
 from .grid import RadialField, RadialGrid
 
@@ -65,104 +66,60 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_PHI_ASYMPTOTIC_CUTOFF = 1e-8
 _BISECT_MAX_ITER = 200
 _BISECT_REL_TOL = 1e-14
 _MIN_CELLS_INSIDE = 8
 
-# quadrature profiles: energy pieces tolerate a tiny absolute floor (they are
-# summed into O(1..k) totals), mass/norm integrals need pure relative control
-_Q_ENERGY = dict(epsabs=1e-14, epsrel=1e-11, limit=400)
-_Q_MASS = dict(epsabs=1e-300, epsrel=1e-11, limit=400)
-
-# scipy.integrate._quadpack, loaded once by the first _quad call
-_quadpack = None
-
-
-def _quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
-          points=None) -> float:
-    """int_a^b f for finite a < b: QUADPACK qagse, or qagpe with the
-    breakpoints in points, called with exactly the arguments
-    scipy.integrate.quad passes them, so the value is quad's bit for bit.
-
-    QUADPACK comes from scipy's compiled module alone (kslab._scipy_ext),
-    not from the scipy.integrate package.  Invalid input (ier 6) raises
-    ValueError, as quad does.  An early stop (ier 1-5: subdivision limit,
-    roundoff, bad integrand, extrapolation, divergence) returns the value
-    and goes to the debug log, not to a warning: cusp integrands trip it
-    long after the absolute error is far below what any downstream check
-    uses.
-    """
-    global _quadpack
-    if _quadpack is None:
-        _quadpack = extension("integrate", "_quadpack")
-    if points is None:
-        val, err, ier = _quadpack._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
-    else:
-        pts = np.unique(points)
-        pts = pts[(a < pts) & (pts < b)]
-        val, err, ier = _quadpack._qagpe(
-            f, a, b, np.concatenate((pts, (0.0, 0.0))), (), 0, epsabs,
-            epsrel, limit)
-    if ier == 6:
-        raise ValueError(f"invalid QUADPACK input on ({a}, {b}): epsabs="
-                         f"{epsabs}, epsrel={epsrel}, limit={limit}")
-    if ier:
-        log.debug("quad on (%.6g, %.6g): QUADPACK ier=%d [abserr=%.3g]",
-                  a, b, ier, err)
-    return val
-
-
-def _tail_constant(n: int) -> float:
-    """I_n = lim_{xi->0} (phi(xi) + 0.5 ln xi) = -(digamma(n/2) + gamma)/2.
-
-    That is -H_{(n-2)/2} / 2 with the harmonic number H_x at an integer or
-    half-integer x, built up from H_0 = 0 or H_{1/2} = 2 - 2 ln 2 by
-    H_{x+1} = H_x + 1/(x+1).  For n = 3 this equals ln 2 - 1.
-    """
-    x, h = (0.5, 2.0 - 2.0 * math.log(2.0)) if n % 2 else (0.0, 0.0)
-    while x < (n - 2) / 2.0:
-        x += 1.0
-        h += 1.0 / x
-    return -0.5 * h
+# the spike integrals (_log_rule): composite Gauss-Legendre in s = log r,
+# truncated where the slowest-decaying integrand has fallen by e^-_S_DECAY
+_GL_ORDER = 20
+_S_DECAY = 40.0
+_UNIT_SPAN = 8
+_PANEL_GROWTH = 1.25
+_KINK_LEVELS = 45
 
 
 def phi(xi: float, n: int) -> float:
-    """phi(xi) = int_0^1 rho^{n-1} (rho^2 + xi)^{-n/2} drho for xi > 0.
-
-    QUADPACK (_quad) for moderate xi; below 1e-8 the exact small-xi
-    expansion -0.5 ln xi + I_n + 0.5 log1p(xi) + (n-2) xi / 4 is already
-    accurate far beyond 1e-10 absolute.
-    """
+    """phi(xi) = int_0^1 rho^{n-1} (rho^2 + xi)^{-n/2} drho for xi > 0."""
     if not xi > 0:
         raise ValueError(f"phi needs xi > 0, got {xi}")
     if n < 3:
         raise ValueError(f"dimension n must be >= 3, got {n}")
-    if xi < _PHI_ASYMPTOTIC_CUTOFF:
-        return phi_log(math.log(xi), n)
-
-    def f(rho):
-        return rho ** (n - 1) * (rho * rho + xi) ** (-n / 2.0)
-
-    # the integrand turns from rho^{n-1} xi^{-n/2} to 1/rho at the core
-    # width sqrt(xi): a breakpoint there when it lies inside (0, 1)
-    s = math.sqrt(xi)
-    pts = [s] if s < 1.0 else None
-    return _quad(f, 0.0, 1.0, 1e-12, 1e-12, 200, points=pts)
+    return phi_log(math.log(xi), n)
 
 
 def phi_log(log_xi: float, n: int) -> float:
     """phi evaluated from log(xi); valid for arbitrarily negative log_xi.
 
     This is the entry point for depth parameters below the float64 floor:
-    log_xi is an ordinary double even when xi itself is not.
+    log_xi is an ordinary double even when xi itself is not.  With
+    t = rho / sqrt(rho^2 + xi), phi = int_0^T t^{n-1} / (1 - t^2) dt for
+    T = (1 + xi)^{-1/2}, and t^{j+2} / (1 - t^2) = t^j / (1 - t^2) - t^j
+    lowers n by two at a time, so
+
+        phi = -sum_{j = n-2, n-4, ... >= 1} T^j / j - L / 2
+              + [ln(1 + T) for odd n],
+
+    L = log(1 - T^2) = log xi - log(1 + xi).  As T -> 0 those terms cancel
+    down to phi ~ T^n / n, so for T^2 < 1/2 the series
+    sum_i T^{n+2i} / (n+2i) is used instead.
     """
     if n < 3:
         raise ValueError(f"dimension n must be >= 3, got {n}")
-    if log_xi >= math.log(_PHI_ASYMPTOTIC_CUTOFF):
-        return phi(math.exp(log_xi), n)
-    xi = math.exp(log_xi)  # may underflow to 0.0: corrections vanish with it
-    return -0.5 * log_xi + _tail_constant(n) + 0.5 * math.log1p(xi) + (n - 2) * xi / 4.0
+    log1p_xi = float(np.logaddexp(0.0, log_xi))
+    T = math.exp(-0.5 * log1p_xi)
+    if T * T < 0.5:
+        total, j, term = 0.0, n, T ** n
+        while term > 1e-17 * total:
+            total += term / j
+            j += 2
+            term *= T * T
+        return total
+    rest = math.log1p(T) if n % 2 else 0.0
+    for j in range(n - 2, 0, -2):
+        rest -= T ** j / j
+    # the possibly huge -L/2 last, so that the sum rounds once at its size
+    return rest - 0.5 * (log_xi - log1p_xi)
 
 
 def choose_eta_log(r_k: float, k: float, n: int, R: float) -> tuple[float, float]:
@@ -197,17 +154,15 @@ def choose_eta_log(r_k: float, k: float, n: int, R: float) -> tuple[float, float
     hi = math.log(R * R) - 1e-14  # eta strictly below R^2
     if value(hi) >= k:
         return hi, value(hi) - k
-    # guaranteed-satisfying lower end from the asymptotic inversion
-    lo = two_log_rk - 2.0 * (need - _tail_constant(n)) - 5.0
-    if not value(lo) >= k:  # pragma: no cover - asymptotic slack is generous
-        lo -= 50.0
-        if not value(lo) >= k:
-            raise RuntimeError("could not bracket the depth parameter")
-
+    # T <= 1, ln(1 + T) >= 0 and -L >= -log xi in phi_log's closed form give
+    # phi > -log(xi) / 2 - n, so at log xi = -4 need - 2n, phi > 2 need: the
+    # depth inequality holds there with a factor 2 to spare for rounding
+    lo = two_log_rk - 4.0 * need - 2.0 * n
     for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= _BISECT_REL_TOL:  # relative tolerance on eta itself
-            break
         mid = 0.5 * (lo + hi)
+        # relative tolerance on eta, or adjacent doubles (deep members)
+        if hi - lo <= _BISECT_REL_TOL or not lo < mid < hi:
+            break
         if value(mid) >= k:
             lo = mid
         else:
@@ -246,8 +201,8 @@ class BlowupDatum:
 
     u0/v0 are the sampled grid fields (u0 renormalized on the grid, so its
     grid integral equals m to machine precision).  The closed-form profile
-    parameters (a, b, log_eta, scale) plus the quadrature-evaluated numbers
-    (F0, convergence norms, uv_over_k) describe the continuum datum.
+    parameters (a, b, log_eta, scale) plus the continuum integrals (F0,
+    convergence norms, uv_over_k) describe the continuum datum.
     """
 
     k: int
@@ -261,8 +216,8 @@ class BlowupDatum:
     mass: float
     F0: float
     uv_integral: float
-    du_lp: float        # ||u_k - u||_{L^p}, refined quadrature
-    dv_w12: float       # ||v_k - v||_{W^{1,2}}, refined quadrature
+    du_lp: float        # ||u_k - u||_{L^p}, continuum integral
+    dv_w12: float       # ||v_k - v||_{W^{1,2}}, continuum integral
     uv_over_k: float
     center_uv: float    # baseline u(0) v(0)
     u0: RadialField
@@ -273,11 +228,53 @@ def _powq(base_log: float, expo: float) -> float:
     return math.exp(expo * base_log)
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The _GL_ORDER-point Gauss-Legendre rule on [0, 1] by Golub-Welsch
+    (eigen-decomposition of the Jacobi matrix), at first use and without
+    numpy.polynomial, which costs a fresh process about 6 ms to import."""
+    j = np.arange(1.0, _GL_ORDER)
+    off = j / np.sqrt(4.0 * j * j - 1.0)
+    x, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x + 1.0), vec[0] ** 2
+
+
+def _log_rule(s_lo: float, s_hi: float, points: list,
+              kink: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite Gauss-Legendre on [s_lo, s_hi], with
+    panel edges at p +- t for each p in points (and the kink): t = 0, 1,
+    ..., _UNIT_SPAN - 1, then growing by _PANEL_GROWTH, so a panel at
+    distance d from the points is about d/4 wide.  There the integrands are
+    sums of e^{mu s}, and a part too fast for the panel has fallen by
+    e^{-mu d}: the panel count grows like the log of the length, which is
+    unbounded as alpha nears an end of its window.  Edges at kink +- 2^-j
+    (j < _KINK_LEVELS) grade the panels toward a kink of the integrand."""
+    span = max(s_hi - s_lo, _UNIT_SPAN)
+    far = _UNIT_SPAN * _PANEL_GROWTH ** np.arange(
+        math.ceil(math.log(span / _UNIT_SPAN) / math.log(_PANEL_GROWTH)) + 1)
+    t = np.concatenate((np.arange(_UNIT_SPAN), far))
+    t = np.concatenate((-t, t))
+    edges = [[s_lo, s_hi], *(p + t for p in points)]
+    if kink is not None:
+        d = 2.0 ** -np.arange(_KINK_LEVELS)
+        edges += [kink + t, kink - d, kink + d]
+    e = np.unique(np.concatenate(edges))
+    e = e[(s_lo <= e) & (e <= s_hi)]
+    x, w = _gauss_legendre()
+    h = np.diff(e)[:, None]
+    return (e[:-1, None] + h * x).ravel(), (h * w).ravel()
+
+
+def _log1m_exp(x: np.ndarray) -> np.ndarray:
+    """log|1 - e^-x|, -inf at x = 0; x may not be far below -700."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(np.expm1(-x)))
+
+
 def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     """The k-th member's spike and its grid data, without the continuum
     integrals that lemma14_pair adds: (r_k, log_eta, margin, log_xi, eta,
-    a, b, u_spike, v_spike, u0, v0), with u_spike and v_spike the profiles
-    inside B_{r_k}.  Raises as lemma14_pair does."""
+    a, b, u0, v0).  Raises as lemma14_pair does."""
     if k < 1 or k != int(k):
         raise ValueError(f"family index k must be a positive integer, got {k}")
     k = int(k)
@@ -306,21 +303,15 @@ def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     a = _powq(log_s, (n - alpha) / 2.0) * c
     b = _powq(log_s, alpha / 2.0) * c
 
-    def u_spike(r):
-        return a * (r * r + eta) ** (-(n - alpha) / 2.0)
-
-    def v_spike(r):
-        return b * (r * r + eta) ** (-alpha / 2.0)
-
     # grid sampling: spike inside, baseline outside, renormalized on-grid
     r = g.centers
     inside = r < r_k
-    u_vals = np.where(inside, u_spike(r), c)
-    v_vals = np.where(inside, v_spike(r), c)
+    u_vals = np.where(inside, a * (r * r + eta) ** (-(n - alpha) / 2.0), c)
+    v_vals = np.where(inside, b * (r * r + eta) ** (-alpha / 2.0), c)
     grid_mass = g.integrate_values(np.full(g.ncells, c))
     u_vals = u_vals * (grid_mass / g.integrate_values(u_vals))
-    return (r_k, log_eta, margin, log_xi, eta, a, b, u_spike, v_spike,
-            RadialField(g, u_vals), RadialField(g, v_vals))
+    return (r_k, log_eta, margin, log_xi, eta, a, b, RadialField(g, u_vals),
+            RadialField(g, v_vals))
 
 
 def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
@@ -339,21 +330,37 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     alpha = recipe.alpha
     p = recipe.p
     c = recipe.c
-    (r_k, log_eta, margin, log_xi, eta, a, b, u_spike, v_spike, u0,
+    (r_k, log_eta, margin, log_xi, eta, a, b, u0,
      v0) = _sampled_member(recipe, k)
     k = int(k)
-
-    def v_spike_prime(r):
-        return -alpha * b * r * (r * r + eta) ** (-(alpha + 2.0) / 2.0)
-
     wn = g.omega_n
-
-    def inner(f, **kw):
-        return _quad(lambda r: r ** (n - 1) * f(r), 0.0, r_k, **kw)
 
     # the baseline is constant on the shell r_k < r < R (so v' = 0 there),
     # and each shell term is its value times int_{r_k}^R r^{n-1} dr
     shell = (R ** n - r_k ** n) / n
+
+    # The spike pieces int_0^{r_k} r^{n-1} f dr = int r^n f ds, s = log r,
+    # on a fixed rule (_log_rule).  Each r^n f is e^{mu s} times a power of
+    # L2 = log(1 + eta/r^2) = logaddexp(0, log eta - 2 s) and a bounded
+    # factor, formed in log space with the powers of r summed into mu, so
+    # deep members neither overflow nor underflow and no large exponents
+    # cancel.  The integrands fall like e^{n s} below the core (or r_k) and
+    # like e^{lam s} at the slowest along the power tail: s_lo cuts both
+    # where they have fallen by e^-_S_DECAY.  lam_p = n - p (n - alpha),
+    # the rate of |u - c|^p r^n, is written in the form that rounds least.
+    s_k = math.log(r_k)
+    lam_p = n * (1.0 - p) + p * alpha
+    lam = min(alpha, n - 2.0 - 2.0 * alpha, lam_p)
+    s_lo = max(min(0.5 * log_eta, s_k) - _S_DECAY / n, s_k - _S_DECAY / lam)
+    log_a, log_b, log_c = math.log(a), math.log(b), math.log(c)
+
+    def spike(kink=None):
+        """(w, s, L2, log(u/c), log(v/c), log(u r^n)) at the rule's nodes"""
+        s, w = _log_rule(s_lo, s_k, [s_k, 0.5 * log_eta], kink)
+        L2 = np.logaddexp(0.0, log_eta - 2.0 * s)
+        return (w, s, L2, log_a - log_c - (n - alpha) * (s + 0.5 * L2),
+                log_b - log_c - alpha * (s + 0.5 * L2),
+                alpha * s + log_a - 0.5 * (n - alpha) * L2)
 
     # mass of the unnormalized modification and the renormalization factor.
     # scale - 1 is kept as the exact ratio -delta / (mass + delta): for deep
@@ -361,37 +368,48 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     # first would quantize scale to 1 +- 1 ulp and put a plateau under the
     # convergence norms
     m = c * g.domain_volume
-    delta = wn * inner(lambda r: u_spike(r) - c, **_Q_MASS)
+    w, s, L2, lu, lv, log_ur = spike()
+    delta = wn * float(w @ np.exp(log_ur + _log1m_exp(lu)))
     norm1_tilde = m + delta
     scale = m / norm1_tilde
     scale_m1 = -delta / norm1_tilde
+    log_scale = math.log1p(scale_m1)
+
+    # |scale u - c|^p has a kink at r*, where scale u = c and
+    # log(r*^2 + eta) = ell > log eta (the mass balance puts the mean of
+    # scale u over B_{r_k} above c): the rest take the rule graded there
+    ell = 2.0 / (n - alpha) * (log_scale + log_a - log_c)
+    s_star = 0.5 * (ell + math.log(-math.expm1(log_eta - ell)))
+    w, s, L2, lu, lv, log_ur = spike(min(s_star, s_k))
 
     # the u v overlap: the inner piece is exactly a b phi(xi) and must go
     # through the log-space phi (its mass hides at unrepresentable radii)
     uv = wn * scale * (a * b * phi_log(log_xi, n) + c * c * shell)
 
-    # one v'^2 integral at the mass profile serves grad_v_sq and dv_sq
-    vp_sq = inner(lambda r: v_spike_prime(r) ** 2, **_Q_MASS)
+    # one v'^2 integral at the mass profile serves grad_v_sq and dv_sq;
+    # v'^2 r^n = alpha^2 b^2 r^{n+2} (r^2 + eta)^{-(alpha + 2)}
+    vp_sq = float(w @ np.exp((n - 2.0 - 2.0 * alpha) * s
+                             + 2.0 * math.log(alpha * b)
+                             - (alpha + 2.0) * L2))
     grad_v_sq = wn * vp_sq
-    v_sq = wn * (inner(lambda r: v_spike(r) ** 2, **_Q_ENERGY) + c * c * shell)
-
-    def xlogx(x):
-        return x * math.log(x)
-
+    log_vvr = (n - 2.0 * alpha) * s + 2.0 * log_b - alpha * L2  # log(v^2 r^n)
+    v_sq = wn * (float(w @ np.exp(log_vvr)) + c * c * shell)
     entropy = wn * (
-        inner(lambda r: xlogx(scale * u_spike(r)), **_Q_ENERGY)
-        + xlogx(scale * c) * shell
+        float(w @ (np.exp(log_scale + log_ur) * (log_scale + log_c + lu)))
+        + scale * c * math.log(scale * c) * shell
     )
     F0 = 0.5 * grad_v_sq + 0.5 * v_sq - uv + entropy
 
-    # convergence records against the baseline
+    # convergence records against the baseline: |scale u - c|^p r^n is
+    # (scale u)^p r^n |1 - c / (scale u)|^p
     du_p = wn * (
-        inner(lambda r: abs(scale * u_spike(r) - c) ** p, **_Q_MASS)
+        float(w @ np.exp(lam_p * s
+                         + p * (log_scale + log_a - 0.5 * (n - alpha) * L2
+                                + _log1m_exp(log_scale + lu))))
         + abs(scale_m1) ** p * c ** p * shell
     )
     du_lp = du_p ** (1.0 / p)
-    dv_sq = wn * (
-        inner(lambda r: (v_spike(r) - c) ** 2, **_Q_MASS) + vp_sq)
+    dv_sq = wn * (float(w @ np.exp(log_vvr + 2.0 * _log1m_exp(lv))) + vp_sq)
     dv_w12 = math.sqrt(dv_sq)
 
     log.info(

@@ -17,15 +17,14 @@ One step of size dt, in this order:
 Both solves are tridiagonal and call LAPACK gtsv directly, the routine
 scipy's solve_banded dispatches to for one sub- and one superdiagonal.
 gtsv is loaded at the first solve, from scipy's compiled LAPACK module
-scipy.linalg._flapack alone (kslab._scipy_ext): after import kslab, the
+scipy.linalg._flapack alone (_flapack below): after import kslab, the
 scipy.linalg package takes a fresh process 0.27-0.30 s and 23 MB to
-import, that module 4-7 ms and 2.5 MB (2-core x86-64 VM).  The
-construction's quadratures load QUADPACK the same way, from
-scipy.integrate._quadpack alone.  kslab verify, plot and constants load
-no scipy at all, and neither simulate nor construct imports the
-scipy.linalg or scipy.integrate package.  A run steps in one _Workspace:
-both solves write the trial state into preallocated rows, and each
-diagnostics row is one pass over them.
+import, that module 4-7 ms and 2.5 MB (2-core x86-64 VM).  It is the only
+scipy code kslab runs: the construction's integrals are closed forms and
+a fixed Gauss-Legendre rule, so kslab construct, verify, plot and
+constants load no scipy at all.  A run steps in one _Workspace: both
+solves write the trial state into preallocated rows, and each diagnostics
+row is one pass over them.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
@@ -57,8 +56,12 @@ from the energy (its implied_T).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Optional
@@ -66,7 +69,6 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from ._scipy_ext import extension
 from .functionals import (StatePair, _gradv_exponent, _integrals,
                           _INTEGRANDS, _REPORT_ROWS, _report)
 from .grid import RadialField, RadialGrid
@@ -135,6 +137,33 @@ class Trajectory:
     rejected_steps: int = 0
 
 
+def _flapack():
+    """scipy.linalg._flapack, without running scipy/linalg/__init__.py:
+    the module in sys.modules if scipy.linalg was imported, else the
+    extension file, whose sys.modules entry is dropped again so that a
+    later import of scipy.linalg loads it as a package attribute (with the
+    same functions: the extension initializes once per process).  A scipy
+    without the file raises ImportError naming the directory searched."""
+    full = "scipy.linalg._flapack"
+    mod = sys.modules.get(full)
+    if mod is not None:
+        return mod
+    scipy = importlib.util.find_spec("scipy")   # locates, imports nothing
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.FileFinder(where, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(full)
+    if spec is None:
+        raise ImportError(f"no {full} extension module in {where}",
+                          name=full, path=where)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    sys.modules.pop(full, None)
+    return mod
+
+
 def _gtsv(ab: np.ndarray, b: np.ndarray) -> None:
     """Solve, in place into b, the tridiagonal system whose upper, main and
     lower diagonals are rows 0, 1, 2 of the (3, N) block ab, laid out as
@@ -142,7 +171,7 @@ def _gtsv(ab: np.ndarray, b: np.ndarray) -> None:
     contiguous float64 row, which gtsv takes without a copy."""
     global _dgtsv
     if _dgtsv is None:
-        _dgtsv = extension("linalg", "_flapack").dgtsv
+        _dgtsv = _flapack().dgtsv
     info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
                   overwrite_d=1, overwrite_du=1, overwrite_b=1)[-1]
     if info > 0:

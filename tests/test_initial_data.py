@@ -1,13 +1,11 @@
 """Profile constructors: singular-pair recipes, baselines, perturbations."""
 
 import json
-import logging
 import math
 import os
 import pathlib
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +25,7 @@ from kslab import (
 )
 from kslab.config import (ExperimentConfig, build_initial_state,
                           lemma14_recipe_from)
-from kslab import initial_data
-from kslab.initial_data import _gaussian_moment, _tail_constant
+from kslab.initial_data import _gauss_legendre, _gaussian_moment
 
 
 # --- phi kernel ---------------------------------------------------------
@@ -68,15 +65,16 @@ def test_phi_log_handles_sub_float_arguments():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_tail_constant_matches_quadrature(n):
-    # phi(xi) = 0.5 ln((1+xi)/xi) + int_0^{1/sqrt(xi)} h_n(s) ds, so the
-    # constant is the integral of h_n over (0, inf)
+    # phi(xi) = 0.5 ln((1+xi)/xi) + int_0^{1/sqrt(xi)} h_n(s) ds, so
+    # phi + 0.5 ln xi tends to the integral of h_n over (0, inf); at
+    # log xi = -50 the remainder is far below 1e-14
     def h(s):
         w = s * s / (s * s + 1.0)
         return s / (s * s + 1.0) * (w ** ((n - 2) / 2.0) - 1.0)
 
     a1, _ = quad(h, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     a2, _ = quad(h, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    assert abs(_tail_constant(n) - (a1 + a2)) <= 1e-14
+    assert abs(phi_log(-50.0, n) - 25.0 - (a1 + a2)) <= 1e-14
 
 
 def test_phi_rejects_nonpositive():
@@ -87,94 +85,38 @@ def test_phi_rejects_nonpositive():
 
 
 # phi_n(xi) = int_0^T t^{n-1} / (1 - t^2) dt with T = (1 + xi)^{-1/2}
-# (substitute t = rho / sqrt(rho^2 + xi)), in closed form for n = 3, 4
+# (substitute t = rho / sqrt(rho^2 + xi)), in closed form for n = 3, 4: as
+# a function of xi, and rewritten in lx = log xi for xi below the float64
+# range (asinh(1/sqrt(xi)) = -lx/2 + ln(1 + sqrt(1 + xi)))
 _PHI_CLOSED_FORM = {
     3: lambda xi: math.asinh(1.0 / math.sqrt(xi)) - 1.0 / math.sqrt(1.0 + xi),
     4: lambda xi: 0.5 * math.log1p(1.0 / xi) - 0.5 / (1.0 + xi),
+}
+_PHI_CLOSED_FORM_LOG = {
+    3: lambda lx, xi: (-0.5 * lx + math.log1p(math.sqrt(1.0 + xi))
+                       - 1.0 / math.sqrt(1.0 + xi)),
+    4: lambda lx, xi: 0.5 * (math.log1p(xi) - lx) - 0.5 / (1.0 + xi),
 }
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_phi_matches_its_closed_form(n):
     """phi against the closed form, no scipy involved, over xi in
-    [1e-8, 1e3]: the breakpoint path for xi < 1 and the plain one above."""
+    [1e-8, 1e3], and phi_log at log xi down to -1e12."""
     for xi in np.logspace(-8.0, 3.0, 45):
         exact = _PHI_CLOSED_FORM[n](xi)
         assert abs(phi(xi, n) / exact - 1.0) <= 1e-12, xi
+    for lx in (-50.0, -1e3, -1e6, -1e12):
+        exact = _PHI_CLOSED_FORM_LOG[n](lx, math.exp(lx))
+        assert abs(phi_log(lx, n) / exact - 1.0) <= 1e-14, lx
 
 
-# --- QUADPACK -----------------------------------------------------------
-
-
-def _deep_member_quadratures(monkeypatch) -> list:
-    """(f, a, b, epsabs, epsrel, limit, points, value) of every _quad call
-    that builds member k=5 over c=1 (the spike integrals and
-    choose_eta_log's phi at xi > 1, all on the plain path), then of phi at
-    xi < 1, on the breakpoint path."""
-    calls = []
-    real = initial_data._quad
-
-    def recorded(f, a, b, epsabs, epsrel, limit, points=None):
-        val = real(f, a, b, epsabs, epsrel, limit, points=points)
-        calls.append((f, a, b, epsabs, epsrel, limit, points, val))
-        return val
-
-    monkeypatch.setattr(initial_data, "_quad", recorded)
-    g = build_grid(3, 1.0, 1024, grading=1.035)
-    lemma14_pair(constant_recipe(g, c=1.0, p=1.1), 5)
-    for xi in (1e-6, 0.3, 0.99):
-        phi(xi, 4)
-    return calls
-
-
-def test_quad_is_scipy_quad_bit_for_bit(monkeypatch):
-    """Every quadrature returns scipy.integrate.quad's value bit for bit, on
-    both QUADPACK paths and on a cusp integrand where QUADPACK stops with
-    ier > 0 (quad warns there)."""
-    calls = _deep_member_quadratures(monkeypatch)
-    paths, stopped_short = set(), 0
-    for f, a, b, epsabs, epsrel, limit, points, val in calls:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ref, _ = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                          points=points)
-        assert val.hex() == ref.hex()
-        paths.add(points is None)
-        stopped_short += bool(caught)
-    assert paths == {True, False}
-    assert stopped_short > 0
-
-
-def test_quad_logs_an_early_stop_without_a_warning(monkeypatch, caplog):
-    """Where QUADPACK stops with ier > 0, _quad returns its value, raises
-    no user-visible warning and puts the reason on the debug log."""
-    calls = _deep_member_quadratures(monkeypatch)
-    monkeypatch.undo()
-    stops = 0
-    for f, a, b, epsabs, epsrel, limit, points, val in calls:
-        caplog.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with caplog.at_level(logging.DEBUG, logger="kslab.initial_data"):
-                again = initial_data._quad(f, a, b, epsabs, epsrel, limit,
-                                           points=points)
-        assert caught == []
-        assert again.hex() == val.hex()
-        stops += len(caplog.records)
-    assert stops > 0
-
-
-@pytest.mark.parametrize("points", [None, [0.5]])
-def test_quad_rejects_invalid_input_as_quad_does(points):
-    """Input QUADPACK refuses (ier 6: no subinterval allowed for the
-    breakpoints) raises ValueError on both paths, as quad does."""
-    limit = 0 if points is None else 1
-    with pytest.raises(ValueError):
-        quad(math.sin, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=limit,
-             points=points)
-    with pytest.raises(ValueError):
-        initial_data._quad(math.sin, 0.0, 1.0, 1e-12, 1e-12, limit,
-                           points=points)
+def test_gauss_legendre_rule_matches_numpy():
+    """The Golub-Welsch rule on [0, 1] is numpy's leggauss rule, mapped."""
+    x, w = _gauss_legendre()
+    ref_x, ref_w = np.polynomial.legendre.leggauss(len(x))
+    np.testing.assert_allclose(x, 0.5 * (ref_x + 1.0), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, 0.5 * ref_w, rtol=1e-13)
 
 
 # --- eta selection ------------------------------------------------------
@@ -247,6 +189,44 @@ def test_uv_pairing_scales_linearly_in_k(recipe):
     for k in (6, 10, 14):
         d = lemma14_pair(recipe, k)
         assert d.uv_over_k >= 0.8 * 4 * math.pi * d.center_uv
+
+
+# F0, ||u_k - u||_{L^p} and ||v_k - v||_{W^{1,2}} of five members, from
+# mpmath 1.3 (40 digits; 30 for the two alpha-edge members) with breakpoints
+# at sqrt(eta) 10^j and at the kink r* of |scale u - c|^p, taking kslab's own
+# a, b and log eta as inputs.  Resolved: c = 4, r_k = 0.8 * 0.97^k on
+# N=1024 graded 1.013; default: c = 1, r_k = 2^{-k-1} on N=1024 graded
+# 1.035, at the window midpoint alpha or next to either end of the window
+# (0.2727..., 0.5) for n = 3, p = 1.1, where the power tails decay slowly.
+_REFERENCE_MEMBERS = {
+    ("resolved", 5, None): (-156.8017317918133, 30.05271304809137,
+                            9.427307688928529),
+    ("resolved", 6, None): (-245.9703241682349, 31.21081256767788,
+                            9.384333720774064),
+    ("default", 1, None): (-9.2684917702853691, 1.5707970496034482,
+                           1.4376407039312665),
+    ("default", 2, 0.2728): (-25.726813436923006, 17.751174087659255,
+                             0.5073861896523908),
+    ("default", 2, 0.4999): (154.95267304315817, 0.13794501030757492,
+                             19.062212776482443),
+}
+
+
+@pytest.mark.parametrize("family, k, alpha", list(_REFERENCE_MEMBERS))
+def test_construction_matches_independent_references(family, k, alpha):
+    if family == "resolved":
+        init = {"kind": "lemma14", "p": 1.1,
+                "baseline": {"kind": "constant", "c": 4.0},
+                "r_rule": {"r0": 0.8, "q": 0.97}}
+        g = build_grid(3, 1.0, 1024, grading=1.013)
+    else:
+        init = {"kind": "lemma14", "p": 1.1, "alpha": alpha,
+                "baseline": {"kind": "constant", "c": 1.0}}
+        g = build_grid(3, 1.0, 1024, grading=1.035)
+    d = lemma14_pair(lemma14_recipe_from(init, g), k)
+    got = (d.F0, d.du_lp, d.dv_w12)
+    assert got == pytest.approx(_REFERENCE_MEMBERS[family, k, alpha],
+                                rel=1e-11)
 
 
 def test_margin_recorded_nonnegative(recipe):
@@ -352,10 +332,15 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_setup_leaves_scipy_integrate_unimported():
-    """Importing the package and building the collapse bump baseline and a
-    construction recipe load no quadrature code, which is slow to import."""
-    out = _fresh_process(_SETUP + "print('scipy.integrate' in sys.modules)\n")
-    assert out.strip() == "False"
+    """Importing the package, building the collapse bump baseline and a
+    construction member load no quadrature code, which is slow to import,
+    and not numpy.polynomial: the rule's nodes come from numpy.linalg."""
+    out = _fresh_process(
+        _SETUP
+        + "kslab.lemma14_pair(kslab.constant_recipe(g, c=1.0, p=1.1), 3)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('scipy.integrate', 'numpy.polynomial')))))\n")
+    assert json.loads(out) == []
 
 
 def test_scipy_linalg_loads_at_the_first_solve():
@@ -451,52 +436,6 @@ _SCIPY_SUBPACKAGES = ("sorted(m for m in sys.modules\n"
                       "                              ['scipy', 'integrate']))")
 
 
-def test_quadpack_loads_at_the_first_quadrature():
-    """The first quadrature (phi on the breakpoint path) loads scipy's
-    compiled QUADPACK module and neither the scipy.integrate nor the
-    scipy.linalg package; a later import of scipy.integrate loads that
-    module as an attribute of the package with the same functions."""
-    out = _fresh_process(
-        _SETUP
-        + "value = kslab.phi(0.5, 3)\n"
-        f"loaded = {_SCIPY_SUBPACKAGES}\n"
-        "from kslab import initial_data\n"
-        "import scipy.integrate\n"
-        "print(json.dumps([loaded,\n"
-        "    scipy.integrate._quadpack._qagse is initial_data._quadpack._qagse,\n"
-        "    scipy.integrate._quadpack._qagpe is initial_data._quadpack._qagpe,\n"
-        "    scipy.integrate.quad(lambda r: r * r, 0.0, 1.0)[0],\n"
-        "    value.hex() == kslab.phi(0.5, 3).hex()]))\n")
-    loaded, same_qagse, same_qagpe, q, same_value = json.loads(out)
-    assert loaded == []
-    assert same_qagse and same_qagpe
-    assert q == pytest.approx(1 / 3, rel=1e-15)
-    assert same_value
-
-
-def test_missing_quadpack_extension_names_its_path(tmp_path):
-    """A scipy without its compiled QUADPACK module fails at the first
-    quadrature with an ImportError that names where it looked, and the
-    package import of scipy.integrate is not tried instead."""
-    (tmp_path / "scipy" / "integrate").mkdir(parents=True)
-    (tmp_path / "scipy" / "__init__.py").write_text("")
-    (tmp_path / "scipy" / "integrate" / "__init__.py").write_text(
-        "raise AssertionError('scipy.integrate package imported')\n")
-    out = _fresh_process(
-        "import json, sys\n"
-        f"sys.path.insert(0, {str(tmp_path)!r})\n"
-        "import kslab\n"
-        "try:\n"
-        "    kslab.phi(0.5, 3)\n"
-        "except ImportError as exc:\n"
-        f"    print(json.dumps([type(exc).__name__, str(exc), {_SCIPY_LOADED}]))\n")
-    name, msg, loaded = json.loads(out)
-    assert name == "ImportError"
-    assert str(tmp_path / "scipy" / "integrate") in msg
-    assert "scipy.integrate._quadpack" in msg
-    assert loaded == []
-
-
 def _lemma14_config(tmp_path) -> str:
     cfg = {"name": "member",
            "grid": {"n": 3, "R": 1.0, "N": 256, "grading": 1.013},
@@ -515,32 +454,29 @@ def test_lemma14_commands_leave_scipy_subpackages_unimported(
         tmp_path, command):
     """A fresh kslab construct of the spike-family demo and a fresh lemma14
     kslab simulate import neither the scipy.integrate nor the scipy.linalg
-    package: QUADPACK and LAPACK come from their compiled modules alone."""
+    package: the construction's integrals need numpy alone, and LAPACK
+    comes from its compiled module."""
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = (str(root / "demos" / "configs" / "spike_family.json")
            if command == "construct" else _lemma14_config(tmp_path))
     out = _fresh_process(
         "import json, sys\n"
         "from kslab.cli import main\n"
-        "from kslab import initial_data\n"
         f"code = main([{command!r}, {cfg!r}, '--out', "
         f"{str(tmp_path / 'out')!r}])\n"
-        f"print(json.dumps([code, initial_data._quadpack is not None,\n"
-        f"                  {_SCIPY_SUBPACKAGES}]))\n")
-    code, quadrature_ran, loaded = json.loads(out.strip().splitlines()[-1])
+        f"print(json.dumps([code, {_SCIPY_SUBPACKAGES}]))\n")
+    code, loaded = json.loads(out.strip().splitlines()[-1])
     assert code == 0
-    assert quadrature_ran
     assert loaded == []
 
 
 @pytest.mark.parametrize("grading, k, r_rule", [
     (1.035, 20, None), (1.013, 4, {"r0": 0.8, "q": 0.97}),
 ])
-def test_run_initial_state_skips_the_continuum_integrals(
-        monkeypatch, grading, k, r_rule):
+def test_run_initial_state_skips_the_continuum_integrals(grading, k, r_rule):
     """A config's lemma14 initial state is lemma14_pair's grid data,
-    bitwise, and its quadratures are only those of choose_eta_log: the
-    continuum integrals behind F0 serve construct, not a run."""
+    bitwise: the continuum integrals behind F0 serve construct, not a
+    run."""
     init = {"kind": "lemma14", "k": k, "p": 1.1,
             "baseline": {"kind": "constant", "c": 4.0 if r_rule else 1.0}}
     if r_rule:
@@ -550,20 +486,7 @@ def test_run_initial_state_skips_the_continuum_integrals(
         "grid": {"n": 3, "R": 1.0, "N": 1024, "grading": grading}})
     g = cfg.build_grid()
     datum = lemma14_pair(lemma14_recipe_from(init, g), k)
-    calls = []
-    real = initial_data._quad
-
-    def counted(*args, **kw):
-        calls.append(args[1:3])
-        return real(*args, **kw)
-
-    monkeypatch.setattr(initial_data, "_quad", counted)
-    choose_eta_log(datum.r_k, k, 3, 1.0)
-    eta_calls = calls.copy()
-    calls.clear()
-    assert eta_calls
     s = build_initial_state(cfg, g)
-    assert calls == eta_calls
     assert s.u.values.tobytes() == datum.u0.values.tobytes()
     assert s.v.values.tobytes() == datum.v0.values.tobytes()
 
