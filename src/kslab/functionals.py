@@ -96,10 +96,12 @@ def _require_positive(vals: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive everywhere")
 
 
-def _g_values(g, u, vr):
-    """g = u_r / sqrt(u) - sqrt(u) v_r from a given v_r."""
-    su = np.sqrt(u)
-    return g.derivative(u, "neumann") / su - su * vr
+def _g_values(u, ur, vr, su):
+    """ur <- g = u_r / sqrt(u) - sqrt(u) v_r, in place, with su as scratch."""
+    np.sqrt(u, out=su)
+    ur /= su
+    ur -= np.multiply(su, vr, out=su)
+    return ur
 
 
 def energy(s: StatePair) -> float:
@@ -120,7 +122,8 @@ def residual_g(s: StatePair) -> RadialField:
     u = np.asarray(s.u.values, float)
     _require_positive(u, "u")
     vr = gr.derivative(np.asarray(s.v.values, float), "neumann")
-    return RadialField(gr, _g_values(gr, u, vr))
+    return RadialField(gr, _g_values(u, gr.derivative(u, "neumann"), vr,
+                                    np.empty_like(u)))
 
 
 def dissipation(s: StatePair) -> float:
@@ -130,7 +133,7 @@ def dissipation(s: StatePair) -> float:
 
 def energy_report(s: StatePair) -> EnergyReport:
     """F and D with their pieces: one positivity check of u and of v, and
-    one derivative of v serving both F and g."""
+    one stencil pass over both, whose v_r serves both F and g."""
     u = np.asarray(s.u.values, float)
     v = np.asarray(s.v.values, float)
     _require_positive(u, "u")
@@ -141,58 +144,63 @@ def energy_report(s: StatePair) -> EnergyReport:
 def _report_arrays(g: RadialGrid, u: np.ndarray,
                    v: np.ndarray) -> tuple[EnergyReport, np.ndarray]:
     """energy_report on bare arrays, with no positivity check, and the
-    Neumann v_r it was built from: for callers that have already checked
-    u and v and may reuse v_r."""
-    sums, vr = _integrals(g, u, v, np.empty((_REPORT_ROWS, g.ncells)))
-    return _report(sums), vr
+    |v_r|^2 row it was built from: for callers that have already checked
+    u and v and may reuse that row."""
+    block = np.empty((_REPORT_ROWS, g.ncells))
+    sums = _integrals(g, np.stack((u, v)), block)
+    return _report(sums), block[_INTEGRANDS.index("v_r^2")]
 
 
-# what _integrals writes into each row of its block, in order; p_n is
-# _gradv_exponent(n).  An EnergyReport needs the first _REPORT_ROWS; the
-# solver's series also records the rest, and the pow of the last would
-# add about a quarter to an energy report at N = 8192
-_INTEGRANDS = ("v_r^2", "v^2", "u v", "u ln u", "f^2", "g^2", "u", "v",
+# what _integrals writes into each row of its block, in order (each row is
+# its own sum); p_n is _gradv_exponent(n).  An EnergyReport needs the first
+# _REPORT_ROWS; the solver's series also records the rest, and the pow of
+# the last would add about a quarter to an energy report at N = 8192
+_INTEGRANDS = ("g^2", "v_r^2", "f^2", "v^2", "u v", "u ln u", "u", "v",
                "|v_r|^p_n")
 _REPORT_ROWS = 6
 
 
-def _integrals(g: RadialGrid, u: np.ndarray, v: np.ndarray,
-               block: np.ndarray) -> tuple[list, np.ndarray]:
+def _integrals(g: RadialGrid, uv: np.ndarray, block: np.ndarray,
+               sums: np.ndarray = None) -> list:
     """The integrals over the ball of the first len(block) _INTEGRANDS of
-    (u, v), as a list of floats, and the Neumann v_r.  Each integrand is
-    written into one row of block, a buffer of _REPORT_ROWS or
-    len(_INTEGRANDS) rows of N, and one vecdot against the cell weights
-    reduces them all: bitwise the integrate_values of each row, which
-    takes the same dot product."""
-    vr = g.derivative(v, "neumann")
-    f = -g.laplacian(v) + v - u
-    gg = _g_values(g, u, vr)
-    np.multiply(vr, vr, out=block[0])
-    np.multiply(v, v, out=block[1])
-    np.multiply(u, v, out=block[2])
-    np.multiply(u, np.log(np.maximum(u, _ENTROPY_CLAMP)), out=block[3])
-    np.multiply(f, f, out=block[4])
-    np.multiply(gg, gg, out=block[5])
+    the (2, N) state uv, as a list of floats.  block, _REPORT_ROWS or
+    len(_INTEGRANDS) rows of N, takes (u_r, v_r) from one stencil pass and
+    Lap v, the rows below as scratch; each integrand is finished in place
+    in its row (g in that of u_r, the first three squared at once), and
+    one vecdot against the cell weights reduces them into sums (new if
+    None): bitwise the integrate_values of each row, the same dot."""
+    u, v = uv
+    ur, vr, f = block[:3]
+    g.derivative(uv, "neumann", out=block[:2], work=block[2:4])
+    g.laplacian(v, out=f, work=block[3])
+    np.subtract(v, f, out=f)          # f = -Lap v + v - u
+    f -= u
     if len(block) > _REPORT_ROWS:
-        block[6] = u
-        block[7] = v
-        np.power(np.abs(vr), _gradv_exponent(g.n), out=block[8])
-    return (g.omega_n * np.vecdot(block, g.weights)).tolist(), vr
+        block[6:8] = uv
+        np.power(np.abs(vr, out=block[8]), _gradv_exponent(g.n),
+                 out=block[8])
+    _g_values(u, ur, vr, block[3])
+    np.square(block[:3], out=block[:3])
+    np.square(v, out=block[3])
+    np.multiply(u, v, out=block[4])
+    entropy = np.log(np.maximum(u, _ENTROPY_CLAMP, out=block[5]), out=block[5])
+    entropy *= u
+    sums = np.vecdot(block, g.weights, out=sums)
+    sums *= g.omega_n
+    return sums.tolist()
+
+
+def _energy_dissipation(sums) -> tuple[float, float]:
+    """F and D from the first _REPORT_ROWS _integrals."""
+    g2, grad_v_sq, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
+    return 0.5 * grad_v_sq + 0.5 * v_sq - uv + entropy, f2 + g2
 
 
 def _report(sums: list) -> EnergyReport:
     """The EnergyReport of a state from its _integrals."""
-    grad_v_sq, v_sq, uv, entropy, f2, g2 = sums[:_REPORT_ROWS]
-    return EnergyReport(
-        F=0.5 * grad_v_sq + 0.5 * v_sq - uv + entropy,
-        grad_v_sq=grad_v_sq,
-        v_sq=v_sq,
-        uv=uv,
-        entropy=entropy,
-        D=f2 + g2,
-        f_norm_sq=f2,
-        g_norm_sq=g2,
-    )
+    g2, grad_v_sq, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
+    F, D = _energy_dissipation(sums)
+    return EnergyReport(F, grad_v_sq, v_sq, uv, entropy, D, f2, g2)
 
 
 def theta_exponent(n: int, kappa: float) -> float:

@@ -99,38 +99,46 @@ class RadialGrid:
         out[1:] -= flux / self.weights[1:]
         return out
 
-    def laplacian(self, vals: np.ndarray) -> np.ndarray:
+    def laplacian(self, vals: np.ndarray, out: np.ndarray = None,
+                  work: np.ndarray = None) -> np.ndarray:
         """flux_divergence(face_area * face_gradient(vals)) from the stored
-        coefficients.  Summed diagonal, lower, upper: the order the solver
-        has always stepped with, so stored runs replay bitwise."""
-        out = self.lap_diag * vals
-        out[1:] += self.lap_lower[1:] * vals[:-1]
-        out[:-1] += self.lap_upper[:-1] * vals[1:]
+        coefficients, along the last axis of vals (a profile or a stack of
+        them), summed diagonal, lower, upper so that stored runs replay
+        bitwise.  out and work, of vals' shape, take the result and the
+        products (new if None): a caller passing both allocates nothing."""
+        prod = (np.empty(np.shape(vals)) if work is None else work)[..., 1:]
+        out = np.multiply(self.lap_diag, vals, out=out)
+        out[..., 1:] += np.multiply(self.lap_lower[1:], vals[..., :-1], prod)
+        out[..., :-1] += np.multiply(self.lap_upper[:-1], vals[..., 1:], prod)
         return out
 
-    def derivative(self, vals: np.ndarray, bc: str) -> np.ndarray:
-        """df/dr at cell centers, second order on nonuniform grids; see
-        radial_derivative for bc."""
-        r = self.centers
-        out = np.empty_like(vals)
+    def derivative(self, vals: np.ndarray, bc: str, out: np.ndarray = None,
+                   work: np.ndarray = None) -> np.ndarray:
+        """df/dr at cell centers along the last axis of vals, second order
+        on nonuniform grids; see radial_derivative for bc, and laplacian
+        for the stack of rows, out and work."""
+        if bc not in ("none", "neumann"):
+            raise ValueError(f"bc must be 'none' or 'neumann', got {bc!r}")
+        out = np.empty(np.shape(vals)) if out is None else out
+        prod = (np.empty(np.shape(vals)) if work is None else work)[..., 2:]
+        inner = out[..., 1:-1]
         dm2, dp2, diff, den = self.deriv_stencil
         # second-order three-point formula on a nonuniform stencil
-        out[1:-1] = (dm2 * vals[2:] - dp2 * vals[:-2] + diff * vals[1:-1]) / den
+        np.multiply(dm2, vals[..., 2:], out=inner)
+        inner -= np.multiply(dp2, vals[..., :-2], out=prod)
+        inner += np.multiply(diff, vals[..., 1:-1], out=prod)
+        inner /= den
         if bc == "neumann":
-            out[0] = 0.0
-            out[-1] = 0.0
-        elif bc == "none":
-            # one-sided second-order at both ends
-            d0, d1 = r[1] - r[0], r[2] - r[0]
-            out[0] = (
-                -(d1 * d1 - d0 * d0) * vals[0] + d1 * d1 * vals[1] - d0 * d0 * vals[2]
-            ) / (d0 * d1 * (d1 - d0))
-            e0, e1 = r[-1] - r[-2], r[-1] - r[-3]
-            out[-1] = (
-                (e1 * e1 - e0 * e0) * vals[-1] - e1 * e1 * vals[-2] + e0 * e0 * vals[-3]
-            ) / (e0 * e1 * (e1 - e0))
+            out[..., ::self.ncells - 1] = 0.0
         else:
-            raise ValueError(f"bc must be 'none' or 'neumann', got {bc!r}")
+            # one-sided second-order at r[0], and mirrored at r[-1]
+            r = self.centers
+            for i, s in ((0, 1), (-1, -1)):
+                d0, d1 = r[i + s] - r[i], r[i + 2 * s] - r[i]
+                out[..., i] = (-(d1 * d1 - d0 * d0) * vals[..., i]
+                               + d1 * d1 * vals[..., i + s]
+                               - d0 * d0 * vals[..., i + 2 * s]
+                               ) / (d0 * d1 * (d1 - d0))
         return out
 
 

@@ -22,9 +22,10 @@ scipy.linalg package takes a fresh process 0.27-0.30 s and 23 MB to
 import, that module 4-7 ms and 2.5 MB (2-core x86-64 VM).  It is the only
 scipy code kslab runs: the construction's integrals are closed forms and
 a fixed Gauss-Legendre rule, so kslab construct, verify, plot and
-constants load no scipy at all.  A run steps in one _Workspace: both
-solves write the trial state into preallocated rows, and each diagnostics
-row is one pass over them.
+constants load no scipy at all.  A run steps in one _Workspace, whose
+buffers (laid out there) every step reuses, so that an accepted step and
+its diagnostics row, one pass of functionals._integrals over the (2, N)
+state with u and v stacked through each grid stencil, allocate no array.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
@@ -40,6 +41,9 @@ by _DT_GROWTH toward dt_max, and when gamma > 1 it is also capped at
 dt_try ln(_GROWTH_TARGET) / ln(gamma), so that the next step should grow u
 by about _GROWTH_TARGET at most.  A step rejected at dt_min ends the run as
 numerically diverged; nonpositive values are never clipped into validity.
+So does an accepted state whose diagnostics row holds a non-finite value,
+with trigger "non_finite_diagnostics: <columns>" and t_detect its time; the
+row stays in the series.
 
 Blow-up is declared from two grid-visible signals, and the run stops as
 soon as both hold: sup u has grown by blowup_factor over its initial
@@ -69,8 +73,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .functionals import (StatePair, _gradv_exponent, _integrals,
-                          _INTEGRANDS, _REPORT_ROWS, _report)
+from .functionals import (StatePair, _energy_dissipation, _gradv_exponent,
+                          _integrals, _INTEGRANDS)
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -164,33 +168,44 @@ def _flapack():
     return mod
 
 
-def _gtsv(ab: np.ndarray, b: np.ndarray) -> None:
-    """Solve, in place into b, the tridiagonal system whose upper, main and
-    lower diagonals are rows 0, 1, 2 of the (3, N) block ab, laid out as
-    for solve_banded((1, 1), ...); gtsv overwrites ab.  b must be a
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+          b: np.ndarray) -> None:
+    """Solve, in place into b, the tridiagonal system with lower, main and
+    upper diagonals dl, d and du, which gtsv overwrites.  Each must be a
     contiguous float64 row, which gtsv takes without a copy."""
     global _dgtsv
     if _dgtsv is None:
         _dgtsv = _flapack().dgtsv
-    info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_dl=1,
-                  overwrite_d=1, overwrite_du=1, overwrite_b=1)[-1]
+    # overwrite_dl, _d, _du, _b by position (keywords cost f2py ~1 us)
+    info = _dgtsv(dl, d, du, b, 1, 1, 1, 1)[-1]
     if info > 0:
         raise LinAlgError("singular matrix")
 
 
-def _bernoulli(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B(delta), B(-delta)) for B(x) = x / (e^x - 1), from one expm1(|delta|):
-    B(|d|) = |d| / expm1(|d|), which is 1 at 0 and 0 once expm1 overflows,
-    and B(-|d|) = |d| + B(|d|).  Finite for every finite delta, and free of
-    floating-point warnings."""
-    a = np.abs(delta)
+# B(a) = a / expm1(a) is exactly 1 below about 5e-17, where expm1(a) rounds
+# to a: taking a >= _A_FLOOR keeps 0/0 out of the divide, and subnormals,
+# which cost an SG step on a flat v a fifth of its time, out of both
+_A_FLOOR = 1e-300
+
+
+def _bernoulli(delta: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """[B(delta); B(-delta)] for B(x) = x / (e^x - 1), into out, a (2, M)
+    buffer for M deltas (new if None), from one expm1: with a = |delta|,
+    B(+-delta) = B(a) + max(-+delta, 0), where B(a) = a / expm1(a) is 0
+    once expm1 overflows, and 1 at a = 0.  Finite for every finite delta,
+    and free of floating-point warnings.  delta is overwritten."""
+    if out is None:
+        out = np.empty((2, delta.size))
+    b, b_neg = out
+    np.maximum(np.abs(delta, out=b_neg), _A_FLOOR, out=b_neg)
     with np.errstate(over="ignore"):
-        e = np.expm1(a)
-    small = np.ones_like(a)
-    np.divide(a, e, out=small, where=a > 0.0)
-    large = a + small
-    ahead = delta >= 0.0
-    return np.where(ahead, small, large), np.where(ahead, large, small)
+        np.expm1(b_neg, out=b)
+    np.divide(b_neg, b, out=b)                    # B(a)
+    np.maximum(delta, 0.0, out=b_neg)
+    np.subtract(b_neg, delta, out=delta)          # max(-delta, 0), exactly
+    b_neg += b
+    b += delta
+    return out
 
 
 class _Workspace:
@@ -199,43 +214,48 @@ class _Workspace:
     state and trial are (2, N), rows u and v: the accepted state and the
     step being tried.  A step writes only into trial, so a rejected trial
     leaves state as it was, and accepting a step swaps the two buffers.
-    band is the (3, N) block of the tridiagonal matrix that each solve
-    builds and gtsv overwrites, and block holds the integrand rows of one
-    diagnostics row (functionals._integrals).
+    Each solve builds its band in off (rows upper and lower) and diag,
+    which gtsv overwrites: the v-band from negated Laplacian bands stored
+    once, the u-band from _bernoulli of diff (v' differences, then the
+    dt-scaled transmissibilities).  ratio takes u'/u, and block and sums
+    a diagnostics row's integrands and integrals (functionals._integrals).
     """
 
     def __init__(self, g: RadialGrid):
         self.g = g
-        self.state = np.empty((2, g.ncells))
-        self.trial = np.empty((2, g.ncells))
-        self.band = np.empty((3, g.ncells))
-        self.block = np.empty((len(_INTEGRANDS), g.ncells))
+        n = g.ncells
+        self.state, self.trial = np.empty((2, 2, n))
+        self.off = np.empty((2, n - 1))
+        self.upper, self.lower = self.off
+        self.diag, self.ratio = np.empty((2, n))
+        self.diff = np.empty(n - 1)
+        self.sups = np.empty(2)
+        self.block = np.empty((len(_INTEGRANDS), n))
+        self.sums = np.empty(len(_INTEGRANDS))
+        self.neg_lap_off = -np.stack((g.lap_upper[:-1], g.lap_lower[1:]))
+        self.neg_lap_diag = -g.lap_diag
         self.trans = g.face_area / g.face_dr     # face transmissibility
 
     def diffusion_solve(self, shift: float, dt: float, x: np.ndarray) -> None:
         """x <- the solution of ((shift) I - dt Lap) x' = x, in place."""
-        g, ab = self.g, self.band
-        np.multiply(g.lap_upper[:-1], -dt, out=ab[0, 1:])
-        np.subtract(shift, np.multiply(g.lap_diag, dt, out=ab[1]), out=ab[1])
-        np.multiply(g.lap_lower[1:], -dt, out=ab[2, :-1])
-        _gtsv(ab, x)
+        np.multiply(self.neg_lap_off, dt, out=self.off)
+        np.multiply(self.neg_lap_diag, dt, out=self.diag)
+        self.diag += shift
+        _gtsv(self.lower, self.diag, self.upper, x)
 
     def drift_diffusion_solve(self, dt: float) -> None:
         """Trial u <- u' from (W + dt K(v')) u' = W u with the
-        Scharfetter-Gummel flux, u the state's and v' the trial's."""
-        g, ab = self.g, self.band
-        v_new = self.trial[1]
-        b_up, b_down = _bernoulli(v_new[1:] - v_new[:-1])
-        upper, lower = ab[0, 1:], ab[2, :-1]
-        np.multiply(self.trans, dt, out=lower)
-        np.multiply(lower, b_up, out=upper)   # pull of u_{i+1} into cell i
-        lower *= b_down                       # pull of u_i into cell i+1
-        ab[1] = g.weights
-        ab[1, :-1] += lower
-        ab[1, 1:] += upper
-        np.negative(upper, out=upper)
-        np.negative(lower, out=lower)
-        _gtsv(ab, np.multiply(g.weights, self.state[0], out=self.trial[0]))
+        Scharfetter-Gummel flux, u the state's and v' the trial's: the
+        off-diagonals are -dt trans B(+-d), and diag = W - lower - upper."""
+        v_new, w, diag = self.trial[1], self.g.weights, self.diag
+        _bernoulli(np.subtract(v_new[1:], v_new[:-1], out=self.diff),
+                   out=self.off)
+        self.off *= np.multiply(self.trans, -dt, out=self.diff)
+        np.subtract(w[:-1], self.lower, out=diag[:-1])
+        diag[-1] = w[-1]
+        diag[1:] -= self.upper
+        _gtsv(self.lower, diag, self.upper,
+              np.multiply(w, self.state[0], out=self.trial[0]))
 
     def try_step(self, dt: float) -> None:
         """trial <- (u', v') for one step of size dt from state."""
@@ -245,29 +265,35 @@ class _Workspace:
         self.diffusion_solve(1.0 + dt, dt, v_new)
         self.drift_diffusion_solve(dt)
 
-    def trial_sups(self) -> Optional[tuple[float, float]]:
-        """(sup u', sup v') when every trial value is positive and finite,
-        else None.  A NaN makes min and max NaN, and every comparison with
-        NaN is false, so NaN fails like +-inf does."""
-        sup_u, sup_v = self.trial.max(axis=1).tolist()
+    def check_trial(self) -> Optional[tuple[tuple[float, float], float]]:
+        """((sup u', sup v'), max u'/u) when every trial value is positive
+        and finite, else None.  A NaN makes min and max NaN, and every
+        comparison with NaN is false, so NaN fails like +-inf does."""
+        sup_u, sup_v = self.trial.max(axis=1, out=self.sups).tolist()
         if self.trial.min() > 0.0 and sup_u < math.inf and sup_v < math.inf:
-            return sup_u, sup_v
+            np.divide(self.trial[0], self.state[0], out=self.ratio)
+            return (sup_u, sup_v), float(self.ratio.max())
         return None
 
     def accept(self) -> None:
         self.state, self.trial = self.trial, self.state
 
     def row(self, t: float, dt: float, sups: tuple[float, float]) -> tuple:
-        """The SERIES_COLUMNS values of the state, whose sups trial_sups
+        """The SERIES_COLUMNS values of the state, whose sups check_trial
         took while it was the trial."""
-        sums, _ = _integrals(self.g, *self.state, self.block)
-        rep = _report(sums)
-        mass_u, mass_v, gradv_int = sums[_REPORT_ROWS:]
-        return (
-            t, dt, mass_u, mass_v, *sups,
-            rep.F, rep.D, math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
-            gradv_int ** (1.0 / _gradv_exponent(self.g.n)),
-        )
+        sums = _integrals(self.g, self.state, self.block, self.sums)
+        F, D = _energy_dissipation(sums)
+        g2, _, f2, *_, mass_u, mass_v, gradv_int = sums
+        return (t, dt, mass_u, mass_v, *sups, F, D, math.sqrt(f2),
+                math.sqrt(g2), gradv_int ** (1.0 / _gradv_exponent(self.g.n)))
+
+
+def _non_finite(row: tuple) -> Optional[tuple[float, str]]:
+    """(t, trigger) of a series row with a non-finite value, else None."""
+    if all(map(math.isfinite, row)):
+        return None
+    bad = (c for c, x in zip(SERIES_COLUMNS, row) if not math.isfinite(x))
+    return row[0], "non_finite_diagnostics: " + ", ".join(bad)
 
 
 def _state(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float) -> StatePair:
@@ -279,8 +305,7 @@ def step(s: StatePair, dt: float) -> StatePair:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     ws = _Workspace(s.grid)
-    ws.state[0] = s.u.values
-    ws.state[1] = s.v.values
+    ws.state[:] = s.u.values, s.v.values
     ws.try_step(dt)
     return _state(s.grid, *ws.trial, s.t + dt)
 
@@ -290,44 +315,43 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     numerical divergence, or the step budget."""
     g = s0.grid
     ws = _Workspace(g)
-    ws.trial[0] = s0.u.values
-    ws.trial[1] = s0.v.values
-    sups = ws.trial_sups()
-    if sups is None:
+    ws.state[:] = ws.trial[:] = s0.u.values, s0.v.values
+    if (checked := ws.check_trial()) is None:
         raise ValueError("initial state must be positive and finite")
-    ws.accept()
+    sups = checked[0]
     sup0 = sups[0]
     cell0 = g.omega_n * float(g.weights[0])   # u_0 times this is cell 0's mass
 
     rows = array("d")  # SERIES_COLUMNS values, one row after another
     t = float(s0.t)
-    rows.extend(ws.row(s0.t, 0.0, sups))
+    row = ws.row(s0.t, 0.0, sups)
+    rows.extend(row)
     # only retained states become StatePairs, which copy u and v
     snapshots = [s0]
 
     dt = cfg.dt_init
     steps = 0
     rejected = 0
-    diverged_at: Optional[float] = None
+    diverged = _non_finite(row)      # (t_detect, trigger) of a divergence
     i_grow: Optional[int] = None     # first row with sup_u grown
     share = 0.0                      # cell 0's share of the u mass
     eps_t = 1e-12 * cfg.t_end
 
-    while t < cfg.t_end - eps_t and steps < cfg.max_steps:
+    while (diverged is None and t < cfg.t_end - eps_t
+           and steps < cfg.max_steps):
         dt_try = max(min(dt, cfg.dt_max, cfg.t_end - t), cfg.dt_min)
         at_floor = dt_try <= cfg.dt_min * (1.0 + 1e-12)
         ws.try_step(dt_try)
-        sups = ws.trial_sups()
-        gamma = (float(np.max(ws.trial[0] / ws.state[0])) if sups
-                 else math.inf)
-        if sups is None or (gamma > _GROWTH_REJECT and not at_floor):
+        checked = ws.check_trial()
+        if checked is None or (checked[1] > _GROWTH_REJECT and not at_floor):
             rejected += 1
             if at_floor:
-                diverged_at = t
+                diverged = (t, "step_rejected_at_dt_min")
                 log.warning("step failed at dt_min=%.3g, t=%.6g: diverged", cfg.dt_min, t)
                 break
             dt = max(0.5 * dt_try, cfg.dt_min)
             continue
+        sups, gamma = checked
         ws.accept()
         t += dt_try
         steps += 1
@@ -335,6 +359,10 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
         rows.extend(row)
         if steps % cfg.snapshot_every == 0:
             snapshots.append(_state(g, *ws.state, t))
+        diverged = _non_finite(row)
+        if diverged is not None:
+            log.warning("%s at t=%.6g: diverged", diverged[1], t)
+            break
         if i_grow is None and row[_SUP_U] >= cfg.blowup_factor * sup0:
             i_grow = steps
         if i_grow is not None:
@@ -351,11 +379,8 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     table = np.frombuffer(rows).reshape(-1, len(SERIES_COLUMNS))
     series = {name: table[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
 
-    if diverged_at is not None:
-        verdict = BlowupVerdict(
-            outcome="diverged_numerically", t_detect=diverged_at,
-            trigger="step_rejected_at_dt_min",
-        )
+    if diverged is not None:
+        verdict = BlowupVerdict("diverged_numerically", *diverged)
     elif share >= 0.5:
         verdict = BlowupVerdict(
             outcome="blew_up", t_detect=float(series["t"][i_grow]),

@@ -391,13 +391,12 @@ def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _Membe
     v = np.asarray(s.v.values, float)
     _require_positive(u, f"{label}: u")
     _require_positive(v, f"{label}: v")
-    rep, vr = _report_arrays(g, u, v)
+    rep, gv = _report_arrays(g, u, v)
     f_l2 = math.sqrt(rep.f_norm_sq)
     g_l2 = math.sqrt(rep.g_norm_sq)
     # the inner/outer split radius used by the interior/exterior estimates
     r0 = min(g.R / 2.0, f_l2 ** (-2.0 / (beta + 1.0))) if f_l2 > 0 else g.R / 2.0
     inner = g.centers < r0
-    gv = vr * vr
     gv_in = g.omega_n * float(np.sum(g.weights[inner] * gv[inner]))
     gv_out = rep.grad_v_sq - gv_in
     return _MemberStats(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import runpy
 import sys
@@ -75,6 +76,21 @@ def test_verify_battery_exit_codes(workdir, capsys):
             assert main(["verify", run_dir, "--battery", battery]) in (0, 1)
         assert main(["plot", run_dir]) == 0
     assert "gradv_lp_p=1.26667" in capsys.readouterr().out
+
+
+def test_verify_a_run_ended_by_a_non_finite_row(workdir, overflow_row,
+                                                capsys):
+    # the fifth accepted step's diagnostics row overflows: the run stops
+    # there with the row stored, and every battery reads it without a
+    # traceback
+    overflow_row(5)
+    assert main(["simulate", write_cfg(workdir)]) == 0
+    assert "non_finite_diagnostics: D, g_l2" in capsys.readouterr().out
+    run_dir = str(workdir / "clirun")
+    assert load_run(run_dir).series["D"][-1] == math.inf
+    for battery in ("trajectory", "conservation", "energy", "suite"):
+        assert main(["verify", run_dir, "--battery", battery]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_missing_dir_is_single_error_line(workdir, capsys):

@@ -178,6 +178,59 @@ def test_snapshot_rows_match_public_functionals(n):
         assert row["sup_v"] == sup_norm(s.v)
 
 
+def _row_reference(s):
+    """The diagnostics of a series row spelled out from the grid operators
+    and integrate_values, each integrand in the order of the formulas in
+    the functionals docstring."""
+    g, u, v = s.grid, s.u.values, s.v.values
+    integral = g.integrate_values
+    vr = g.derivative(v, "neumann")
+    f = -g.laplacian(v) + v - u
+    su = np.sqrt(u)
+    gg = g.derivative(u, "neumann") / su - su * vr
+    p = _gradv_exponent(g.n)
+    return {
+        "t": s.t, "mass_u": integral(u), "mass_v": integral(v),
+        "sup_u": np.max(u), "sup_v": np.max(v),
+        "F": (0.5 * integral(vr * vr) + 0.5 * integral(v * v)
+              - integral(u * v) + integral(u * np.log(u))),
+        "D": integral(f * f) + integral(gg * gg),
+        "f_l2": math.sqrt(integral(f * f)),
+        "g_l2": math.sqrt(integral(gg * gg)),
+        "gradv_lp": integral(np.abs(vr) ** p) ** (1.0 / p),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("grading", [1.0, 1.05])
+def test_every_series_row_matches_spelled_out_diagnostics(n, grading):
+    # a concentrating bump (it collapses within the budget on the uniform
+    # grids) retained at every step: each row's diagnostics are, bit for
+    # bit, the reference built from the state it records
+    g = build_grid(n, 1.0, 128, grading)
+    s0 = baseline_profiles("bump", g, m=20.0, width=0.2, floor=1e-2)
+    traj = run(s0, SolverConfig(t_end=1.0, dt_init=1e-6, dt_max=1e-4,
+                                snapshot_every=1, max_steps=40))
+    assert len(traj.snapshots) == traj.series["t"].size > 30
+    for i, s in enumerate(traj.snapshots):
+        ref = _row_reference(s)
+        got = np.array([traj.series[c][i] for c in ref])
+        assert got.tobytes() == np.array(list(ref.values())).tobytes(), i
+
+
+def test_non_finite_diagnostics_row_ends_the_run(overflow_row):
+    # the row stays in the series, and the run ends at it, named
+    overflow_row(5)
+    traj = _collapse_run()
+    v, t = traj.verdict, traj.series["t"]
+    assert v.outcome == "diverged_numerically"
+    assert v.trigger == "non_finite_diagnostics: D, g_l2"
+    assert t.size == 6 and v.t_detect == t[-1] == traj.snapshots[-1].t
+    assert traj.series["D"][-1] == traj.series["g_l2"][-1] == math.inf
+    assert np.all(np.isfinite(traj.series["F"]))
+    assert all(np.isfinite(traj.series[c][:-1]).all() for c in traj.series)
+
+
 @pytest.mark.parametrize("every, multiple", [(4, True), (5, False)])
 def test_snapshot_retention_rule(grid, every, multiple):
     # s0, then every `every`-th accepted state, then the final state once;
@@ -253,6 +306,24 @@ def test_solve_matches_solve_banded_bitwise(N, grading, dt, v_shift):
     x = rhs.copy()
     _Workspace(g).diffusion_solve(shift, dt, x)
     assert x.tobytes() == ref.tobytes()
+
+
+def _sg_reference(g, u, v_new, dt):
+    """The u-solve assembled from _bernoulli and the face data and solved
+    through scipy's solve_banded: face i pulls dt trans_i B(d_i) u_{i+1}
+    into cell i and dt trans_i B(-d_i) u_i into cell i+1, d = v'_{i+1} -
+    v'_i, and each cell keeps its weight on the diagonal."""
+    b_up, b_down = _bernoulli(v_new[1:] - v_new[:-1])
+    scale = g.face_area / g.face_dr * dt
+    upper, lower = scale * b_up, scale * b_down
+    ab = np.zeros((3, g.ncells))
+    ab[0, 1:] = -upper
+    ab[1] = g.weights
+    ab[1, :-1] += lower
+    ab[1, 1:] += upper
+    ab[2, :-1] = -lower
+    return solve_banded((1, 1), ab, g.weights * u, overwrite_ab=True,
+                        check_finite=False)
 
 
 def test_solve_refuses_singular_band():
@@ -505,3 +576,16 @@ def test_every_run_ends_in_a_named_outcome_within_budget(kind, N, mass):
     assert traj.verdict.outcome in ("blew_up", "reached_t_end",
                                     "diverged_numerically"), traj.verdict
     assert traj.series["t"].size - 1 < cfg.max_steps
+
+
+@pytest.mark.parametrize("dt", [1e-16, 1e-6, 1e-2])
+@pytest.mark.parametrize("kind", ["bump", "lemma14", "lemma14_resolved"])
+def test_u_step_matches_independent_assembly_bitwise(step_data, kind, dt):
+    # v' through the reference v-solve, then u' through the reference
+    # Scharfetter-Gummel assembly: step reproduces both bit for bit
+    s = step_data[kind]
+    g, u, v = s.grid, s.u.values, s.v.values
+    s1 = step(s, dt)
+    v_new = _solve_reference(g, 1.0 + dt, dt, v + dt * u)
+    assert s1.v.values.tobytes() == v_new.tobytes()
+    assert s1.u.values.tobytes() == _sg_reference(g, u, v_new, dt).tobytes()
