@@ -3,7 +3,7 @@
 Subcommands:
 
     simulate <config.json>            run and persist a trajectory
-    construct <config.json>           emit a constructed-data sequence table
+    construct <config.json>           tabulate and store a constructed sequence
     verify <run_dir> --battery NAME   run checks against a stored run
     sweep <config.json> --ks ...      one run per k or N, in turn
     constants <n> <kappa> <p>         print the derived exponents/windows
@@ -85,8 +85,10 @@ def _cmd_construct(args) -> int:
     recipe = lemma14_recipe_from(init, grid)
     data = [lemma14_pair(recipe, k) for k in ks]
     out = _resolve_out(cfg, args.out)
-    os.makedirs(out, exist_ok=True)
     h = config_hash(cfg)
+    # row i of the snapshot store is the member on row i of the table
+    states = [StatePair(d.u0, d.v0) for d in data]
+    write_snapshot(states, out, h)
     cols = ("r_k", "log_eta", "margin", "a", "b", "scale", "mass",
             "F0", "uv_over_k", "du_lp", "dv_w12")
     with open(os.path.join(out, "sequence.csv"), "w", encoding="utf-8") as fh:
@@ -94,13 +96,11 @@ def _cmd_construct(args) -> int:
         # F_grid and core_cells say what the grid sees of each member: its
         # sampled energy and the cell centers inside the core sqrt(eta_k)
         fh.write(",".join(("k", *cols, "F_grid", "core_cells")) + "\n")
-        for d in data:
-            s = StatePair(d.u0, d.v0)
+        for d, s in zip(data, states):
             core = np.count_nonzero(grid.centers < math.exp(0.5 * d.log_eta))
             fh.write(",".join((
                 "%d" % d.k, *("%.17g" % getattr(d, c) for c in cols),
                 "%.17g" % energy_report(s).F, "%d" % core)) + "\n")
-            write_snapshot(s, os.path.join(out, f"datum_k{d.k:03d}.npz"), h)
     if len(data) >= 3:
         try:
             rep = check_lemma14_sequence(data, tail_start=int(

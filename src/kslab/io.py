@@ -1,6 +1,5 @@
-"""Run persistence: .npz series and snapshot index, a raw float64 row file
-for the snapshot states, JSON check reports, and a manifest, holding the
-verdict, written last.
+"""Persistence: a snapshot store for every stored state, the .npz series,
+JSON check reports, and a manifest, holding the verdict, written last.
 
 Layout of a run directory:
 
@@ -13,23 +12,24 @@ Layout of a run directory:
     manifest.json    the BlowupVerdict and the rejected-step count, and an
                      inventory with file hashes; written last, atomically
 
+The snapshots.* pair is the store write_snapshot writes for every state
+kslab keeps; a `kslab construct` directory holds sequence.csv and a store
+whose row i is the member on row i of the table (ascending k, t = 0).
+
 A directory containing manifest.json is complete: everything else is
 written first and the manifest lands via os.replace.  The .npz files are
 uncompressed, so reload is bit-exact, and embed the config hash; load_run
 refuses any of them, and a config.json, whose hash is not the manifest's,
 and any file it reads whose sha256 is not the one the manifest lists.
-They are read with allow_pickle=False: a run directory may come from
-elsewhere.  Every snapshot of a run lives on one grid, stored once as its
+They are read with allow_pickle=False: a directory may come from
+elsewhere.  Every state of a store lives on one grid, stored once as its
 cell edges; rebuilding the grid from them reproduces the original
 quadrature weights bitwise, which center-only storage does not.  The row
 file is append-only: a row is the raw bytes of (u, v), so it is read back
-bit-exactly and a reader needs only the index to parse it.  Run
-directories of the retired one-archive-per-snapshot layout
-(snap_NNNNN.npz) are refused.  Older directories that also hold a
-verdict.json load, and the verdict is still read from the manifest.
-
-Single states written by write_snapshot (`kslab construct`'s datum files)
-stay self-describing .npz archives (n, R, t, edges, r, u, v).
+bit-exactly and a reader needs only the index to parse it.  Directories
+of the retired one-archive-per-state layouts (a run's snap_NNNNN.npz, a
+construct's datum_kNNN.npz) are refused.  Older run directories that also
+hold a verdict.json load, and the verdict is still read from the manifest.
 """
 
 from __future__ import annotations
@@ -58,12 +58,11 @@ __all__ = [
     "persist_run",
     "load_run",
     "load_series",
-    "load_snapshot",
+    "load_snapshots",
     "write_checks",
     "RunData",
 ]
 
-_SNAPSHOT_KEYS = ("n", "R", "t", "edges", "r", "u", "v", "config_hash")
 _INDEX_KEYS = ("n", "R", "edges", "t", "config_hash")
 _ROW_DTYPE = np.dtype("<f8")
 
@@ -80,6 +79,22 @@ def _savez(path: str, **arrays) -> None:
     # through a file handle, so np.savez does not append ".npz" to the path
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _read_once(path: str) -> BytesIO:
+    # read once: the bytes parsed are the bytes whose sha256 is checked
+    with open(path, "rb") as fh:
+        buf = BytesIO(fh.read())
+    buf.name = path
+    return buf
+
+
+def _check_sha256(name: str, digest, listed: dict | None) -> None:
+    # runs after the embedded-hash check, so that a file of another run is
+    # reported as such; `listed` is a manifest's file inventory
+    if listed is not None and digest.hexdigest() != listed[name]["sha256"]:
+        raise ValueError(
+            f"{name} sha256 {digest.hexdigest()} does not match manifest")
 
 
 def _load_npz(src, keys) -> dict:
@@ -107,24 +122,76 @@ def load_series(path) -> tuple[dict, str]:
     return cols, str(cols.pop("config_hash"))
 
 
-def write_snapshot(s: StatePair, path: str, cfg_hash: str) -> None:
-    g = s.grid
-    _savez(path, n=g.n, R=g.R, t=s.t, edges=g.edges, r=g.centers,
-           u=s.u.values, v=s.v.values, config_hash=np.array(cfg_hash))
+def write_snapshot(states: Sequence[StatePair], directory: str,
+                   cfg_hash: str) -> str:
+    """Store `states`, all on one grid, in `directory` as snapshots.npz and
+    snapshots.f64, and return the sha256 of the row file."""
+    if not states:
+        raise ValueError(f"no states to store in {directory}")
+    g = states[0].grid
+    for i, s in enumerate(states):
+        if not (s.grid is g or (s.grid.n == g.n and s.grid.R == g.R and
+                                s.grid.edges.tobytes() == g.edges.tobytes())):
+            raise ValueError(f"snapshot {i} is not on the grid of snapshot 0")
+    os.makedirs(directory, exist_ok=True)
+    _savez(os.path.join(directory, "snapshots.npz"), n=g.n, R=g.R,
+           edges=g.edges, t=np.array([s.t for s in states], dtype=np.float64),
+           config_hash=np.array(cfg_hash))
+    # raw rows straight from the states' arrays, no stacked copy, hashed as
+    # they are written rather than read back
+    digest = hashlib.sha256()
+    with open(os.path.join(directory, "snapshots.f64"), "wb") as fh:
+        for s in states:
+            for vals in (s.u.values, s.v.values):
+                row = np.ascontiguousarray(vals, dtype=_ROW_DTYPE)
+                fh.write(row)
+                digest.update(row)
+    return digest.hexdigest()
 
 
-def load_snapshot(path: str) -> StatePair:
-    """Read a file written by write_snapshot, rebuilding its grid from the
-    stored edges."""
-    f = _load_npz(path, _SNAPSHOT_KEYS)
-    edges = np.asarray(f["edges"], dtype=np.float64)
-    if edges.ndim != 1 or f["r"].shape != (edges.size - 1,):
-        raise ValueError(f"inconsistent snapshot {path}")
-    grid = _grid_from_edges(int(f["n"]), float(f["R"]), edges)
-    if not np.array_equal(grid.centers, f["r"]):
-        raise ValueError(f"snapshot centers do not match rebuilt grid: {path}")
-    return StatePair(RadialField(grid, f["u"]), RadialField(grid, f["v"]),
-                     float(f["t"]))
+def load_snapshots(directory: str, cfg_hash: str,
+                   listed: dict | None = None) -> list[StatePair]:
+    """The states write_snapshot stored in `directory`, on one grid rebuilt
+    from the stored edges.  Refuses an index that does not embed `cfg_hash`,
+    a row file with more or fewer rows than the index lists and, given a
+    manifest's inventory `listed`, a file whose sha256 is not the listed one.
+    """
+    path = os.path.join(directory, "snapshots.npz")
+    if not os.path.exists(path) and any(
+            f.startswith("datum_k") for f in os.listdir(directory)):
+        raise ValueError(
+            f"{directory} stores states in the retired datum_kNNN.npz "
+            "layout, which this version does not read; construct it again")
+    buf = _read_once(path)
+    index = _load_npz(buf, _INDEX_KEYS)
+    if str(index["config_hash"]) != cfg_hash:
+        raise ValueError(f"snapshots.npz config hash {index['config_hash']} "
+                         f"does not match {cfg_hash}")
+    _check_sha256("snapshots.npz", hashlib.sha256(buf.getvalue()), listed)
+    times = index["t"]
+    if times.ndim != 1 or index["edges"].ndim != 1:
+        raise ValueError(f"inconsistent snapshot index {path}")
+    grid = _grid_from_edges(int(index["n"]), float(index["R"]),
+                            np.asarray(index["edges"], dtype=np.float64))
+    # one row buffer, reused: the rows hashed are the rows parsed, and the
+    # fields copy out of it
+    row = np.empty((2, grid.ncells), dtype=_ROW_DTYPE)
+    digest, states = hashlib.sha256(), []
+    with open(os.path.join(directory, "snapshots.f64"), "rb") as fh:
+        for t in times:
+            if fh.readinto(row) != row.nbytes:
+                raise ValueError(
+                    f"snapshots.f64 holds fewer than the {times.size} rows "
+                    "its index lists")
+            digest.update(row)
+            states.append(StatePair(RadialField(grid, row[0]),
+                                    RadialField(grid, row[1]), float(t)))
+        if fh.read(1):
+            raise ValueError(
+                f"snapshots.f64 holds more than the {times.size} rows "
+                "its index lists")
+    _check_sha256("snapshots.f64", digest, listed)
+    return states
 
 
 def _write_json(obj, path: str) -> None:
@@ -164,36 +231,13 @@ def persist_run(
     traj: Trajectory, cfg: ExperimentConfig, directory: str
 ) -> dict:
     """Write a complete run directory and return the manifest."""
-    g = traj.grid
-    for i, s in enumerate(traj.snapshots):
-        if not (s.grid is g or (s.grid.n == g.n and s.grid.R == g.R and
-                                s.grid.edges.tobytes() == g.edges.tobytes())):
-            raise ValueError(f"snapshot {i} is not on the trajectory's grid")
-    os.makedirs(directory, exist_ok=True)
     h = config_hash(cfg)
-    inventory = {}
-
+    # first: it refuses snapshots on two grids before any file is written
+    rows_sha256 = write_snapshot(traj.snapshots, directory, h)
     save_config(cfg, os.path.join(directory, "config.json"))
-    inventory["config.json"] = None
-
     write_series(traj.series, os.path.join(directory, "series.npz"), h)
-    inventory["series.npz"] = None
-
-    _savez(os.path.join(directory, "snapshots.npz"), n=g.n, R=g.R,
-           edges=g.edges,
-           t=np.array([s.t for s in traj.snapshots], dtype=np.float64),
-           config_hash=np.array(h))
-    inventory["snapshots.npz"] = None
-    # raw rows straight from the snapshots' arrays, no stacked copy, hashed
-    # as they are written rather than read back
-    digest = hashlib.sha256()
-    with open(os.path.join(directory, "snapshots.f64"), "wb") as fh:
-        for s in traj.snapshots:
-            for vals in (s.u.values, s.v.values):
-                row = np.ascontiguousarray(vals, dtype=_ROW_DTYPE)
-                fh.write(row)
-                digest.update(row)
-    inventory["snapshots.f64"] = digest.hexdigest()
+    inventory = {"config.json": None, "series.npz": None,
+                 "snapshots.npz": None, "snapshots.f64": rows_sha256}
 
     verdict = dataclasses.asdict(traj.verdict)
     verdict["config_hash"] = h
@@ -267,64 +311,20 @@ def load_run(directory: str) -> RunData:
             f"{directory} stores snapshots in the retired snap_NNNNN.npz "
             "layout, which this version does not read; simulate the run again")
 
-    def open_listed(name: str) -> BytesIO:
-        # read once: the bytes parsed are the bytes check_sha256 hashes
-        path = os.path.join(directory, name)
-        with open(path, "rb") as fh:
-            buf = BytesIO(fh.read())
-        buf.name = path
-        return buf
-
-    def check_sha256(name: str, digest: str) -> None:
-        # runs after the embedded-hash check, so that a file of another run
-        # is reported as such
-        if digest != manifest["files"][name]["sha256"]:
-            raise ValueError(f"{name} sha256 {digest} does not match manifest")
-
-    def check_buf(name: str, buf: BytesIO) -> None:
-        check_sha256(name, hashlib.sha256(buf.getvalue()).hexdigest())
-
-    buf = open_listed("config.json")
+    listed = manifest["files"]
+    buf = _read_once(os.path.join(directory, "config.json"))
     cfg = ExperimentConfig.from_dict(json.load(buf))
     if config_hash(cfg) != h:
         raise ValueError(
             f"config.json hash {config_hash(cfg)} does not match manifest {h}")
-    check_buf("config.json", buf)
-    buf = open_listed("series.npz")
+    _check_sha256("config.json", hashlib.sha256(buf.getvalue()), listed)
+    buf = _read_once(os.path.join(directory, "series.npz"))
     series, series_hash = load_series(buf)
     if series_hash != h:
         raise ValueError(
             f"series config hash {series_hash} does not match manifest {h}")
-    check_buf("series.npz", buf)
-    buf = open_listed("snapshots.npz")
-    index = _load_npz(buf, _INDEX_KEYS)
-    if str(index["config_hash"]) != h:
-        raise ValueError(f"snapshots.npz config hash {index['config_hash']} "
-                         f"does not match manifest {h}")
-    check_buf("snapshots.npz", buf)
-    times = index["t"]
-    if times.ndim != 1 or index["edges"].ndim != 1:
-        raise ValueError(f"inconsistent snapshot index {buf.name}")
-    grid = _grid_from_edges(int(index["n"]), float(index["R"]),
-                            np.asarray(index["edges"], dtype=np.float64))
-    # one row buffer, reused: the rows hashed are the rows parsed, and the
-    # fields copy out of it
-    row = np.empty((2, grid.ncells), dtype=_ROW_DTYPE)
-    digest, snaps = hashlib.sha256(), []
-    with open(os.path.join(directory, "snapshots.f64"), "rb") as fh:
-        for t in times:
-            if fh.readinto(row) != row.nbytes:
-                raise ValueError(
-                    f"snapshots.f64 holds fewer than the {times.size} rows "
-                    "its index lists")
-            digest.update(row)
-            snaps.append(StatePair(RadialField(grid, row[0]),
-                                   RadialField(grid, row[1]), float(t)))
-        if fh.read(1):
-            raise ValueError(
-                f"snapshots.f64 holds more than the {times.size} rows "
-                "its index lists")
-    check_sha256("snapshots.f64", digest.hexdigest())
+    _check_sha256("series.npz", hashlib.sha256(buf.getvalue()), listed)
+    snaps = load_snapshots(directory, h, listed)
     vd = manifest["verdict"]
     # older run directories also hold a fitted "t_extrapolated", which is
     # no longer part of a verdict and is ignored

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from kslab.cli import main
-from kslab.config import ExperimentConfig
-from kslab.functionals import StatePair
+from kslab.config import ExperimentConfig, lemma14_recipe_from, load_config
+from kslab.functionals import StatePair, energy_report
 from kslab.grid import RadialField
-from kslab.initial_data import baseline_profiles
-from kslab.io import load_run, persist_run, write_snapshot
+from kslab.initial_data import baseline_profiles, lemma14_pair
+from kslab.io import load_run, load_snapshots, persist_run
 from kslab.solver import SolverConfig, run
 
 
@@ -110,9 +110,13 @@ def test_retired_snapshot_layout_is_single_error_line(workdir, capsys):
     for name in ("snapshots.npz", "snapshots.f64"):
         os.remove(run_dir / name)
         del man["files"][name]
+    g = stored.snapshots[0].grid
     for i, snap in enumerate(stored.snapshots):
         name = f"snap_{i:05d}.npz"
-        write_snapshot(snap, str(run_dir / name), man["config_hash"])
+        # the retired archive's keys
+        np.savez(run_dir / name, n=g.n, R=g.R, t=snap.t, edges=g.edges,
+                 r=g.centers, u=snap.u.values, v=snap.v.values,
+                 config_hash=np.array(man["config_hash"]))
         digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
         man["files"][name] = {"sha256": digest}
     (run_dir / "manifest.json").write_text(json.dumps(man))
@@ -206,11 +210,36 @@ def test_construct_emits_sequence_table(workdir, capsys):
     assert header[:4] == ["k", "r_k", "log_eta", "margin"]
     assert header[-2:] == ["F_grid", "core_cells"]
     assert len(table) == 5
-    for line in table[2:]:
+    # the members are stored as one snapshot store, row i being table row i
+    out = workdir / "seq"
+    assert sorted(os.listdir(out)) == [
+        "sequence.csv", "snapshots.f64", "snapshots.npz"]
+    h = table[0].removeprefix("# config_hash=")
+    states = load_snapshots(str(out), h)
+    loaded = load_config(cfg)
+    recipe = lemma14_recipe_from(loaded.initial, loaded.build_grid())
+    assert len(states) == 3
+    for line, s in zip(table[2:], states):
         row = dict(zip(header, line.split(",")))
         assert np.isfinite(float(row["F_grid"]))
         assert row["core_cells"].isdigit()  # an integer >= 0
-    assert (workdir / "seq" / "datum_k004.npz").exists()
+        ref = lemma14_pair(recipe, int(row["k"]))
+        assert s.t == 0.0
+        assert s.u.values.tobytes() == ref.u0.values.tobytes()
+        assert s.v.values.tobytes() == ref.v0.values.tobytes()
+        assert float(row["F_grid"]) == energy_report(s).F
+
+
+def test_construct_without_members_is_single_error_line(workdir, capsys):
+    cfg = write_cfg(
+        workdir, name="none",
+        initial={"kind": "lemma14", "ks": [], "p": 1.1},
+    )
+    assert main(["construct", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no states to store" in err
+    assert not (workdir / "none").exists()
 
 
 def test_plot_emits_scripts_not_images(workdir):

@@ -30,7 +30,7 @@ from kslab.io import (
     SERIES_COLUMNS,
     load_run,
     load_series,
-    load_snapshot,
+    load_snapshots,
     persist_run,
     write_checks,
     write_series,
@@ -168,44 +168,65 @@ def test_series_header_validated(small_run, tmp_path):
 
 def test_snapshot_round_trip_rebuilds_grid(small_run, tmp_path):
     cfg, traj = small_run
-    snap = traj.snapshots[-1]
-    path = tmp_path / "snap.npz"
-    write_snapshot(snap, str(path), config_hash(cfg))
-    back = load_snapshot(str(path))
-    assert back.t == snap.t
-    assert np.all(back.u.values == snap.u.values)
-    assert np.all(back.v.values == snap.v.values)
-    # grid is rebuilt from stored edges, weights must match bitwise
-    assert np.all(back.u.grid.weights == snap.u.grid.weights)
+    out = tmp_path / "store"
+    digest = write_snapshot(traj.snapshots, str(out), config_hash(cfg))
+    assert sorted(os.listdir(out)) == ["snapshots.f64", "snapshots.npz"]
+    assert digest == hashlib.sha256(
+        (out / "snapshots.f64").read_bytes()).hexdigest()
+    back = load_snapshots(str(out), config_hash(cfg))
+    assert len(back) == len(traj.snapshots)
+    for snap, b in zip(traj.snapshots, back):
+        assert b.t == snap.t
+        assert b.u.values.tobytes() == snap.u.values.tobytes()
+        assert b.v.values.tobytes() == snap.v.values.tobytes()
+        # grid is rebuilt from stored edges, weights must match bitwise
+        assert b.u.grid.weights.tobytes() == snap.u.grid.weights.tobytes()
 
 
 @pytest.mark.parametrize("damage", ["pickled", "truncated"])
 def test_snapshot_refuses_damaged_file(small_run, tmp_path, damage):
     cfg, traj = small_run
-    path = tmp_path / "snap.npz"
-    write_snapshot(traj.snapshots[0], str(path), config_hash(cfg))
+    out = tmp_path / "store"
+    write_snapshot(traj.snapshots, str(out), config_hash(cfg))
     if damage == "pickled":
-        with np.load(str(path)) as z:
+        index = out / "snapshots.npz"
+        with np.load(str(index)) as z:
             arrays = {k: z[k] for k in z.files}
-        arrays["u"] = np.array(list(arrays["u"]), dtype=object)
-        with open(path, "wb") as fh:
+        arrays["t"] = np.array(list(arrays["t"]), dtype=object)
+        with open(index, "wb") as fh:
             np.savez(fh, **arrays)   # object arrays are stored pickled
     else:
-        path.write_bytes(path.read_bytes()[:-100])
+        rows = out / "snapshots.f64"
+        rows.write_bytes(rows.read_bytes()[:-100])
     with pytest.raises(ValueError):
-        load_snapshot(str(path))
+        load_snapshots(str(out), config_hash(cfg))
+
+
+def test_snapshot_refuses_retired_construct_layout(small_run, tmp_path):
+    # a construct directory of the one-archive-per-member layout
+    cfg, traj = small_run
+    (tmp_path / "sequence.csv").write_text("k\n1\n")
+    s, g = traj.snapshots[0], traj.grid
+    np.savez(tmp_path / "datum_k001.npz", n=g.n, R=g.R, t=s.t, edges=g.edges,
+             r=g.centers, u=s.u.values, v=s.v.values,
+             config_hash=np.array(config_hash(cfg)))
+    with pytest.raises(ValueError, match="retired datum_kNNN.npz layout") \
+            as err:
+        load_snapshots(str(tmp_path), config_hash(cfg))
+    assert "\n" not in str(err.value)
 
 
 def test_snapshot_restart_one_step(small_run, tmp_path):
     cfg, traj = small_run
     snap = traj.snapshots[0]
-    path = tmp_path / "restart.npz"
-    write_snapshot(snap, str(path), config_hash(cfg))
-    back = load_snapshot(str(path))
+    out = tmp_path / "restart"
+    write_snapshot([snap], str(out), config_hash(cfg))
+    (back,) = load_snapshots(str(out), config_hash(cfg))
     a = step(snap, 1e-4)
     b = step(back, 1e-4)
-    rel = np.max(np.abs(a.u.values - b.u.values)) / np.max(a.u.values)
-    assert rel <= 1e-12
+    assert b.t == a.t
+    assert b.u.values.tobytes() == a.u.values.tobytes()
+    assert b.v.values.tobytes() == a.v.values.tobytes()
 
 
 # --- run directories ----------------------------------------------------
