@@ -5,6 +5,12 @@ checks, plus an output block.  Floats round-trip exactly (17 significant
 digits on write), and config_hash() is the sha256 of the canonical
 serialization, so identical configs hash identically regardless of key
 order in the source file.
+
+A config is checked whole when it is built: the grid keys, initial.kind,
+checks.kappa > n - 2 for every kind, and for kind lemma14 the recipe that
+lemma14_recipe_from reads from the initial block on the config's grid (p,
+alpha, the constant baseline and r_rule), so a bad setting fails before
+any run starts or any file is written.
 """
 
 from __future__ import annotations
@@ -14,16 +20,14 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
-from .functionals import StatePair, param_window
+from .functionals import StatePair, theta_exponent
 from .grid import RadialGrid, build_grid
 from .initial_data import (
     Lemma14Recipe,
     _constant_level,
     _sampled_member,
     baseline_profiles,
-    constant_recipe,
     lemma14_pair,  # noqa: F401  perfbench's span hooks wrap config.lemma14_pair
     perturbed_constant,
 )
@@ -58,13 +62,9 @@ class ExperimentConfig:
         if kind not in _INITIAL_KINDS:
             raise ValueError(
                 f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}")
+        theta_exponent(int(g["n"]), self.kappa)
         if kind == "lemma14":
-            # validate the window parameters up front, before any run
-            p = float(self.initial.get("p", 1.1))
-            alpha = self.initial.get("alpha")
-            param_window(n=int(g["n"]), p=p, kappa=self.kappa,
-                         alpha=None if alpha is None else float(alpha))
-            _r_rule_from(self.initial, float(g["R"]))
+            lemma14_recipe_from(self.initial, self.build_grid())
 
     @property
     def kappa(self) -> float:
@@ -156,32 +156,22 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
-def _r_rule_from(init: dict, R: float) -> Optional[Callable[[int], float]]:
-    """The radius rule r_k = r0 q^k of initial.r_rule = {"r0", "q"}, or
-    None (the recipe's default (R/2) 2^-k) when the key is absent."""
-    rule = init.get("r_rule")
-    if rule is None:
-        return None
-    if not isinstance(rule, dict) or set(rule) != {"r0", "q"}:
-        raise ValueError('initial.r_rule must be {"r0": ..., "q": ...}')
-    r0, q = float(rule["r0"]), float(rule["q"])
-    if not 0 < r0 < R:
-        raise ValueError(f"initial.r_rule.r0 must lie in (0, {R}), got {r0}")
-    if not 0 < q < 1:
-        raise ValueError(f"initial.r_rule.q must lie in (0, 1), got {q}")
-    return lambda k: r0 * q ** k
-
-
 def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:
+    """The recipe of a lemma14 initial block on `grid`: baseline {"kind":
+    "constant", "c"} (c = 1 when absent), p (1.1 when absent), alpha, and
+    r_rule {"r0", "q"}; absent alpha and r_rule take the recipe's
+    defaults.  The only reader of that block."""
     baseline = init.get("baseline", {"kind": "constant", "c": 1.0})
     if baseline.get("kind", "constant") != "constant":
         raise ValueError("only constant baselines are supported in configs")
-    c = float(baseline.get("c", 1.0))
-    alpha = init.get("alpha")
-    return constant_recipe(
-        grid, c=c, p=float(init.get("p", 1.1)),
-        alpha=None if alpha is None else float(alpha),
-        r_rule=_r_rule_from(init, grid.R))
+    alpha, rule = init.get("alpha"), init.get("r_rule")
+    if rule is not None:
+        if not isinstance(rule, dict) or set(rule) != {"r0", "q"}:
+            raise ValueError('initial.r_rule must be {"r0": ..., "q": ...}')
+        rule = (float(rule["r0"]), float(rule["q"]))
+    return Lemma14Recipe(
+        grid, float(baseline.get("c", 1.0)), float(init.get("p", 1.1)),
+        None if alpha is None else float(alpha), rule)
 
 
 def output_root() -> str:

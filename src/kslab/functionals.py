@@ -57,21 +57,12 @@ class StatePair:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.u.grid is not self.v.grid and not _same_grid(self.u.grid, self.v.grid):
+        if self.u.grid != self.v.grid:
             raise ValueError("u and v must live on the same grid")
 
     @property
     def grid(self):
         return self.u.grid
-
-
-def _same_grid(a, b) -> bool:
-    return (
-        a.n == b.n
-        and a.R == b.R
-        and a.centers.shape == b.centers.shape
-        and np.array_equal(a.edges, b.edges)
-    )
 
 
 @dataclass(frozen=True)
@@ -112,16 +103,16 @@ def energy(s: StatePair) -> float:
 def residual_f(s: StatePair) -> RadialField:
     """f = -Lap v + v - u, the v-equation residual (equals -v_t along solutions)."""
     g = s.grid
-    v = np.asarray(s.v.values, float)
-    return RadialField(g, -g.laplacian(v) + v - np.asarray(s.u.values, float))
+    v = s.v.values
+    return RadialField(g, -g.laplacian(v) + v - s.u.values)
 
 
 def residual_g(s: StatePair) -> RadialField:
     """g = u_r / sqrt(u) - sqrt(u) v_r, the drift-diffusion imbalance."""
     gr = s.grid
-    u = np.asarray(s.u.values, float)
+    u = s.u.values
     _require_positive(u, "u")
-    vr = gr.derivative(np.asarray(s.v.values, float), "neumann")
+    vr = gr.derivative(s.v.values, "neumann")
     return RadialField(gr, _g_values(u, gr.derivative(u, "neumann"), vr,
                                     np.empty_like(u)))
 
@@ -134,8 +125,7 @@ def dissipation(s: StatePair) -> float:
 def energy_report(s: StatePair) -> EnergyReport:
     """F and D with their pieces: one positivity check of u and of v, and
     one stencil pass over both, whose v_r serves both F and g."""
-    u = np.asarray(s.u.values, float)
-    v = np.asarray(s.v.values, float)
+    u, v = s.u.values, s.v.values
     _require_positive(u, "u")
     _require_positive(v, "v")
     return _report_arrays(s.grid, u, v)[0]
@@ -253,8 +243,7 @@ class ParamWindow:
 
     p lives in (1, 2n/(n+2)) (construction integrability), alpha in
     (n - n/p, (n-2)/2) (spike steepness window), kappa > n - 2 (signal decay),
-    theta the derived dissipation exponent.  The signal-mass and decay caps
-    (M, B) are carried when known.
+    theta the derived dissipation exponent.
     """
 
     n: int
@@ -263,8 +252,6 @@ class ParamWindow:
     alpha: float
     alpha_window: tuple
     theta: float
-    M: Optional[float] = None
-    B: Optional[float] = None
 
 
 def _exponent_window(n: int, p: float, alpha: Optional[float] = None):
@@ -287,18 +274,10 @@ def param_window(
     p: float,
     kappa: float,
     alpha: Optional[float] = None,
-    M: Optional[float] = None,
-    B: Optional[float] = None,
 ) -> ParamWindow:
     """Validate exponents and fill alpha with the window midpoint if absent."""
     if n < 3:
         raise ValueError(f"dimension n must be >= 3, got {n}")
     alpha, (lo, hi) = _exponent_window(n, p, alpha)
-    theta = theta_exponent(n, kappa)
-    for name, val in (("M", M), ("B", B)):
-        if val is not None and not val > 0:
-            raise ValueError(f"{name} must be positive when given, got {val}")
-    return ParamWindow(
-        n=n, p=p, kappa=kappa, alpha=alpha, alpha_window=(lo, hi),
-        theta=theta, M=M, B=B,
-    )
+    return ParamWindow(n=n, p=p, kappa=kappa, alpha=alpha,
+                       alpha_window=(lo, hi), theta=theta_exponent(n, kappa))

@@ -73,6 +73,14 @@ class RadialGrid:
     lap_upper: np.ndarray = field(repr=False)
     deriv_stencil: np.ndarray = field(repr=False)
 
+    def __eq__(self, other) -> bool:
+        """The same n and R and bitwise-equal faces, from which every other
+        array of a grid is derived."""
+        if not isinstance(other, RadialGrid):
+            return NotImplemented
+        return self is other or (self.n == other.n and self.R == other.R
+                                 and self.edges.tobytes() == other.edges.tobytes())
+
     @property
     def ncells(self) -> int:
         return self.centers.size

@@ -46,7 +46,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -176,23 +176,27 @@ class Lemma14Recipe:
     radius rule of the construction.
 
     grid is the grid the data will be sampled on; c must be positive.  alpha
-    defaults to the midpoint of the exponent window for (n, p), and r_rule
-    to r_k = (R/2) 2^-k.
+    defaults to the midpoint of the exponent window for (n, p).  r_rule is
+    the pair (r0, q) of the radius rule r_k = r0 q^k, with 0 < r0 < R and
+    0 < q < 1, and defaults to (R/2, 0.5).
     """
 
     grid: RadialGrid
     c: float
     p: float
     alpha: Optional[float] = None
-    r_rule: Optional[Callable[[int], float]] = None
+    r_rule: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         g = self.grid
         self.c = _constant_level(g, {"c": self.c}, "constant baseline")
         self.alpha, _ = _exponent_window(g.n, self.p, self.alpha)
-        if self.r_rule is None:
-            R = g.R
-            self.r_rule = lambda k: (R / 2.0) * 2.0 ** (-k)
+        r0, q = (g.R / 2.0, 0.5) if self.r_rule is None else self.r_rule
+        if not 0 < r0 < g.R:
+            raise ValueError(f"r_rule r0 must lie in (0, {g.R}), got {r0}")
+        if not 0 < q < 1:
+            raise ValueError(f"r_rule q must lie in (0, 1), got {q}")
+        self.r_rule = (r0, q)
 
 
 @dataclass(frozen=True)
@@ -281,11 +285,8 @@ def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     g = recipe.grid
     n, R = g.n, g.R
     alpha = recipe.alpha
-    r_k = recipe.r_rule(k)
-    if not 0 < r_k < R:
-        raise ValueError(f"radius rule gave r_k={r_k} outside (0, {R})")
-    if k >= 2 and not r_k < recipe.r_rule(k - 1):
-        raise ValueError("radius rule must be strictly decreasing in k")
+    r0, q = recipe.r_rule
+    r_k = r0 * q ** k
 
     ncells_inside = int(np.count_nonzero(g.centers < r_k))
     if ncells_inside < _MIN_CELLS_INSIDE:
@@ -469,8 +470,7 @@ def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
     if kind == "constant":
         vals = np.full(grid.ncells, _constant_level(grid, params,
                                                     "constant baseline"))
-        f = RadialField(grid, vals)
-        return StatePair(f, RadialField(grid, vals))
+        return StatePair(RadialField(grid, vals), RadialField(grid, vals))
     if kind == "bump":
         m = float(params["m"])
         width = float(params["width"])
@@ -482,8 +482,7 @@ def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
         if amp <= 0:
             raise ValueError("floor already exceeds the requested mass")
         vals = floor + amp * np.exp(-((grid.centers / width) ** 2))
-        f = RadialField(grid, vals)
-        return StatePair(f, RadialField(grid, vals.copy()))
+        return StatePair(RadialField(grid, vals), RadialField(grid, vals))
     raise ValueError(f"unknown baseline kind {kind!r}")
 
 
@@ -503,12 +502,5 @@ def perturbed_constant(
     return StatePair(RadialField(grid, u), RadialField(grid, v))
 
 
-def constant_recipe(
-    grid: RadialGrid,
-    c: float,
-    p: float,
-    alpha: Optional[float] = None,
-    r_rule: Optional[Callable[[int], float]] = None,
-) -> Lemma14Recipe:
-    """Recipe over the constant baseline u = v = c."""
-    return Lemma14Recipe(grid=grid, c=c, p=p, alpha=alpha, r_rule=r_rule)
+# the recipe over the constant baseline, under the name callers import
+constant_recipe = Lemma14Recipe

@@ -130,8 +130,7 @@ def write_snapshot(states: Sequence[StatePair], directory: str,
         raise ValueError(f"no states to store in {directory}")
     g = states[0].grid
     for i, s in enumerate(states):
-        if not (s.grid is g or (s.grid.n == g.n and s.grid.R == g.R and
-                                s.grid.edges.tobytes() == g.edges.tobytes())):
+        if s.grid != g:
             raise ValueError(f"snapshot {i} is not on the grid of snapshot 0")
     os.makedirs(directory, exist_ok=True)
     _savez(os.path.join(directory, "snapshots.npz"), n=g.n, R=g.R,

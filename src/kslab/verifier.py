@@ -374,7 +374,6 @@ class _MemberStats:
     g_l2: float
     F: float
     D: float
-    sup_vrk: float
     grad_v_sq_inner: float
     grad_v_sq_outer: float
     r0: float
@@ -385,10 +384,9 @@ def _split_exponent(n: int, kappa: float) -> float:
     return (2.0 * n + 4.0) * kappa / n
 
 
-def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _MemberStats:
+def _member_stats(label: str, s: StatePair, beta: float) -> _MemberStats:
     g = s.grid
-    u = np.asarray(s.u.values, float)
-    v = np.asarray(s.v.values, float)
+    u, v = s.u.values, s.v.values
     _require_positive(u, f"{label}: u")
     _require_positive(v, f"{label}: v")
     rep, gv = _report_arrays(g, u, v)
@@ -405,7 +403,6 @@ def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _Membe
         uv=rep.uv, grad_v_sq=rep.grad_v_sq, v_sq=rep.v_sq,
         v_l2=math.sqrt(rep.v_sq),
         f_l2=f_l2, g_l2=g_l2, F=rep.F, D=rep.D,
-        sup_vrk=_snapshot_sup_vrk(s, kappa),
         grad_v_sq_inner=gv_in, grad_v_sq_outer=gv_out, r0=r0,
     )
 
@@ -413,11 +410,8 @@ def _member_stats(label: str, s: StatePair, kappa: float, beta: float) -> _Membe
 @dataclass(frozen=True)
 class StateCorpus:
     """The per-member numbers of labeled admissible states, plus the
-    parameter window they target.
-
-    Membership conditions are envelope-style: masses are recorded per
-    member (the corpus may mix masses), while M and B are the largest
-    member v-mass and v r^kappa sup.
+    parameter window they target.  Masses are recorded per member, so the
+    corpus may mix masses.
     """
     stats: tuple              # (_MemberStats, ...), one per member
     window: ParamWindow
@@ -434,11 +428,9 @@ class StateCorpus:
         for label, s in labeled:
             if s.grid.n != n:
                 raise ValueError("corpus members must share the dimension n")
-            stats.append(_member_stats(label, s, kappa, beta))
-        window = param_window(n=n, p=1.1, kappa=kappa,
-                              M=max(st.v_l1 for st in stats),
-                              B=max(st.sup_vrk for st in stats))
-        return StateCorpus(stats=tuple(stats), window=window)
+            stats.append(_member_stats(label, s, beta))
+        return StateCorpus(stats=tuple(stats),
+                           window=param_window(n=n, p=1.1, kappa=kappa))
 
     @property
     def size(self) -> int:

@@ -197,6 +197,26 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
         assert key in err
 
 
+@pytest.mark.parametrize("overrides", [
+    # kappa must exceed n - 2 for every initial kind, not only lemma14
+    {"initial": {"kind": "bump", "m": 5.0, "width": 0.3},
+     "checks": {"kappa": 1.0}},
+    {"initial": {"kind": "lemma14", "k": 1, "p": 1.1,
+                 "baseline": {"kind": "bump", "m": 5.0, "width": 0.3}}},
+    {"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+     "initial": {"kind": "lemma14", "k": 1, "p": 1.1,
+                 "r_rule": {"r0": 0.5, "q": 1.0}}},
+], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1"])
+def test_bad_config_is_refused_at_load(workdir, capsys, overrides):
+    cfg = write_cfg(workdir, name="bad", **overrides)
+    assert main(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (workdir / "bad").exists()
+    with pytest.raises(ValueError):
+        load_config(cfg)
+
+
 def test_construct_emits_sequence_table(workdir, capsys):
     cfg = write_cfg(
         workdir, name="seq",

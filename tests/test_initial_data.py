@@ -154,8 +154,8 @@ def recipe(fine_grid):
 
 
 def test_default_radius_rule(recipe):
-    assert recipe.r_rule(1) == pytest.approx(0.25, rel=1e-15)
-    assert recipe.r_rule(10) == pytest.approx(2.0 ** -11, rel=1e-15)
+    assert lemma14_pair(recipe, 1).r_k == pytest.approx(0.25, rel=1e-15)
+    assert lemma14_pair(recipe, 10).r_k == pytest.approx(2.0 ** -11, rel=1e-15)
 
 
 def test_datum_mass_is_exact_on_grid(recipe, fine_grid):
@@ -238,6 +238,16 @@ def test_margin_recorded_nonnegative(recipe):
 def test_constant_recipe_rejects_nonpositive_level(c):
     with pytest.raises(ValueError, match="positive"):
         constant_recipe(build_grid(3, 1.0, 64), c=c, p=1.1)
+
+
+def test_recipe_radius_rule_is_checked_pair(fine_grid):
+    assert constant_recipe(fine_grid, c=1.0, p=1.1).r_rule == (0.5, 0.5)
+    assert constant_recipe(fine_grid, 1.0, 1.1, None, (0.8, 0.97)).r_rule \
+        == (0.8, 0.97)
+    for rule in ((0.0, 0.5), (1.0, 0.5), (math.nan, 0.5), (0.5, 0.0),
+                 (0.5, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="r_rule"):
+            constant_recipe(fine_grid, c=1.0, p=1.1, r_rule=rule)
 
 
 def test_unresolvable_radius_raises():

@@ -113,7 +113,7 @@ def test_config_r_rule_builds_the_resolved_family(k):
     grid = cfg.build_grid()
     s = build_initial_state(cfg, grid)
     ref = lemma14_pair(constant_recipe(grid, c=4.0, p=1.1,
-                                       r_rule=lambda k: 0.8 * 0.97 ** k), k)
+                                       r_rule=(0.8, 0.97)), k)
     assert s.u.values.tobytes() == ref.u0.values.tobytes()
     assert s.v.values.tobytes() == ref.v0.values.tobytes()
 
@@ -374,6 +374,27 @@ def test_persist_run_refuses_snapshot_on_another_grid(small_run, tmp_path):
     with pytest.raises(ValueError, match="snapshot 1 is not on"):
         persist_run(mixed, cfg, str(tmp_path / "run"))
     assert not (tmp_path / "run").exists()
+
+
+def test_grid_equality_is_n_R_and_bitwise_faces(tmp_path):
+    """Two grids built alike are equal though distinct objects; a graded
+    grid is not.  StatePair and write_snapshot compare grids this way."""
+    a, b = build_grid(3, 1.0, 32), build_grid(3, 1.0, 32)
+    graded = build_grid(3, 1.0, 32, grading=1.05)
+    assert a is not b and a == b and not a != b
+    assert a != graded and a != build_grid(4, 1.0, 32)
+    ones = np.ones(32)
+    s = StatePair(RadialField(a, ones), RadialField(b, ones))
+    assert s.grid is a
+    with pytest.raises(ValueError, match="same grid"):
+        StatePair(RadialField(a, ones), RadialField(graded, ones))
+    mixed = [s, StatePair(RadialField(graded, ones), RadialField(graded, ones))]
+    with pytest.raises(ValueError,
+                       match="^snapshot 1 is not on the grid of snapshot 0$"):
+        write_snapshot(mixed, str(tmp_path / "store"), "h")
+    assert not (tmp_path / "store").exists()
+    write_snapshot(mixed[:1], str(tmp_path / "store"), "h")
+    assert load_snapshots(str(tmp_path / "store"), "h")[0].grid == b
 
 
 def test_load_run_rejects_config_edited_after_persist(small_run, tmp_path):
