@@ -10,7 +10,9 @@ A config is checked whole when it is built: the grid keys, initial.kind,
 checks.kappa > n - 2 for every kind, and for kind lemma14 the recipe that
 lemma14_recipe_from reads from the initial block on the config's grid (p,
 alpha, the constant baseline and r_rule), so a bad setting fails before
-any run starts or any file is written.
+any run starts or any file is written.  A value of the wrong JSON type
+(null where a number belongs, say) is refused as a bad value is, with a
+ValueError that names its block.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .functionals import StatePair, theta_exponent
@@ -44,6 +47,16 @@ __all__ = [
 _INITIAL_KINDS = ("constant", "bump", "lemma14")
 
 
+@contextmanager
+def _block(name: str):
+    """Re-raise a TypeError from reading the config block `name` (float of
+    a null, say) as the ValueError a bad value of that block raises."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"{name} block: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -62,9 +75,14 @@ class ExperimentConfig:
         if kind not in _INITIAL_KINDS:
             raise ValueError(
                 f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}")
-        theta_exponent(int(g["n"]), self.kappa)
+        with _block("grid"):
+            n = int(g["n"])
+            grid = self.build_grid() if kind == "lemma14" else None
+        with _block("checks"):
+            theta_exponent(n, self.kappa)
         if kind == "lemma14":
-            lemma14_recipe_from(self.initial, self.build_grid())
+            with _block("initial"):
+                lemma14_recipe_from(self.initial, grid)
 
     @property
     def kappa(self) -> float:
@@ -94,11 +112,13 @@ class ExperimentConfig:
         unknown = set(solver_d) - {f.name for f in dataclasses.fields(SolverConfig)}
         if unknown:
             raise ValueError(f"unknown solver keys {sorted(unknown)}")
+        with _block("solver"):
+            solver = SolverConfig(**solver_d)
         return ExperimentConfig(
             name=str(d.get("name", "run")),
             grid=dict(d["grid"]),
             initial=dict(d["initial"]),
-            solver=SolverConfig(**solver_d),
+            solver=solver,
             checks=dict(d.get("checks", {})),
             output=dict(d.get("output", {})),
         )
@@ -137,17 +157,18 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
     init = cfg.initial
     kind = init["kind"]
     if kind == "constant":
-        amp = float(init.get("amplitude", 0.0))
-        c = _constant_level(grid, init, "constant initial data")
-        if amp == 0.0:
-            return baseline_profiles("constant", grid, c=c)
-        return perturbed_constant(grid, c=c, amplitude=amp,
-                                  mode=int(init.get("mode", 1)))
+        return perturbed_constant(
+            grid, c=_constant_level(grid, init, "constant initial data"),
+            amplitude=float(init.get("amplitude", 0.0)),
+            mode=int(init.get("mode", 1)))
     if kind == "bump":
         return baseline_profiles(
             "bump", grid, m=float(init["m"]), width=float(init["width"]),
             floor=float(init.get("floor", 1e-3)))
     if kind == "lemma14":
+        if "k" not in init:
+            raise ValueError("a run needs one member initial.k; "
+                             "initial.ks is for construct")
         # the grid data alone: lemma14_pair's continuum integrals
         # serve construct, not a run
         *_, u0, v0 = _sampled_member(lemma14_recipe_from(init, grid),
@@ -162,7 +183,8 @@ def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:
     r_rule {"r0", "q"}; absent alpha and r_rule take the recipe's
     defaults.  The only reader of that block."""
     baseline = init.get("baseline", {"kind": "constant", "c": 1.0})
-    if baseline.get("kind", "constant") != "constant":
+    if (not isinstance(baseline, dict)
+            or baseline.get("kind", "constant") != "constant"):
         raise ValueError("only constant baselines are supported in configs")
     alpha, rule = init.get("alpha"), init.get("r_rule")
     if rule is not None:

@@ -61,6 +61,7 @@ __all__ = [
     "BlowupDatum",
     "lemma14_pair",
     "baseline_profiles",
+    "perturbed_constant",
     "constant_recipe",
 ]
 
@@ -262,8 +263,10 @@ def _log_rule(s_lo: float, s_hi: float, points: list,
     if kink is not None:
         d = 2.0 ** -np.arange(_KINK_LEVELS)
         edges += [kink + t, kink - d, kink + d]
-    e = np.unique(np.concatenate(edges))
+    # np.unique would give the same edges, but it imports numpy.ma
+    e = np.sort(np.concatenate(edges))
     e = e[(s_lo <= e) & (e <= s_hi)]
+    e = e[np.concatenate(([True], e[1:] != e[:-1]))]
     x, w = _gauss_legendre()
     h = np.diff(e)[:, None]
     return (e[:-1, None] + h * x).ravel(), (h * w).ravel()

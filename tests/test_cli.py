@@ -197,24 +197,51 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
         assert key in err
 
 
-@pytest.mark.parametrize("overrides", [
+@pytest.mark.parametrize("overrides, says", [
     # kappa must exceed n - 2 for every initial kind, not only lemma14
-    {"initial": {"kind": "bump", "m": 5.0, "width": 0.3},
-     "checks": {"kappa": 1.0}},
-    {"initial": {"kind": "lemma14", "k": 1, "p": 1.1,
-                 "baseline": {"kind": "bump", "m": 5.0, "width": 0.3}}},
-    {"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
-     "initial": {"kind": "lemma14", "k": 1, "p": 1.1,
-                 "r_rule": {"r0": 0.5, "q": 1.0}}},
-], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1"])
-def test_bad_config_is_refused_at_load(workdir, capsys, overrides):
+    ({"initial": {"kind": "bump", "m": 5.0, "width": 0.3},
+      "checks": {"kappa": 1.0}}, "kappa"),
+    ({"initial": {"kind": "lemma14", "k": 1, "p": 1.1,
+                  "baseline": {"kind": "bump", "m": 5.0, "width": 0.3}}},
+     "baseline"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": 1, "p": 1.1,
+                  "r_rule": {"r0": 0.5, "q": 1.0}}}, "r_rule q"),
+    # a value of the wrong JSON type is refused like a bad value, naming
+    # the block it sits in
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": 1, "p": 1.1,
+                  "r_rule": {"r0": None, "q": 0.5}}}, "initial block"),
+    ({"solver": {"dt_max": None}}, "solver block"),
+    ({"checks": {"kappa": None}}, "checks block"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": 1, "p": 1.1, "baseline": 4.0}},
+     "baseline"),
+], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1", "r_rule_r0_null",
+        "solver_dt_max_null", "checks_kappa_null", "lemma14_baseline_number"])
+def test_bad_config_is_refused_at_load(workdir, capsys, overrides, says):
     cfg = write_cfg(workdir, name="bad", **overrides)
     assert main(["simulate", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert says in err
     assert not (workdir / "bad").exists()
     with pytest.raises(ValueError):
         load_config(cfg)
+
+
+def test_simulate_of_a_member_list_names_initial_k(workdir, capsys):
+    """A lemma14 config that lists ks but no k loads (construct takes it),
+    and simulate refuses it with one line, before any run directory."""
+    cfg = write_cfg(
+        workdir, name="family",
+        grid={"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+        initial={"kind": "lemma14", "ks": [4, 5, 6], "p": 1.1})
+    assert main(["simulate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "initial.k;" in err and "initial.ks" in err
+    assert not (workdir / "family").exists()
 
 
 def test_construct_emits_sequence_table(workdir, capsys):

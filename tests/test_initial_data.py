@@ -339,18 +339,25 @@ _SETUP = (
     "kslab.constant_recipe(g, c=1.0, p=1.1)\n"
 )
 _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# numpy subpackages kslab never uses, which numpy helpers import on demand
+# (np.unique imports numpy.ma)
+_NUMPY_EXTRAS = ("sorted(m for m in sys.modules\n"
+                 "       if m.split('.')[:2] in (['numpy', 'ma'],\n"
+                 "                              ['numpy', 'polynomial']))")
 
 
 def test_setup_leaves_scipy_integrate_unimported():
     """Importing the package, building the collapse bump baseline and a
     construction member load no quadrature code, which is slow to import,
-    and not numpy.polynomial: the rule's nodes come from numpy.linalg."""
+    and neither numpy.polynomial nor numpy.ma: the rule's nodes come from
+    numpy.linalg, and its panel edges are merged without np.unique."""
     out = _fresh_process(
         _SETUP
         + "kslab.lemma14_pair(kslab.constant_recipe(g, c=1.0, p=1.1), 3)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(\n"
-        "    ('scipy.integrate', 'numpy.polynomial')))))\n")
-    assert json.loads(out) == []
+        "print(json.dumps([sorted(m for m in sys.modules\n"
+        "                         if m.startswith('scipy.integrate')),\n"
+        f"                  {_NUMPY_EXTRAS}]))\n")
+    assert json.loads(out) == [[], []]
 
 
 def test_scipy_linalg_loads_at_the_first_solve():
@@ -427,7 +434,8 @@ def test_missing_lapack_extension_names_its_path(tmp_path):
 
 def test_simulate_loads_only_the_lapack_module(tmp_path):
     """A fresh kslab simulate of the relaxation demo loads scipy's compiled
-    LAPACK module by its file and leaves no scipy module in sys.modules."""
+    LAPACK module by its file and leaves no scipy module in sys.modules,
+    and loads neither numpy.ma nor numpy.polynomial."""
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = root / "demos" / "configs" / "relaxation.json"
     out = _fresh_process(
@@ -435,10 +443,11 @@ def test_simulate_loads_only_the_lapack_module(tmp_path):
         "from kslab.cli import main\n"
         f"code = main(['simulate', {str(cfg)!r}, '--out', "
         f"{str(tmp_path / 'run')!r}])\n"
-        f"print(json.dumps([code, {_SCIPY_LOADED}]))\n")
-    code, loaded = json.loads(out.strip().splitlines()[-1])
+        f"print(json.dumps([code, {_SCIPY_LOADED}, {_NUMPY_EXTRAS}]))\n")
+    code, loaded, extras = json.loads(out.strip().splitlines()[-1])
     assert code == 0
     assert loaded == []
+    assert extras == []
 
 
 _SCIPY_SUBPACKAGES = ("sorted(m for m in sys.modules\n"
@@ -465,7 +474,8 @@ def test_lemma14_commands_leave_scipy_subpackages_unimported(
     """A fresh kslab construct of the spike-family demo and a fresh lemma14
     kslab simulate import neither the scipy.integrate nor the scipy.linalg
     package: the construction's integrals need numpy alone, and LAPACK
-    comes from its compiled module."""
+    comes from its compiled module.  Neither loads numpy.ma or
+    numpy.polynomial."""
     root = pathlib.Path(__file__).resolve().parents[1]
     cfg = (str(root / "demos" / "configs" / "spike_family.json")
            if command == "construct" else _lemma14_config(tmp_path))
@@ -474,10 +484,11 @@ def test_lemma14_commands_leave_scipy_subpackages_unimported(
         "from kslab.cli import main\n"
         f"code = main([{command!r}, {cfg!r}, '--out', "
         f"{str(tmp_path / 'out')!r}])\n"
-        f"print(json.dumps([code, {_SCIPY_SUBPACKAGES}]))\n")
-    code, loaded = json.loads(out.strip().splitlines()[-1])
+        f"print(json.dumps([code, {_SCIPY_SUBPACKAGES}, {_NUMPY_EXTRAS}]))\n")
+    code, loaded, extras = json.loads(out.strip().splitlines()[-1])
     assert code == 0
     assert loaded == []
+    assert extras == []
 
 
 @pytest.mark.parametrize("grading, k, r_rule", [
@@ -501,9 +512,27 @@ def test_run_initial_state_skips_the_continuum_integrals(grading, k, r_rule):
     assert s.v.values.tobytes() == datum.v0.values.tobytes()
 
 
+@pytest.mark.parametrize("n, N, level, mode", [
+    (3, 16, {"c": 1.0}, 1), (4, 1024, {"m": 50.0}, 2),
+    (5, 8192, {"c": 0.37}, 3),
+])
+def test_unperturbed_constant_run_starts_at_the_baseline(n, N, level, mode):
+    """A constant config without amplitude starts from the constant
+    baseline u = v = c, bitwise."""
+    cfg = ExperimentConfig.from_dict({
+        "name": "flat", "initial": {"kind": "constant", "mode": mode, **level},
+        "grid": {"n": n, "R": 1.0, "N": N, "grading": 1.0}})
+    g = cfg.build_grid()
+    s = build_initial_state(cfg, g)
+    base = baseline_profiles("constant", g, **level)
+    assert s.u.values.tobytes() == base.u.values.tobytes()
+    assert s.v.values.tobytes() == base.v.values.tobytes()
+
+
 def test_verify_plot_constants_leave_scipy_unimported(tmp_path):
     """Every verify battery, plot and constants run on a stored relaxation
-    run in a fresh process load no scipy module."""
+    run in a fresh process load no scipy module, and neither numpy.ma nor
+    numpy.polynomial."""
     from kslab.cli import main
 
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -517,7 +546,8 @@ def test_verify_plot_constants_leave_scipy_unimported(tmp_path):
         "codes = [main(['verify', d, '--battery', b]) for b in\n"
         "         ('trajectory', 'suite', 'energy', 'conservation')]\n"
         "codes += [main(['plot', d]), main(['constants', '3', '2', '1.1'])]\n"
-        f"print(json.dumps([codes, {_SCIPY_LOADED}]))\n")
-    codes, loaded = json.loads(out.strip().splitlines()[-1])
+        f"print(json.dumps([codes, {_SCIPY_LOADED}, {_NUMPY_EXTRAS}]))\n")
+    codes, loaded, extras = json.loads(out.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0, 0]
     assert loaded == []
+    assert extras == []
