@@ -5,7 +5,7 @@ in dimension n >= 3, an energy/dissipation verification harness, and a
 factory for low-energy initial data with arbitrarily negative energy.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .grid import (
     RadialGrid,
@@ -13,7 +13,6 @@ from .grid import (
     build_grid,
     ball_surface_coefficient,
     integrate,
-    radial_derivative,
     laplacian_radial,
 )
 from .functionals import (
@@ -24,12 +23,10 @@ from .functionals import (
     energy_report,
     dissipation,
     residual_f,
-    residual_g,
     theta_exponent,
     param_window,
     lp_norm,
     sup_norm,
-    w12_norm,
 )
 from .initial_data import (
     Lemma14Recipe,
@@ -74,10 +71,10 @@ from .config import (
 __all__ = [
     "__version__",
     "RadialGrid", "RadialField", "build_grid", "ball_surface_coefficient",
-    "integrate", "radial_derivative", "laplacian_radial",
+    "integrate", "laplacian_radial",
     "StatePair", "EnergyReport", "ParamWindow", "energy", "energy_report",
-    "dissipation", "residual_f", "residual_g", "theta_exponent",
-    "param_window", "lp_norm", "sup_norm", "w12_norm",
+    "dissipation", "residual_f", "theta_exponent", "param_window",
+    "lp_norm", "sup_norm",
     "Lemma14Recipe", "BlowupDatum", "phi", "phi_log",
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",

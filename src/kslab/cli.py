@@ -29,6 +29,7 @@ from .config import (
     config_hash,
     lemma14_recipe_from,
     load_config,
+    member_ks,
     output_root,
 )
 from .functionals import StatePair, energy_report, param_window
@@ -78,12 +79,8 @@ def _cmd_construct(args) -> int:
     init = cfg.initial
     if init.get("kind") != "lemma14":
         raise ValueError("construct needs initial.kind = lemma14")
-    ks = init.get("ks")
-    if ks is None:
-        ks = [int(init["k"])]
-    ks = sorted({int(k) for k in ks})
     recipe = lemma14_recipe_from(init, grid)
-    data = [lemma14_pair(recipe, k) for k in ks]
+    data = [lemma14_pair(recipe, k) for k in member_ks(init)]
     out = _resolve_out(cfg, args.out)
     h = config_hash(cfg)
     # row i of the snapshot store is the member on row i of the table

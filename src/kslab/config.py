@@ -6,12 +6,13 @@ digits on write), and config_hash() is the sha256 of the canonical
 serialization, so identical configs hash identically regardless of key
 order in the source file.
 
-A config is checked whole when it is built: the grid keys, initial.kind,
-checks.kappa > n - 2 for every kind, and for kind lemma14 the recipe that
-lemma14_recipe_from reads from the initial block on the config's grid (p,
-alpha, the constant baseline and r_rule), so a bad setting fails before
-any run starts or any file is written.  A value of the wrong JSON type
-(null where a number belongs, say) is refused as a bad value is, with a
+A config is checked whole when it is built: the grid keys and the grid,
+initial.kind, checks.kappa > n - 2 for every kind, and every setting of
+the initial block, which _initial_builder reads on the config's grid (for
+kind lemma14 the recipe of lemma14_recipe_from and the family indices k
+and ks), so a bad setting fails before any run starts or any file is
+written.  A value of the wrong JSON type (null where a number belongs, or
+a block that is not an object) is refused as a bad value is, with a
 ValueError that names its block.
 """
 
@@ -77,12 +78,11 @@ class ExperimentConfig:
                 f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}")
         with _block("grid"):
             n = int(g["n"])
-            grid = self.build_grid() if kind == "lemma14" else None
+            grid = self.build_grid()
         with _block("checks"):
             theta_exponent(n, self.kappa)
-        if kind == "lemma14":
-            with _block("initial"):
-                lemma14_recipe_from(self.initial, grid)
+        with _block("initial"):
+            _initial_builder(self.initial, grid)
 
     @property
     def kappa(self) -> float:
@@ -108,20 +108,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        solver_d = dict(d.get("solver", {}))
+        blocks = {}
+        for name in ("grid", "initial", "solver", "checks", "output"):
+            with _block(name):
+                blocks[name] = dict(d[name] if name in ("grid", "initial")
+                                    else d.get(name, {}))
+        solver_d = blocks.pop("solver")
         unknown = set(solver_d) - {f.name for f in dataclasses.fields(SolverConfig)}
         if unknown:
             raise ValueError(f"unknown solver keys {sorted(unknown)}")
         with _block("solver"):
             solver = SolverConfig(**solver_d)
-        return ExperimentConfig(
-            name=str(d.get("name", "run")),
-            grid=dict(d["grid"]),
-            initial=dict(d["initial"]),
-            solver=solver,
-            checks=dict(d.get("checks", {})),
-            output=dict(d.get("output", {})),
-        )
+        return ExperimentConfig(name=str(d.get("name", "run")), solver=solver,
+                                **blocks)
 
 
 def _canonical(obj) -> object:
@@ -154,27 +153,48 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 
 def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
     """Realize the configured initial data on the given grid."""
-    init = cfg.initial
+    return _initial_builder(cfg.initial, grid)()
+
+
+def member_ks(init: dict) -> list:
+    """The sorted distinct family indices of a lemma14 initial block:
+    initial.ks, else [initial.k], else none."""
+    ks = init.get("ks")
+    if ks is None:
+        ks = [init["k"]] if "k" in init else []
+    return sorted({int(k) for k in ks})
+
+
+def _initial_builder(init: dict, grid: RadialGrid):
+    """Read every setting of the initial block on `grid` and return the
+    function of no arguments that realizes its state: the one reader of
+    that block, which ExperimentConfig runs at load so that a bad value
+    fails there."""
     kind = init["kind"]
     if kind == "constant":
-        return perturbed_constant(
-            grid, c=_constant_level(grid, init, "constant initial data"),
-            amplitude=float(init.get("amplitude", 0.0)),
-            mode=int(init.get("mode", 1)))
+        c = _constant_level(grid, init, "constant initial data")
+        amplitude = float(init.get("amplitude", 0.0))
+        mode = int(init.get("mode", 1))
+        return lambda: perturbed_constant(grid, c=c, amplitude=amplitude,
+                                          mode=mode)
     if kind == "bump":
-        return baseline_profiles(
-            "bump", grid, m=float(init["m"]), width=float(init["width"]),
-            floor=float(init.get("floor", 1e-3)))
-    if kind == "lemma14":
-        if "k" not in init:
+        m, width = float(init["m"]), float(init["width"])
+        floor = float(init.get("floor", 1e-3))
+        return lambda: baseline_profiles("bump", grid, m=m, width=width,
+                                         floor=floor)
+    recipe = lemma14_recipe_from(init, grid)
+    member_ks(init)                   # construct's members, read at load
+    k = int(init["k"]) if "k" in init else None
+
+    def member() -> StatePair:
+        if k is None:
             raise ValueError("a run needs one member initial.k; "
                              "initial.ks is for construct")
         # the grid data alone: lemma14_pair's continuum integrals
         # serve construct, not a run
-        *_, u0, v0 = _sampled_member(lemma14_recipe_from(init, grid),
-                                     int(init["k"]))
+        *_, u0, v0 = _sampled_member(recipe, k)
         return StatePair(u0, v0)
-    raise ValueError(f"unknown initial kind {kind!r}")
+    return member
 
 
 def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:

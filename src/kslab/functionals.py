@@ -10,17 +10,31 @@ with Neumann boundaries on a ball in R^n.  Its Lyapunov functional is
 
 and along solutions dF/dt <= -D with
 
-    D(u, v) = int v_t^2 + int u |grad(ln u) - grad v|^2
-            = ||f||_2^2 + ||g||_2^2,
-    f = -Lap v + v - u,   g = u_r / sqrt(u) - sqrt(u) v_r.
+    D(u, v) = int v_t^2 + int u |grad(ln u - v)|^2 = ||f||_2^2 + ||g||_2^2,
+    f = -Lap v + v - u.
 
 D is evaluated through f and g (the PDE identity), never by differencing F
 in time, so it is well defined for a single state.
+
+Every gradient lives on the grid's interior faces, where the solver steps
+the system.  With d = v_{i+1} - v_i across face i, trans its
+transmissibility and w the cell weights, the grid forms are
+
+    int |grad v|^2 ~ omega_n sum trans d^2,
+    int |grad v|^p ~ omega_n sum face_area face_dr |d / face_dr|^p,
+    ||g||_2^2 ~ P_SG = omega_n sum trans J (mu_i - mu_{i+1}),
+    J = B(-d) u_i - B(d) u_{i+1},   mu = ln u - v,   B(x) = x / (e^x - 1),
+
+where trans J is the Scharfetter-Gummel flux of the solver's u-step, and
+the cell terms are omega_n sum w (...).  The first is the exact summation
+by parts of -int v Lap v with the grid Laplacian.  Each P_SG term is >= 0,
+since J = B(d) e^{v_{i+1}} (u_i e^{-v_i} - u_{i+1} e^{-v_{i+1}}) has the
+sign of mu_i - mu_{i+1}, and is 0 on every constant state; a term that
+roundoff makes negative counts as 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,17 +49,20 @@ __all__ = [
     "energy",
     "energy_report",
     "residual_f",
-    "residual_g",
     "dissipation",
     "theta_exponent",
     "lp_norm",
-    "w12_norm",
     "sup_norm",
     "param_window",
 ]
 
 # only guards log(0) underflow; positivity violations are rejected, not hidden
 _ENTROPY_CLAMP = 1e-300
+
+# B(a) = a / expm1(a) is exactly 1 below about 5e-17, where expm1(a) rounds
+# to a: taking a >= _A_FLOOR keeps 0/0 out of the divide, and subnormals,
+# which cost an SG step on a flat v a fifth of its time, out of both
+_A_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,8 @@ class StatePair:
 @dataclass(frozen=True)
 class EnergyReport:
     """F and D with their pieces; F = 0.5*grad_v_sq + 0.5*v_sq - uv + entropy
-    and D = f_norm_sq + g_norm_sq hold exactly as bookkeeping identities."""
+    and D = f_norm_sq + g_norm_sq hold exactly as bookkeeping identities.
+    grad_v_sq is the face sum of trans d^2 and g_norm_sq is P_SG."""
 
     F: float
     grad_v_sq: float
@@ -87,12 +105,24 @@ def _require_positive(vals: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive everywhere")
 
 
-def _g_values(u, ur, vr, su):
-    """ur <- g = u_r / sqrt(u) - sqrt(u) v_r, in place, with su as scratch."""
-    np.sqrt(u, out=su)
-    ur /= su
-    ur -= np.multiply(su, vr, out=su)
-    return ur
+def _bernoulli(delta: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """[B(delta); B(-delta)] for B(x) = x / (e^x - 1), into out, a (2, M)
+    buffer for M deltas (new if None), from one expm1: with a = |delta|,
+    B(+-delta) = B(a) + max(-+delta, 0), where B(a) = a / expm1(a) is 0
+    once expm1 overflows, and 1 at a = 0.  Finite for every finite delta,
+    and free of floating-point warnings.  delta is overwritten."""
+    if out is None:
+        out = np.empty((2, delta.size))
+    b, b_neg = out
+    np.maximum(np.abs(delta, out=b_neg), _A_FLOOR, out=b_neg)
+    with np.errstate(over="ignore"):
+        np.expm1(b_neg, out=b)
+    np.divide(b_neg, b, out=b)                    # B(a)
+    np.maximum(delta, 0.0, out=b_neg)
+    np.subtract(b_neg, delta, out=delta)          # max(-delta, 0), exactly
+    b_neg += b
+    b += delta
+    return out
 
 
 def energy(s: StatePair) -> float:
@@ -107,24 +137,14 @@ def residual_f(s: StatePair) -> RadialField:
     return RadialField(g, -g.laplacian(v) + v - s.u.values)
 
 
-def residual_g(s: StatePair) -> RadialField:
-    """g = u_r / sqrt(u) - sqrt(u) v_r, the drift-diffusion imbalance."""
-    gr = s.grid
-    u = s.u.values
-    _require_positive(u, "u")
-    vr = gr.derivative(s.v.values, "neumann")
-    return RadialField(gr, _g_values(u, gr.derivative(u, "neumann"), vr,
-                                    np.empty_like(u)))
-
-
 def dissipation(s: StatePair) -> float:
-    """D = ||f||_2^2 + ||g||_2^2 >= 0, the energy dissipation rate."""
+    """D = ||f||_2^2 + P_SG >= 0, the energy dissipation rate."""
     return energy_report(s).D
 
 
 def energy_report(s: StatePair) -> EnergyReport:
     """F and D with their pieces: one positivity check of u and of v, and
-    one stencil pass over both, whose v_r serves both F and g."""
+    one pass over both."""
     u, v = s.u.values, s.v.values
     _require_positive(u, "u")
     _require_positive(v, "v")
@@ -134,19 +154,22 @@ def energy_report(s: StatePair) -> EnergyReport:
 def _report_arrays(g: RadialGrid, u: np.ndarray,
                    v: np.ndarray) -> tuple[EnergyReport, np.ndarray]:
     """energy_report on bare arrays, with no positivity check, and the
-    |v_r|^2 row it was built from: for callers that have already checked
-    u and v and may reuse that row."""
+    face row trans d^2 summed into its grad_v_sq: for callers that have
+    already checked u and v and may reuse that row."""
     block = np.empty((_REPORT_ROWS, g.ncells))
     sums = _integrals(g, np.stack((u, v)), block)
-    return _report(sums), block[_INTEGRANDS.index("v_r^2")]
+    return _report(sums), block[0, :-1]
 
 
 # what _integrals writes into each row of its block, in order (each row is
-# its own sum); p_n is _gradv_exponent(n).  An EnergyReport needs the first
+# its own sum; see the module docstring).  Rows 0, 1 and 8 are face rows,
+# in the first N - 1 entries, summed against trans, trans and face_area
+# (d = v_{i+1} - v_i, p_n is _gradv_exponent(n)); the rest are cell rows,
+# summed against the weights.  An EnergyReport needs the first
 # _REPORT_ROWS; the solver's series also records the rest, and the pow of
 # the last would add about a quarter to an energy report at N = 8192
-_INTEGRANDS = ("g^2", "v_r^2", "f^2", "v^2", "u v", "u ln u", "u", "v",
-               "|v_r|^p_n")
+_INTEGRANDS = ("d^2", "P_SG", "f^2", "v^2", "u v", "u ln u", "u", "v",
+               "face_dr |d/face_dr|^p_n")
 _REPORT_ROWS = 6
 
 
@@ -154,43 +177,56 @@ def _integrals(g: RadialGrid, uv: np.ndarray, block: np.ndarray,
                sums: np.ndarray = None) -> list:
     """The integrals over the ball of the first len(block) _INTEGRANDS of
     the (2, N) state uv, as a list of floats.  block, _REPORT_ROWS or
-    len(_INTEGRANDS) rows of N, takes (u_r, v_r) from one stencil pass and
-    Lap v, the rows below as scratch; each integrand is finished in place
-    in its row (g in that of u_r, the first three squared at once), and
-    one vecdot against the cell weights reduces them into sums (new if
-    None): bitwise the integrate_values of each row, the same dot."""
+    len(_INTEGRANDS) rows of N, takes each integrand in its row, and its
+    rows serve as scratch before that; vecdots against the face and cell
+    weights reduce them into sums (new if None): bitwise
+    omega_n * np.dot(weights, row) of each row."""
     u, v = uv
-    ur, vr, f = block[:3]
-    g.derivative(uv, "neumann", out=block[:2], work=block[2:4])
+    faces = block[:, :-1]
+    d2, p_sg, f = faces[0], faces[1], block[2]
     g.laplacian(v, out=f, work=block[3])
     np.subtract(v, f, out=f)          # f = -Lap v + v - u
     f -= u
     if len(block) > _REPORT_ROWS:
         block[6:8] = uv
-        np.power(np.abs(vr, out=block[8]), _gradv_exponent(g.n),
-                 out=block[8])
-    _g_values(u, ur, vr, block[3])
-    np.square(block[:3], out=block[:3])
+        lp = g.face_gradient(v, out=faces[8])
+        np.power(np.abs(lp, out=lp), _gradv_exponent(g.n), out=lp)
+        lp *= g.face_dr
+    d = np.subtract(v[1:], v[:-1], out=p_sg)
+    np.square(d, out=d2)
+    b_u, flux = _bernoulli(d, out=faces[3:5])     # B(d), B(-d)
+    b_u *= u[1:]
+    flux *= u[:-1]
+    flux -= b_u                       # J = B(-d) u_i - B(d) u_{i+1}
+    log_u = np.log(np.maximum(u, _ENTROPY_CLAMP, out=block[5]), out=block[5])
+    mu = np.subtract(log_u, v, out=block[1])
+    dmu = np.subtract(mu[:-1], mu[1:], out=b_u)
+    np.multiply(flux, dmu, out=p_sg)
+    np.maximum(p_sg, 0.0, out=p_sg)
+    np.square(f, out=f)
     np.square(v, out=block[3])
     np.multiply(u, v, out=block[4])
-    entropy = np.log(np.maximum(u, _ENTROPY_CLAMP, out=block[5]), out=block[5])
-    entropy *= u
-    sums = np.vecdot(block, g.weights, out=sums)
+    log_u *= u                        # u ln u
+    sums = np.empty(len(block)) if sums is None else sums
+    np.vecdot(faces[:2], g.trans, out=sums[:2])
+    np.vecdot(block[2:8], g.weights, out=sums[2:8])
+    if len(block) > _REPORT_ROWS:
+        np.vecdot(faces[8:], g.face_area, out=sums[8:])
     sums *= g.omega_n
     return sums.tolist()
 
 
 def _energy_dissipation(sums) -> tuple[float, float]:
     """F and D from the first _REPORT_ROWS _integrals."""
-    g2, grad_v_sq, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
-    return 0.5 * grad_v_sq + 0.5 * v_sq - uv + entropy, f2 + g2
+    d2, p_sg, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
+    return 0.5 * d2 + 0.5 * v_sq - uv + entropy, f2 + p_sg
 
 
 def _report(sums: list) -> EnergyReport:
     """The EnergyReport of a state from its _integrals."""
-    g2, grad_v_sq, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
+    d2, p_sg, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
     F, D = _energy_dissipation(sums)
-    return EnergyReport(F, grad_v_sq, v_sq, uv, entropy, D, f2, g2)
+    return EnergyReport(F, d2, v_sq, uv, entropy, D, f2, p_sg)
 
 
 def theta_exponent(n: int, kappa: float) -> float:
@@ -226,15 +262,6 @@ def lp_norm(f: RadialField, p: float) -> float:
 
 def sup_norm(f: RadialField) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def w12_norm(f: RadialField) -> float:
-    """(||f||_2^2 + ||f_r||_2^2)^{1/2} with a one-sided derivative at the ends."""
-    g = f.grid
-    fr = g.derivative(f.values, "none")
-    return math.sqrt(
-        g.integrate_values(f.values * f.values) + g.integrate_values(fr * fr)
-    )
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,16 @@ cells with centers r_i = (e_{i-1} + e_i)/2.  The quadrature weight of a cell
 is the exact integral of r^{n-1} over it, so integrals of radial functions
 over the ball are omega_n * sum(w * f) and constants integrate exactly.
 
-Operators come in flux form and live on the grid: the solver, the
-functionals and the verifier share the face data, the radial Laplacian
-(the cell average of r^{1-n} d/dr (r^{n-1} df/dr), stored as three bands)
-and a centered derivative.  The Laplacian is the divergence of
-face_area * face_gradient; only tests/test_grid.py calls face_gradient
-and flux_divergence, as the reference for the bands.  The faces at r = 0
-and r = R carry zero flux (the r = 0 face has area factor 0 anyway), so
-the origin needs no special casing.
+There is one discrete calculus, on the N - 1 interior faces: the face
+data (face_area, face_dr and their ratio trans, the face
+transmissibility), the face gradient, the flux divergence and the radial
+Laplacian (the cell average of r^{1-n} d/dr (r^{n-1} df/dr), stored as
+three bands).  The Laplacian is the divergence of face_area *
+face_gradient; the functionals call face_gradient for the recorded
+|grad v|^p, and flux_divergence is the reference that tests/test_grid.py
+checks the bands against.  The solver and the functionals share trans.
+The faces at r = 0 and r = R carry zero flux (the r = 0 face has area
+factor 0 anyway), so the origin needs no special casing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "RadialField",
     "build_grid",
     "integrate",
-    "radial_derivative",
     "laplacian_radial",
     "ball_surface_coefficient",
 ]
@@ -53,11 +54,9 @@ class RadialGrid:
     omega_n : unit-sphere surface coefficient
     face_area : e_i^{n-1} at the N-1 interior faces
     face_dr : center-to-center distance across each interior face
+    trans : face_area / face_dr, the transmissibility of each interior face
     lap_lower, lap_diag, lap_upper : flux-form Laplacian coefficients,
         (lap f)_i = lo_i f_{i-1} + di_i f_i + up_i f_{i+1}
-    deriv_stencil : rows dm^2, dp^2, dp^2 - dm^2 and dm dp (dm + dp) of the
-        three-point center derivative at the N-2 interior cells, where dm
-        and dp are the face_dr on either side
     """
 
     n: int
@@ -68,10 +67,10 @@ class RadialGrid:
     omega_n: float
     face_area: np.ndarray = field(repr=False)
     face_dr: np.ndarray = field(repr=False)
+    trans: np.ndarray = field(repr=False)
     lap_lower: np.ndarray = field(repr=False)
     lap_diag: np.ndarray = field(repr=False)
     lap_upper: np.ndarray = field(repr=False)
-    deriv_stencil: np.ndarray = field(repr=False)
 
     def __eq__(self, other) -> bool:
         """The same n and R and bitwise-equal faces, from which every other
@@ -94,9 +93,13 @@ class RadialGrid:
         """Integral over the ball of a radial profile sampled at cell centers."""
         return self.omega_n * float(np.dot(self.weights, values))
 
-    def face_gradient(self, vals: np.ndarray) -> np.ndarray:
-        """df/dr on the interior faces, (f_{i+1} - f_i) / face_dr_i."""
-        return (vals[1:] - vals[:-1]) / self.face_dr
+    def face_gradient(self, vals: np.ndarray,
+                      out: np.ndarray = None) -> np.ndarray:
+        """df/dr on the interior faces, (f_{i+1} - f_i) / face_dr_i, into
+        out (new if None)."""
+        out = np.subtract(vals[1:], vals[:-1], out=out)
+        out /= self.face_dr
+        return out
 
     def flux_divergence(self, flux: np.ndarray) -> np.ndarray:
         """Cell averages of the divergence of a radial flux, given as the
@@ -118,35 +121,6 @@ class RadialGrid:
         out = np.multiply(self.lap_diag, vals, out=out)
         out[..., 1:] += np.multiply(self.lap_lower[1:], vals[..., :-1], prod)
         out[..., :-1] += np.multiply(self.lap_upper[:-1], vals[..., 1:], prod)
-        return out
-
-    def derivative(self, vals: np.ndarray, bc: str, out: np.ndarray = None,
-                   work: np.ndarray = None) -> np.ndarray:
-        """df/dr at cell centers along the last axis of vals, second order
-        on nonuniform grids; see radial_derivative for bc, and laplacian
-        for the stack of rows, out and work."""
-        if bc not in ("none", "neumann"):
-            raise ValueError(f"bc must be 'none' or 'neumann', got {bc!r}")
-        out = np.empty(np.shape(vals)) if out is None else out
-        prod = (np.empty(np.shape(vals)) if work is None else work)[..., 2:]
-        inner = out[..., 1:-1]
-        dm2, dp2, diff, den = self.deriv_stencil
-        # second-order three-point formula on a nonuniform stencil
-        np.multiply(dm2, vals[..., 2:], out=inner)
-        inner -= np.multiply(dp2, vals[..., :-2], out=prod)
-        inner += np.multiply(diff, vals[..., 1:-1], out=prod)
-        inner /= den
-        if bc == "neumann":
-            out[..., ::self.ncells - 1] = 0.0
-        else:
-            # one-sided second-order at r[0], and mirrored at r[-1]
-            r = self.centers
-            for i, s in ((0, 1), (-1, -1)):
-                d0, d1 = r[i + s] - r[i], r[i + 2 * s] - r[i]
-                out[..., i] = (-(d1 * d1 - d0 * d0) * vals[..., i]
-                               + d1 * d1 * vals[..., i + s]
-                               - d0 * d0 * vals[..., i + 2 * s]
-                               ) / (d0 * d1 * (d1 - d0))
         return out
 
 
@@ -213,7 +187,7 @@ def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
     nc = centers.size
     face_area = edges[1:-1] ** (n - 1)
     face_dr = np.diff(centers)
-    trans = face_area / face_dr                  # face transmissibility
+    trans = face_area / face_dr
     lo = np.zeros(nc)
     di = np.zeros(nc)
     up = np.zeros(nc)
@@ -221,34 +195,21 @@ def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
     lo[1:] = trans / weights[1:]
     di[:-1] -= trans / weights[:-1]
     di[1:] -= trans / weights[1:]
-    dm, dp = face_dr[:-1], face_dr[1:]
-    stencil = np.stack([dm * dm, dp * dp, dp * dp - dm * dm,
-                        dm * dp * (dm + dp)])
 
-    for arr in (edges, centers, weights, face_area, face_dr, lo, di, up,
-                stencil):
+    for arr in (edges, centers, weights, face_area, face_dr, trans, lo, di,
+                up):
         arr.setflags(write=False)
     return RadialGrid(
         n=n, R=float(R), edges=edges, centers=centers, weights=weights,
         omega_n=ball_surface_coefficient(n), face_area=face_area,
-        face_dr=face_dr, lap_lower=lo, lap_diag=di, lap_upper=up,
-        deriv_stencil=stencil,
+        face_dr=face_dr, trans=trans, lap_lower=lo, lap_diag=di,
+        lap_upper=up,
     )
 
 
 def integrate(f: RadialField) -> float:
     """Integral of f over the ball, omega_n * int_0^R f(r) r^{n-1} dr."""
     return f.grid.integrate_values(f.values)
-
-
-def radial_derivative(f: RadialField, bc: str = "none") -> RadialField:
-    """df/dr at cell centers, second order on nonuniform grids.
-
-    bc = 'neumann' pins the derivative to 0 at the first and last cell,
-    matching the boundary behavior of the states evolved by the solver.
-    bc = 'none' uses one-sided stencils there instead.
-    """
-    return RadialField(f.grid, f.grid.derivative(f.values, bc))
 
 
 def laplacian_radial(f: RadialField) -> RadialField:

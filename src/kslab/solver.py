@@ -25,7 +25,7 @@ a fixed Gauss-Legendre rule, so kslab construct, verify, plot and
 constants load no scipy at all.  A run steps in one _Workspace, whose
 buffers (laid out there) every step reuses, so that an accepted step and
 its diagnostics row, one pass of functionals._integrals over the (2, N)
-state with u and v stacked through each grid stencil, allocate no array.
+state, allocate no array.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
@@ -73,8 +73,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .functionals import (StatePair, _energy_dissipation, _gradv_exponent,
-                          _integrals, _INTEGRANDS)
+from .functionals import (StatePair, _bernoulli, _energy_dissipation,
+                          _gradv_exponent, _integrals, _INTEGRANDS)
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -182,32 +182,6 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
         raise LinAlgError("singular matrix")
 
 
-# B(a) = a / expm1(a) is exactly 1 below about 5e-17, where expm1(a) rounds
-# to a: taking a >= _A_FLOOR keeps 0/0 out of the divide, and subnormals,
-# which cost an SG step on a flat v a fifth of its time, out of both
-_A_FLOOR = 1e-300
-
-
-def _bernoulli(delta: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """[B(delta); B(-delta)] for B(x) = x / (e^x - 1), into out, a (2, M)
-    buffer for M deltas (new if None), from one expm1: with a = |delta|,
-    B(+-delta) = B(a) + max(-+delta, 0), where B(a) = a / expm1(a) is 0
-    once expm1 overflows, and 1 at a = 0.  Finite for every finite delta,
-    and free of floating-point warnings.  delta is overwritten."""
-    if out is None:
-        out = np.empty((2, delta.size))
-    b, b_neg = out
-    np.maximum(np.abs(delta, out=b_neg), _A_FLOOR, out=b_neg)
-    with np.errstate(over="ignore"):
-        np.expm1(b_neg, out=b)
-    np.divide(b_neg, b, out=b)                    # B(a)
-    np.maximum(delta, 0.0, out=b_neg)
-    np.subtract(b_neg, delta, out=delta)          # max(-delta, 0), exactly
-    b_neg += b
-    b += delta
-    return out
-
-
 class _Workspace:
     """The buffers that every step of a run on one grid reuses.
 
@@ -234,7 +208,6 @@ class _Workspace:
         self.sums = np.empty(len(_INTEGRANDS))
         self.neg_lap_off = -np.stack((g.lap_upper[:-1], g.lap_lower[1:]))
         self.neg_lap_diag = -g.lap_diag
-        self.trans = g.face_area / g.face_dr     # face transmissibility
 
     def diffusion_solve(self, shift: float, dt: float, x: np.ndarray) -> None:
         """x <- the solution of ((shift) I - dt Lap) x' = x, in place."""
@@ -250,7 +223,7 @@ class _Workspace:
         v_new, w, diag = self.trial[1], self.g.weights, self.diag
         _bernoulli(np.subtract(v_new[1:], v_new[:-1], out=self.diff),
                    out=self.off)
-        self.off *= np.multiply(self.trans, -dt, out=self.diff)
+        self.off *= np.multiply(self.g.trans, -dt, out=self.diff)
         np.subtract(w[:-1], self.lower, out=diag[:-1])
         diag[-1] = w[-1]
         diag[1:] -= self.upper
@@ -283,9 +256,9 @@ class _Workspace:
         took while it was the trial."""
         sums = _integrals(self.g, self.state, self.block, self.sums)
         F, D = _energy_dissipation(sums)
-        g2, _, f2, *_, mass_u, mass_v, gradv_int = sums
+        _, p_sg, f2, *_, mass_u, mass_v, gradv_int = sums
         return (t, dt, mass_u, mass_v, *sups, F, D, math.sqrt(f2),
-                math.sqrt(g2), gradv_int ** (1.0 / _gradv_exponent(self.g.n)))
+                math.sqrt(p_sg), gradv_int ** (1.0 / _gradv_exponent(self.g.n)))
 
 
 def _non_finite(row: tuple) -> Optional[tuple[float, str]]:

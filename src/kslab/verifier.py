@@ -46,6 +46,7 @@ from .functionals import (
     _gradv_exponent,
     _report_arrays,
     _require_positive,
+    energy_report,
     param_window,
     theta_exponent,
 )
@@ -181,13 +182,13 @@ def _snapshot_sup_vrk(snap: StatePair, kappa: float) -> float:
 
 
 def _initial_norms(traj: Trajectory) -> tuple[float, float, float]:
-    """|u0|_1, |v0|_1 and |grad v0|_2 of the run's first snapshot, s0."""
+    """|u0|_1, |v0|_1 and |grad v0|_2 (the face form of F's gradient term)
+    of the run's first snapshot, s0."""
     s0 = traj.snapshots[0]
     g = s0.grid
-    vr0 = g.derivative(s0.v.values, "neumann")
     return (g.integrate_values(np.abs(s0.u.values)),
             g.integrate_values(np.abs(s0.v.values)),
-            math.sqrt(g.integrate_values(vr0 * vr0)))
+            math.sqrt(energy_report(s0).grad_v_sq))
 
 
 def _trend_report(name: str, ratios: np.ndarray, times: np.ndarray,
@@ -389,13 +390,14 @@ def _member_stats(label: str, s: StatePair, beta: float) -> _MemberStats:
     u, v = s.u.values, s.v.values
     _require_positive(u, f"{label}: u")
     _require_positive(v, f"{label}: v")
-    rep, gv = _report_arrays(g, u, v)
+    rep, d2 = _report_arrays(g, u, v)
     f_l2 = math.sqrt(rep.f_norm_sq)
     g_l2 = math.sqrt(rep.g_norm_sq)
-    # the inner/outer split radius used by the interior/exterior estimates
+    # the inner/outer split radius used by the interior/exterior estimates,
+    # applied to the face radii of the gradient term
     r0 = min(g.R / 2.0, f_l2 ** (-2.0 / (beta + 1.0))) if f_l2 > 0 else g.R / 2.0
-    inner = g.centers < r0
-    gv_in = g.omega_n * float(np.sum(g.weights[inner] * gv[inner]))
+    inner = g.edges[1:-1] < r0
+    gv_in = g.omega_n * float(np.sum(g.trans[inner] * d2[inner]))
     gv_out = rep.grad_v_sq - gv_in
     return _MemberStats(
         label=label,

@@ -10,9 +10,9 @@ from kslab.functionals import _INTEGRANDS
 
 @pytest.fixture()
 def overflow_row(monkeypatch):
-    """overflow_row(at) makes the g^2 integral of the at-th diagnostics
+    """overflow_row(at) makes the P_SG integral of the at-th diagnostics
     row that the solver computes from then on (row 0 is the initial
-    state's) overflow to inf, as a steep state's g^2 can."""
+    state's) overflow to inf, as a steep state's P_SG can."""
     def arm(at):
         real, calls = solver._integrals, []
 
@@ -20,7 +20,7 @@ def overflow_row(monkeypatch):
             sums = real(*args)
             calls.append(None)
             if len(calls) == at + 1:
-                sums[_INTEGRANDS.index("g^2")] = math.inf
+                sums[_INTEGRANDS.index("P_SG")] = math.inf
             return sums
 
         monkeypatch.setattr(solver, "_integrals", overflowing)

@@ -217,8 +217,21 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
     ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
       "initial": {"kind": "lemma14", "k": 1, "p": 1.1, "baseline": 4.0}},
      "baseline"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": None, "p": 1.1}}, "initial block"),
+    ({"initial": {"kind": "constant", "c": 1.0, "amplitude": None}},
+     "initial block"),
+    ({"initial": {"kind": "constant", "c": 1.0, "mode": None}},
+     "initial block"),
+    ({"initial": {"kind": "bump", "m": None, "width": 0.3}}, "initial block"),
+    ({"initial": None}, "initial block"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "ks": [1, None], "p": 1.1}},
+     "initial block"),
 ], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1", "r_rule_r0_null",
-        "solver_dt_max_null", "checks_kappa_null", "lemma14_baseline_number"])
+        "solver_dt_max_null", "checks_kappa_null", "lemma14_baseline_number",
+        "lemma14_k_null", "constant_amplitude_null", "constant_mode_null",
+        "bump_m_null", "initial_null", "lemma14_ks_entry_null"])
 def test_bad_config_is_refused_at_load(workdir, capsys, overrides, says):
     cfg = write_cfg(workdir, name="bad", **overrides)
     assert main(["simulate", cfg]) == 2

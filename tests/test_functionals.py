@@ -16,11 +16,10 @@ from kslab import (
     lp_norm,
     param_window,
     residual_f,
-    residual_g,
     sup_norm,
     theta_exponent,
-    w12_norm,
 )
+from kslab.functionals import _bernoulli
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +27,28 @@ def grid():
     return build_grid(3, 1.0, 256)
 
 
-def constant_state(grid, c):
-    vals = np.full(grid.ncells, c)
-    return StatePair(RadialField(grid, vals), RadialField(grid, vals.copy()))
+def constant_state(grid, c, c_v=None):
+    """u = c and v = c_v, or c when c_v is None."""
+    u = np.full(grid.ncells, c)
+    v = np.full(grid.ncells, c if c_v is None else c_v)
+    return StatePair(RadialField(grid, u), RadialField(grid, v))
+
+
+def random_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    return StatePair(RadialField(grid, 1.0 + rng.random(grid.ncells)),
+                     RadialField(grid, 1.0 + rng.random(grid.ncells)))
+
+
+def sg_terms(s):
+    """The face terms of P_SG spelled out from its formula, before the sum
+    omega_n * sum(trans * terms): J (mu_i - mu_{i+1}) with the
+    Scharfetter-Gummel J = B(-d) u_i - B(d) u_{i+1}, d = v_{i+1} - v_i and
+    mu = ln u - v."""
+    u, v = s.u.values, s.v.values
+    b, b_neg = _bernoulli(v[1:] - v[:-1])
+    mu = np.log(u) - v
+    return (b_neg * u[:-1] - b * u[1:]) * (mu[:-1] - mu[1:])
 
 
 # F(c,c) = |Omega| (c ln c - c^2 / 2): gradient term vanishes, the rest are
@@ -50,8 +68,8 @@ def test_energy_of_one_is_minus_half_volume(grid):
 
 
 def test_constants_have_zero_dissipation(grid):
-    # u = v = c: f = -lap v + v - u and g = u_r/sqrt(u) - sqrt(u) v_r both
-    # vanish; the discrete laplacian of a constant leaves ~1e-13 rounding
+    # u = v = c: f = -lap v + v - u and P_SG both vanish; the discrete
+    # laplacian of a constant leaves ~1e-13 rounding
     rep = energy_report(constant_state(grid, 3.7))
     assert rep.D < 1e-18
     assert rep.f_norm_sq < 1e-18
@@ -60,17 +78,46 @@ def test_constants_have_zero_dissipation(grid):
 
 
 def test_dissipation_splits_into_residuals(grid):
-    rng = np.random.default_rng(3)
-    u = RadialField(grid, 1.0 + rng.random(grid.ncells))
-    v = RadialField(grid, 1.0 + rng.random(grid.ncells))
-    s = StatePair(u, v)
+    s = random_state(grid, 3)
     rep = energy_report(s)
     f2 = lp_norm(residual_f(s), 2.0) ** 2
-    g2 = lp_norm(residual_g(s), 2.0) ** 2
+    p_sg = grid.omega_n * float(np.dot(grid.trans, sg_terms(s)))
     assert rep.f_norm_sq == pytest.approx(f2, rel=1e-12)
-    assert rep.g_norm_sq == pytest.approx(g2, rel=1e-12)
-    assert rep.D == pytest.approx(f2 + g2, rel=1e-12)
+    assert rep.g_norm_sq == pytest.approx(p_sg, rel=1e-12)
+    assert rep.D == pytest.approx(f2 + p_sg, rel=1e-12)
     assert dissipation(s) == pytest.approx(rep.D, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("grading", [1.0, 1.05])
+def test_gradient_term_is_summation_by_parts(n, grading):
+    # sum trans d^2 = -sum w v (Lap_h v): F's face gradient term is the
+    # energy of the grid Laplacian the solver steps v with
+    g = build_grid(n, 1.0, 128, grading)
+    s = random_state(g, 5)
+    v = s.v.values
+    by_parts = -g.integrate_values(v * g.laplacian(v))
+    assert energy_report(s).grad_v_sq == pytest.approx(by_parts, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_sg_term_is_nonnegative(grid, seed):
+    # J has the sign of mu_i - mu_{i+1} on every face, so P_SG sums
+    # nonnegative terms, here all strictly positive
+    s = random_state(grid, seed)
+    terms = sg_terms(s)
+    assert np.all(terms > 0.0)
+    assert energy_report(s).g_norm_sq == pytest.approx(
+        grid.omega_n * float(np.dot(grid.trans, terms)), rel=1e-12)
+
+
+@pytest.mark.parametrize("c_u, c_v", [(1.0, 1.0), (0.25, 7.5), (10.0, 0.5)])
+def test_sg_dissipation_is_exactly_zero_on_constants(grid, c_u, c_v):
+    # d = 0 gives B(0) = 1 and J = u_i - u_{i+1} = 0 on every face, with
+    # f = c_u - c_v away from zero when the levels differ
+    rep = energy_report(constant_state(grid, c_u, c_v))
+    assert rep.g_norm_sq == 0.0
+    assert rep.D == rep.f_norm_sq
 
 
 def test_residual_f_on_manufactured_profile(grid):
@@ -110,13 +157,6 @@ def test_sup_norm(grid):
     vals = np.ones(grid.ncells)
     vals[37] = 5.5
     assert sup_norm(RadialField(grid, vals)) == 5.5
-
-
-def test_w12_norm_of_linear_profile(grid):
-    # |r|_{W^{1,2}}^2 = int r^2 + int 1 = 4pi/5 + 4pi/3
-    f = RadialField(grid, grid.centers.copy())
-    expected = math.sqrt(4 * math.pi / 5 + 4 * math.pi / 3)
-    assert w12_norm(f) == pytest.approx(expected, rel=1e-3)
 
 
 def test_theta_exponent_exact_fraction():

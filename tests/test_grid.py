@@ -11,7 +11,6 @@ from kslab import (
     build_grid,
     integrate,
     laplacian_radial,
-    radial_derivative,
 )
 from kslab.grid import _grid_from_edges, ball_surface_coefficient
 
@@ -82,14 +81,6 @@ def test_grid_rebuild_from_edges_is_bitwise():
     assert np.all(rebuilt.centers == grid.centers)
     assert np.all(rebuilt.weights == grid.weights)
     assert np.all(rebuilt.lap_diag == grid.lap_diag)
-
-
-def test_radial_derivative_of_quadratic():
-    # centered two-point slopes of r^2 hit 2r exactly at interior centers of
-    # a uniform grid
-    grid = build_grid(3, 1.0, 128)
-    d = radial_derivative(RadialField(grid, grid.centers ** 2)).values
-    np.testing.assert_allclose(d[1:-1], 2.0 * grid.centers[1:-1], rtol=1e-12)
 
 
 def test_laplacian_r2_uniform_interior_exact():
