@@ -5,7 +5,7 @@ in dimension n >= 3, an energy/dissipation verification harness, and a
 factory for low-energy initial data with arbitrarily negative energy.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .grid import (
     RadialGrid,
@@ -58,7 +58,6 @@ from .verifier import (
     check_lemma14_sequence,
     inequality_suite,
     fit_odi_constant,
-    scheme_tolerance,
     trajectory_battery,
 )
 from .config import (
@@ -79,7 +78,7 @@ __all__ = [
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",
     "SolverConfig", "Trajectory", "BlowupVerdict", "step", "run",
-    "scheme_tolerance", "SERIES_COLUMNS",
+    "SERIES_COLUMNS",
     "CheckReport", "StateCorpus", "check_conservation",
     "check_energy_inequality", "check_pointwise_bound", "check_gradv_lp",
     "check_odi_blowup", "check_lemma14_sequence", "inequality_suite",

@@ -31,6 +31,12 @@ by parts of -int v Lap v with the grid Laplacian.  Each P_SG term is >= 0,
 since J = B(d) e^{v_{i+1}} (u_i e^{-v_i} - u_{i+1} e^{-v_{i+1}}) has the
 sign of mu_i - mu_{i+1}, and is 0 on every constant state; a term that
 roundoff makes negative counts as 0.
+
+The D of a state (energy_report, dissipation) takes f against the state's
+own u.  The D of a step from (u, v) to (u', v'), which the solver's series
+records, takes f = -Lap v' + v' - u against the departure u, which the
+v-solve makes equal to (v - v')/dt, plus P_SG(u', v'); with it each step
+satisfies F(u', v') - F(u, v) <= -dt D_step exactly (see the verifier).
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ def _report_arrays(g: RadialGrid, u: np.ndarray,
     face row trans d^2 summed into its grad_v_sq: for callers that have
     already checked u and v and may reuse that row."""
     block = np.empty((_REPORT_ROWS, g.ncells))
-    sums = _integrals(g, np.stack((u, v)), block)
+    sums = _integrals(g, np.stack((u, v)), u, block)
     return _report(sums), block[0, :-1]
 
 
@@ -173,20 +179,21 @@ _INTEGRANDS = ("d^2", "P_SG", "f^2", "v^2", "u v", "u ln u", "u", "v",
 _REPORT_ROWS = 6
 
 
-def _integrals(g: RadialGrid, uv: np.ndarray, block: np.ndarray,
-               sums: np.ndarray = None) -> list:
+def _integrals(g: RadialGrid, uv: np.ndarray, source: np.ndarray,
+               block: np.ndarray, sums: np.ndarray = None) -> list:
     """The integrals over the ball of the first len(block) _INTEGRANDS of
-    the (2, N) state uv, as a list of floats.  block, _REPORT_ROWS or
-    len(_INTEGRANDS) rows of N, takes each integrand in its row, and its
-    rows serve as scratch before that; vecdots against the face and cell
-    weights reduce them into sums (new if None): bitwise
-    omega_n * np.dot(weights, row) of each row."""
+    the (2, N) state uv, as a list of floats, with f = -Lap v + v - source
+    (source is uv's own u for the D of a state, the step's departure u for
+    D_step).  block, _REPORT_ROWS or len(_INTEGRANDS) rows of N, takes each
+    integrand in its row, and its rows serve as scratch before that;
+    vecdots against the face and cell weights reduce them into sums (new
+    if None): bitwise omega_n * np.dot(weights, row) of each row."""
     u, v = uv
     faces = block[:, :-1]
     d2, p_sg, f = faces[0], faces[1], block[2]
     g.laplacian(v, out=f, work=block[3])
-    np.subtract(v, f, out=f)          # f = -Lap v + v - u
-    f -= u
+    np.subtract(v, f, out=f)          # f = -Lap v + v - source
+    f -= source
     if len(block) > _REPORT_ROWS:
         block[6:8] = uv
         lp = g.face_gradient(v, out=faces[8])

@@ -25,7 +25,9 @@ a fixed Gauss-Legendre rule, so kslab construct, verify, plot and
 constants load no scipy at all.  A run steps in one _Workspace, whose
 buffers (laid out there) every step reuses, so that an accepted step and
 its diagnostics row, one pass of functionals._integrals over the (2, N)
-state, allocate no array.
+state, allocate no array.  A row's D and f_l2 are its step's (the D of a
+step in functionals, with f_l2 = ||(v' - v)/dt||), taken against the
+departure u that the workspace still holds; row 0's are s0's own.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
@@ -253,8 +255,12 @@ class _Workspace:
 
     def row(self, t: float, dt: float, sups: tuple[float, float]) -> tuple:
         """The SERIES_COLUMNS values of the state, whose sups check_trial
-        took while it was the trial."""
-        sums = _integrals(self.g, self.state, self.block, self.sums)
+        took while it was the trial.  D and f_l2 are the step's: f is taken
+        against trial's u, which after accept is the departure u, so that
+        f = (v - v')/dt with no cancellation; before the first step trial
+        holds s0, and row 0 records the state's D."""
+        sums = _integrals(self.g, self.state, self.trial[0], self.block,
+                          self.sums)
         F, D = _energy_dissipation(sums)
         _, p_sg, f2, *_, mass_u, mass_v, gradv_int = sums
         return (t, dt, mass_u, mass_v, *sups, F, D, math.sqrt(f2),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kslab import (
     build_grid,
     check_conservation,
     check_energy_inequality,
+    check_gradv_lp,
     check_lemma14_sequence,
     check_odi_blowup,
     check_pointwise_bound,
@@ -24,10 +26,10 @@ from kslab import (
     lemma14_pair,
     perturbed_constant,
     run,
-    scheme_tolerance,
     trajectory_battery,
 )
-from kslab.verifier import GROWTH_LIMIT, _quartile_trend
+from kslab.config import build_initial_state, load_config
+from kslab.verifier import GROWTH_LIMIT, _TOL_FLOOR, _quartile_trend
 
 
 @pytest.fixture(scope="module")
@@ -111,15 +113,40 @@ def test_pointwise_bound_flags_growth(decay_run):
 
 
 def test_quartile_trend_logic():
-    # trend is the ratio of quartile maxima, so a 20% ramp stays below 1.5
-    ok, trend = _quartile_trend(np.linspace(1.0, 1.2, 40))
+    # trend is the ratio of the maxima over the first and last quarters of
+    # the time span, so a 20% ramp stays below 1.5
+    t = np.linspace(0.0, 1.0, 40)
+    ok, trend = _quartile_trend(np.linspace(1.0, 1.2, 40), t)
     assert ok and 1.0 < trend < GROWTH_LIMIT
-    bad, trend = _quartile_trend(np.linspace(1.0, 2.0, 40))
+    bad, trend = _quartile_trend(np.linspace(1.0, 2.0, 40), t)
     assert not bad and trend > GROWTH_LIMIT
-    ok_flat, _ = _quartile_trend(np.zeros(40))
+    ok_flat, _ = _quartile_trend(np.zeros(40), t)
     assert ok_flat
-    ok_short, _ = _quartile_trend(np.array([1.0, 9.0]))
+    ok_short, _ = _quartile_trend(np.array([1.0, 9.0]), t[:2])
     assert ok_short  # too short to split
+    # quarters of t, not of rows: a fast rise in the first 1% of the span,
+    # where the rows crowd, is a start-up, not a growth trend
+    t_crowd = np.concatenate([np.linspace(0.0, 0.01, 30),
+                              np.linspace(0.02, 1.0, 10)])
+    rise = np.minimum(t_crowd / 0.01, 1.0) + 0.01
+    assert _quartile_trend(rise, t_crowd) == (True, 1.0)
+    assert not _quartile_trend(rise, np.arange(40.0))[0]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gradv_lp_passes_on_short_relaxation_from_constant_v(n):
+    # the relaxation demo to t = 0.1 starts from a constant v, so |grad v|_p
+    # rises from 0 over the first steps, where dt is smallest and rows crowd
+    # (its checks.kappa, 2, is n - 1 at n = 3 and too small at n = 4)
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "demos",
+                                   "configs", "relaxation.json"))
+    cfg = dataclasses.replace(
+        cfg, grid={**cfg.grid, "n": n}, checks={},
+        solver=dataclasses.replace(cfg.solver, t_end=0.1))
+    traj = run(build_initial_state(cfg, cfg.build_grid()), cfg.solver)
+    assert traj.verdict.outcome == "reached_t_end"
+    rep = check_gradv_lp(traj)
+    assert rep.passed, str(rep)
 
 
 # --- ODI ----------------------------------------------------------------
@@ -165,7 +192,7 @@ def test_odi_monotone_allowance_is_the_energy_law(decay_run, of_tol, of_drop,
                                                   monotone):
     # a terminal F < 0 stretch where D drops sharply into row j and F rises
     # there by of_tol * tol_j + of_drop * dt_j (D_{j-1} - D_j): the
-    # allowance is scheme_tolerance alone, so a rise past it breaks
+    # allowance is the roundoff floor alone, so a rise past it breaks
     # monotonicity even when dt_j (D_{j-1} - D_j)_+ would cover it
     t = np.linspace(0.0, 0.2, 40)
     dt = np.concatenate([[0.0], np.diff(t)])
@@ -173,7 +200,7 @@ def test_odi_monotone_allowance_is_the_energy_law(decay_run, of_tol, of_drop,
     D = np.ones_like(t)
     j = 20
     D[j - 1] = 11.0
-    tol = scheme_tolerance(dt[j], F[j - 1])
+    tol = _TOL_FLOOR * (1.0 + abs(F[j - 1]))
     assert tol < 0.1 * dt[j] * (D[j - 1] - D[j])
     F[j] = F[j - 1] + of_tol * tol + of_drop * dt[j] * (D[j - 1] - D[j])
     assert np.all(F < 0)
