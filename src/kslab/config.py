@@ -11,7 +11,9 @@ initial.kind, checks.kappa > n - 2 for every kind, and every setting of
 the initial block, which _initial_builder reads on the config's grid (for
 kind lemma14 the recipe of lemma14_recipe_from and the family indices k
 and ks), so a bad setting fails before any run starts or any file is
-written.  A value of the wrong JSON type (null where a number belongs, or
+written.  A value of the wrong JSON type (null where a number belongs, a
+float or a boolean where an integer belongs, in grid.n and N,
+initial.k, ks and mode and the solver's snapshot_every and max_steps, or
 a block that is not an object) is refused as a bad value is, with a
 ValueError that names its block.
 """
@@ -35,7 +37,7 @@ from .initial_data import (
     lemma14_pair,  # noqa: F401  perfbench's span hooks wrap config.lemma14_pair
     perturbed_constant,
 )
-from .solver import SolverConfig
+from .solver import SolverConfig, _integer
 
 __all__ = [
     "ExperimentConfig",
@@ -77,7 +79,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"initial.kind must be one of {_INITIAL_KINDS}, got {kind!r}")
         with _block("grid"):
-            n = int(g["n"])
+            n = _integer(g["n"], "n")
+            _integer(g["N"], "N")
             grid = self.build_grid()
         with _block("checks"):
             theta_exponent(n, self.kappa)
@@ -161,8 +164,8 @@ def member_ks(init: dict) -> list:
     initial.ks, else [initial.k], else none."""
     ks = init.get("ks")
     if ks is None:
-        ks = [init["k"]] if "k" in init else []
-    return sorted({int(k) for k in ks})
+        return [_integer(init["k"], "k")] if "k" in init else []
+    return sorted({_integer(k, "each entry of ks") for k in ks})
 
 
 def _initial_builder(init: dict, grid: RadialGrid):
@@ -174,7 +177,7 @@ def _initial_builder(init: dict, grid: RadialGrid):
     if kind == "constant":
         c = _constant_level(grid, init, "constant initial data")
         amplitude = float(init.get("amplitude", 0.0))
-        mode = int(init.get("mode", 1))
+        mode = _integer(init.get("mode", 1), "mode")
         return lambda: perturbed_constant(grid, c=c, amplitude=amplitude,
                                           mode=mode)
     if kind == "bump":
@@ -184,7 +187,7 @@ def _initial_builder(init: dict, grid: RadialGrid):
                                          floor=floor)
     recipe = lemma14_recipe_from(init, grid)
     member_ks(init)                   # construct's members, read at load
-    k = int(init["k"]) if "k" in init else None
+    k = _integer(init["k"], "k") if "k" in init else None
 
     def member() -> StatePair:
         if k is None:

@@ -42,7 +42,7 @@ satisfies F(u', v') - F(u, v) <= -dt D_step exactly (see the verifier).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -88,20 +88,29 @@ class StatePair:
         return self.u.grid
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """F and D with their pieces; F = 0.5*grad_v_sq + 0.5*v_sq - uv + entropy
-    and D = f_norm_sq + g_norm_sq hold exactly as bookkeeping identities.
-    grad_v_sq is the face sum of trans d^2 and g_norm_sq is P_SG."""
+class EnergyReport(NamedTuple):
+    """The integrals of a state, in _integrals' order: grad_v_sq (the face
+    sum of trans d^2), g_norm_sq (P_SG), f_norm_sq, v_sq, uv, entropy,
+    mass_u, mass_v and gradv_lp (|grad v|_p at p = _gradv_exponent(n));
+    F and D are their bookkeeping identities."""
 
-    F: float
     grad_v_sq: float
+    g_norm_sq: float
+    f_norm_sq: float
     v_sq: float
     uv: float
     entropy: float
-    D: float
-    f_norm_sq: float
-    g_norm_sq: float
+    mass_u: float
+    mass_v: float
+    gradv_lp: float
+
+    @property
+    def F(self) -> float:
+        return 0.5 * self.grad_v_sq + 0.5 * self.v_sq - self.uv + self.entropy
+
+    @property
+    def D(self) -> float:
+        return self.f_norm_sq + self.g_norm_sq
 
 
 def _require_positive(vals: np.ndarray, name: str) -> None:
@@ -149,56 +158,35 @@ def dissipation(s: StatePair) -> float:
 
 
 def energy_report(s: StatePair) -> EnergyReport:
-    """F and D with their pieces: one positivity check of u and of v, and
-    one pass over both."""
+    """F and D with their pieces, the masses and |grad v|_p: one positivity
+    check of u and of v, and one pass over both."""
     u, v = s.u.values, s.v.values
     _require_positive(u, "u")
     _require_positive(v, "v")
-    return _report_arrays(s.grid, u, v)[0]
-
-
-def _report_arrays(g: RadialGrid, u: np.ndarray,
-                   v: np.ndarray) -> tuple[EnergyReport, np.ndarray]:
-    """energy_report on bare arrays, with no positivity check, and the
-    face row trans d^2 summed into its grad_v_sq: for callers that have
-    already checked u and v and may reuse that row."""
-    block = np.empty((_REPORT_ROWS, g.ncells))
-    sums = _integrals(g, np.stack((u, v)), u, block)
-    return _report(sums), block[0, :-1]
-
-
-# what _integrals writes into each row of its block, in order (each row is
-# its own sum; see the module docstring).  Rows 0, 1 and 8 are face rows,
-# in the first N - 1 entries, summed against trans, trans and face_area
-# (d = v_{i+1} - v_i, p_n is _gradv_exponent(n)); the rest are cell rows,
-# summed against the weights.  An EnergyReport needs the first
-# _REPORT_ROWS; the solver's series also records the rest, and the pow of
-# the last would add about a quarter to an energy report at N = 8192
-_INTEGRANDS = ("d^2", "P_SG", "f^2", "v^2", "u v", "u ln u", "u", "v",
-               "face_dr |d/face_dr|^p_n")
-_REPORT_ROWS = 6
+    block = np.empty((len(EnergyReport._fields), s.grid.ncells))
+    return _integrals(s.grid, np.stack((u, v)), u, block)
 
 
 def _integrals(g: RadialGrid, uv: np.ndarray, source: np.ndarray,
-               block: np.ndarray, sums: np.ndarray = None) -> list:
-    """The integrals over the ball of the first len(block) _INTEGRANDS of
-    the (2, N) state uv, as a list of floats, with f = -Lap v + v - source
-    (source is uv's own u for the D of a state, the step's departure u for
-    D_step).  block, _REPORT_ROWS or len(_INTEGRANDS) rows of N, takes each
-    integrand in its row, and its rows serve as scratch before that;
-    vecdots against the face and cell weights reduce them into sums (new
-    if None): bitwise omega_n * np.dot(weights, row) of each row."""
+               block: np.ndarray, sums: np.ndarray = None) -> EnergyReport:
+    """The EnergyReport of the (2, N) state uv, with no positivity check,
+    and f = -Lap v + v - source (uv's own u for the D of a state, the
+    step's departure u for D_step).  block, one row of N per field, takes
+    each integrand in its field's row (scratch before that): the
+    grad_v_sq, g_norm_sq and gradv_lp rows on the N - 1 faces, summed
+    against trans, trans and face_area (the last is face_dr
+    |d/face_dr|^p_n), the rest on cells, summed against the weights, into
+    sums (new if None), each bitwise omega_n * np.dot(weights, row)."""
     u, v = uv
     faces = block[:, :-1]
     d2, p_sg, f = faces[0], faces[1], block[2]
     g.laplacian(v, out=f, work=block[3])
     np.subtract(v, f, out=f)          # f = -Lap v + v - source
     f -= source
-    if len(block) > _REPORT_ROWS:
-        block[6:8] = uv
-        lp = g.face_gradient(v, out=faces[8])
-        np.power(np.abs(lp, out=lp), _gradv_exponent(g.n), out=lp)
-        lp *= g.face_dr
+    block[6:8] = uv
+    lp = g.face_gradient(v, out=faces[8])
+    np.power(np.abs(lp, out=lp), _gradv_exponent(g.n), out=lp)
+    lp *= g.face_dr
     d = np.subtract(v[1:], v[:-1], out=p_sg)
     np.square(d, out=d2)
     b_u, flux = _bernoulli(d, out=faces[3:5])     # B(d), B(-d)
@@ -217,23 +205,11 @@ def _integrals(g: RadialGrid, uv: np.ndarray, source: np.ndarray,
     sums = np.empty(len(block)) if sums is None else sums
     np.vecdot(faces[:2], g.trans, out=sums[:2])
     np.vecdot(block[2:8], g.weights, out=sums[2:8])
-    if len(block) > _REPORT_ROWS:
-        np.vecdot(faces[8:], g.face_area, out=sums[8:])
+    np.vecdot(faces[8:], g.face_area, out=sums[8:])
     sums *= g.omega_n
-    return sums.tolist()
-
-
-def _energy_dissipation(sums) -> tuple[float, float]:
-    """F and D from the first _REPORT_ROWS _integrals."""
-    d2, p_sg, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
-    return 0.5 * d2 + 0.5 * v_sq - uv + entropy, f2 + p_sg
-
-
-def _report(sums: list) -> EnergyReport:
-    """The EnergyReport of a state from its _integrals."""
-    d2, p_sg, f2, v_sq, uv, entropy = sums[:_REPORT_ROWS]
-    F, D = _energy_dissipation(sums)
-    return EnergyReport(F, d2, v_sq, uv, entropy, D, f2, p_sg)
+    rows = sums.tolist()
+    rows[-1] **= 1.0 / _gradv_exponent(g.n)
+    return EnergyReport._make(rows)
 
 
 def theta_exponent(n: int, kappa: float) -> float:

@@ -66,6 +66,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
+import numbers
 import os
 import sys
 from array import array
@@ -75,8 +76,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .functionals import (StatePair, _bernoulli, _energy_dissipation,
-                          _gradv_exponent, _integrals, _INTEGRANDS)
+from .functionals import EnergyReport, StatePair, _bernoulli, _integrals
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -118,12 +118,26 @@ class SolverConfig:
     max_steps: int = 500_000
 
     def __post_init__(self):
+        _integer(self.snapshot_every, "snapshot_every")
+        _integer(self.max_steps, "max_steps")
+        if not all(map(math.isfinite, (self.t_end, self.dt_init, self.dt_min,
+                                       self.dt_max, self.blowup_factor))):
+            raise ValueError("need finite t_end, dt_init, dt_min, dt_max and "
+                             "blowup_factor")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
         if not (self.t_end > 0 and self.blowup_factor > 1):
             raise ValueError("need t_end > 0 and blowup_factor > 1")
         if self.max_steps < 1 or self.snapshot_every < 1:
             raise ValueError("max_steps and snapshot_every must be >= 1")
+
+
+def _integer(x, name: str) -> int:
+    """x as an int; a bool, a float (2.5 or 3.0) or a non-number raises a
+    TypeError naming the setting, as range() does."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -206,8 +220,8 @@ class _Workspace:
         self.diag, self.ratio = np.empty((2, n))
         self.diff = np.empty(n - 1)
         self.sups = np.empty(2)
-        self.block = np.empty((len(_INTEGRANDS), n))
-        self.sums = np.empty(len(_INTEGRANDS))
+        self.block = np.empty((len(EnergyReport._fields), n))
+        self.sums = np.empty(len(EnergyReport._fields))
         self.neg_lap_off = -np.stack((g.lap_upper[:-1], g.lap_lower[1:]))
         self.neg_lap_diag = -g.lap_diag
 
@@ -259,12 +273,11 @@ class _Workspace:
         against trial's u, which after accept is the departure u, so that
         f = (v - v')/dt with no cancellation; before the first step trial
         holds s0, and row 0 records the state's D."""
-        sums = _integrals(self.g, self.state, self.trial[0], self.block,
-                          self.sums)
-        F, D = _energy_dissipation(sums)
-        _, p_sg, f2, *_, mass_u, mass_v, gradv_int = sums
-        return (t, dt, mass_u, mass_v, *sups, F, D, math.sqrt(f2),
-                math.sqrt(p_sg), gradv_int ** (1.0 / _gradv_exponent(self.g.n)))
+        rep = _integrals(self.g, self.state, self.trial[0], self.block,
+                         self.sums)
+        return (t, dt, rep.mass_u, rep.mass_v, *sups, rep.F, rep.D,
+                math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
+                rep.gradv_lp)
 
 
 def _non_finite(row: tuple) -> Optional[tuple[float, str]]:

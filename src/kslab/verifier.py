@@ -38,11 +38,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .functionals import (
+    EnergyReport,
     ParamWindow,
     StatePair,
     _gradv_exponent,
-    _report_arrays,
-    _require_positive,
     energy_report,
     param_window,
     theta_exponent,
@@ -162,13 +161,10 @@ def _snapshot_sup_vrk(snap: StatePair, kappa: float) -> float:
 
 
 def _initial_norms(traj: Trajectory) -> tuple[float, float, float]:
-    """|u0|_1, |v0|_1 and |grad v0|_2 (the face form of F's gradient term)
-    of the run's first snapshot, s0."""
-    s0 = traj.snapshots[0]
-    g = s0.grid
-    return (g.integrate_values(np.abs(s0.u.values)),
-            g.integrate_values(np.abs(s0.v.values)),
-            math.sqrt(energy_report(s0).grad_v_sq))
+    """|u0|_1, |v0|_1 (the masses, as u0, v0 > 0) and |grad v0|_2 (the face
+    form of F's gradient term) of the run's first snapshot, s0."""
+    rep = energy_report(traj.snapshots[0])
+    return rep.mass_u, rep.mass_v, math.sqrt(rep.grad_v_sq)
 
 
 def _trend_report(name: str, ratios: np.ndarray, times: np.ndarray,
@@ -346,18 +342,17 @@ def check_lemma14_sequence(
 @dataclass(frozen=True)
 class _MemberStats:
     label: str
-    v_l1: float               # |v|_1, the v-mass since v > 0
-    uv: float
-    grad_v_sq: float
-    v_sq: float
-    v_l2: float
-    f_l2: float
-    g_l2: float
-    F: float
-    D: float
-    grad_v_sq_inner: float
-    grad_v_sq_outer: float
-    r0: float
+    rep: EnergyReport
+    r0: float                 # the inner/outer split radius
+    grad_v_sq_inner: float    # the part of rep.grad_v_sq on faces below r0
+
+    @property
+    def f_l2(self) -> float:
+        return math.sqrt(self.rep.f_norm_sq)
+
+    @property
+    def g_l2(self) -> float:
+        return math.sqrt(self.rep.g_norm_sq)
 
 
 def _split_exponent(n: int, kappa: float) -> float:
@@ -366,27 +361,19 @@ def _split_exponent(n: int, kappa: float) -> float:
 
 
 def _member_stats(label: str, s: StatePair, beta: float) -> _MemberStats:
+    try:
+        rep = energy_report(s)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
     g = s.grid
-    u, v = s.u.values, s.v.values
-    _require_positive(u, f"{label}: u")
-    _require_positive(v, f"{label}: v")
-    rep, d2 = _report_arrays(g, u, v)
     f_l2 = math.sqrt(rep.f_norm_sq)
-    g_l2 = math.sqrt(rep.g_norm_sq)
     # the inner/outer split radius used by the interior/exterior estimates,
     # applied to the face radii of the gradient term
     r0 = min(g.R / 2.0, f_l2 ** (-2.0 / (beta + 1.0))) if f_l2 > 0 else g.R / 2.0
     inner = g.edges[1:-1] < r0
-    gv_in = g.omega_n * float(np.sum(g.trans[inner] * d2[inner]))
-    gv_out = rep.grad_v_sq - gv_in
-    return _MemberStats(
-        label=label,
-        v_l1=g.integrate_values(v),
-        uv=rep.uv, grad_v_sq=rep.grad_v_sq, v_sq=rep.v_sq,
-        v_l2=math.sqrt(rep.v_sq),
-        f_l2=f_l2, g_l2=g_l2, F=rep.F, D=rep.D,
-        grad_v_sq_inner=gv_in, grad_v_sq_outer=gv_out, r0=r0,
-    )
+    d2 = np.square(np.diff(s.v.values)[inner])
+    return _MemberStats(label, rep, r0,
+                        g.omega_n * float(np.sum(g.trans[inner] * d2)))
 
 
 @dataclass(frozen=True)
@@ -435,6 +422,7 @@ def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
     beta = _split_exponent(n, corpus.window.kappa)
     q74 = (2.0 * n + 4.0) / (n + 4.0)
     stats = corpus.stats
+    members = [(st, st.rep) for st in stats]
 
     def report(name: str, vals: list[float], note: str = "") -> CheckReport:
         arr = np.array(vals)
@@ -451,46 +439,49 @@ def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
     out = []
     out.append(report(
         "gn_l2_interpolation",
-        [st.v_l2 / (st.grad_v_sq ** (0.5 * n / (n + 2.0)) * st.v_l1 ** (2.0 / (n + 2.0))
-                    + st.v_l1) for st in stats],
+        [math.sqrt(r.v_sq) / (r.grad_v_sq ** (0.5 * n / (n + 2.0))
+                              * r.mass_v ** (2.0 / (n + 2.0)) + r.mass_v)
+         for st, r in members],
         note="|v|_2 vs |grad v|_2^{n/(n+2)} |v|_1^{2/(n+2)} + |v|_1",
     ))
     out.append(report(
         "gn_l2_squared",
-        [(st.v_sq - eps * st.grad_v_sq) / (st.v_l1 ** 2) for st in stats],
+        [(r.v_sq - eps * r.grad_v_sq) / r.mass_v ** 2 for st, r in members],
         note=f"(|v|_2^2 - {eps} |grad v|_2^2) / |v|_1^2",
     ))
     out.append(report(
         "outer_gradient",
-        [(st.grad_v_sq_outer - eps * st.uv - eps * st.grad_v_sq)
-         / (st.r0 ** (-beta) + st.f_l2 ** q74) for st in stats],
+        [(r.grad_v_sq - st.grad_v_sq_inner - eps * r.uv - eps * r.grad_v_sq)
+         / (st.r0 ** (-beta) + st.f_l2 ** q74) for st, r in members],
         note="outer |grad v|^2 vs r0^{-beta} + |f|^{(2n+4)/(n+4)}",
     ))
     out.append(report(
         "inner_gradient",
-        [st.grad_v_sq_inner / (st.r0 * st.f_l2 ** 2 + st.g_l2 + st.v_sq + 1.0)
-         for st in stats],
+        [st.grad_v_sq_inner / (st.r0 * st.f_l2 ** 2 + st.g_l2 + r.v_sq + 1.0)
+         for st, r in members],
         note="inner |grad v|^2 vs r0 |f|^2 + |g| + |v|_2^2 + 1",
     ))
     out.append(report(
         "gradient_vs_dissipation",
-        [(st.grad_v_sq - eps * st.uv) / (st.f_l2 ** (2 * theta) + st.g_l2 + 1.0)
-         for st in stats],
+        [(r.grad_v_sq - eps * r.uv) / (st.f_l2 ** (2 * theta) + st.g_l2 + 1.0)
+         for st, r in members],
         note="|grad v|^2 - eps uv vs |f|^{2 theta} + |g| + 1",
     ))
     out.append(report(
         "uv_vs_gradient",
-        [(st.uv - 2.0 * st.grad_v_sq) / (st.f_l2 ** q74 + 1.0) for st in stats],
+        [(r.uv - 2.0 * r.grad_v_sq) / (st.f_l2 ** q74 + 1.0)
+         for st, r in members],
         note="uv - 2 |grad v|^2 vs |f|^{(2n+4)/(n+4)} + 1",
     ))
     out.append(report(
         "uv_vs_dissipation",
-        [st.uv / (st.f_l2 ** (2 * theta) + st.g_l2 + 1.0) for st in stats],
+        [r.uv / (st.f_l2 ** (2 * theta) + st.g_l2 + 1.0)
+         for st, r in members],
         note="uv vs |f|^{2 theta} + |g| + 1",
     ))
     out.append(report(
         "energy_vs_dissipation",
-        [-st.F / (st.D ** theta + 1.0) for st in stats],
+        [-r.F / (r.D ** theta + 1.0) for st, r in members],
         note="-F vs D^theta + 1",
     ))
     for rep_ in out:

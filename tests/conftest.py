@@ -5,7 +5,6 @@ import math
 import pytest
 
 from kslab import solver
-from kslab.functionals import _INTEGRANDS
 
 
 @pytest.fixture()
@@ -17,11 +16,11 @@ def overflow_row(monkeypatch):
         real, calls = solver._integrals, []
 
         def overflowing(*args):
-            sums = real(*args)
+            rep = real(*args)
             calls.append(None)
             if len(calls) == at + 1:
-                sums[_INTEGRANDS.index("P_SG")] = math.inf
-            return sums
+                return rep._replace(g_norm_sq=math.inf)
+            return rep
 
         monkeypatch.setattr(solver, "_integrals", overflowing)
     return arm

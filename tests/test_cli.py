@@ -228,10 +228,37 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
     ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
       "initial": {"kind": "lemma14", "ks": [1, None], "p": 1.1}},
      "initial block"),
+    # an integer setting is never truncated: a fraction, an integral float
+    # or a boolean is refused
+    ({"grid": {"n": 3.7, "R": 1.0, "N": 48}}, "grid block: n must be"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 64.9}}, "grid block: N must be"),
+    ({"grid": {"n": True, "R": 1.0, "N": 48}}, "grid block: n must be"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 48.0}}, "grid block: N must be"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": 2.5, "p": 1.1}},
+     "initial block: k must be"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": True, "p": 1.1}},
+     "initial block: k must be"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "ks": [1, 2.5], "p": 1.1}},
+     "initial block: each entry of ks"),
+    ({"initial": {"kind": "constant", "c": 1.0, "mode": 2.5}},
+     "initial block: mode must be"),
+    ({"solver": {"t_end": 0.02, "snapshot_every": 2.5}},
+     "solver block: snapshot_every must be"),
+    ({"solver": {"t_end": 0.02, "max_steps": True}},
+     "solver block: max_steps must be"),
+    # json.dumps writes inf as the literal Infinity, which json.load reads
+    ({"solver": {"t_end": math.inf}}, "finite"),
 ], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1", "r_rule_r0_null",
         "solver_dt_max_null", "checks_kappa_null", "lemma14_baseline_number",
         "lemma14_k_null", "constant_amplitude_null", "constant_mode_null",
-        "bump_m_null", "initial_null", "lemma14_ks_entry_null"])
+        "bump_m_null", "initial_null", "lemma14_ks_entry_null",
+        "grid_n_fraction", "grid_N_fraction", "grid_n_bool", "grid_N_float",
+        "lemma14_k_fraction", "lemma14_k_bool", "lemma14_ks_entry_fraction",
+        "constant_mode_fraction", "solver_snapshot_every_fraction",
+        "solver_max_steps_bool", "solver_t_end_infinity"])
 def test_bad_config_is_refused_at_load(workdir, capsys, overrides, says):
     cfg = write_cfg(workdir, name="bad", **overrides)
     assert main(["simulate", cfg]) == 2

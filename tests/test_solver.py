@@ -149,10 +149,11 @@ def test_run_reaches_t_end_and_series_shape(grid):
 def test_snapshot_rows_match_public_functionals(n):
     # the run's check-free diagnostics pass is the public definitions, bit
     # for bit, on every retained state, with |grad v|_p recorded at the
-    # n-dependent p_n (no public function has it; _row_reference spells it).
-    # D and f_l2 are the state's own on row 0 only; later rows record the
-    # step's, which test_every_series_row_matches_spelled_out_diagnostics
-    # pins against the departure u
+    # n-dependent p_n, as energy_report's gradv_lp and as _row_reference
+    # spells it.  D and f_l2 are the state's own on row 0 only; later rows
+    # record the step's, which
+    # test_every_series_row_matches_spelled_out_diagnostics pins against
+    # the departure u
     s0 = perturbed_constant(build_grid(n, 1.0, 96), c=1.0, amplitude=0.3,
                             mode=2)
     cfg = SolverConfig(t_end=1e-4, dt_init=1e-5, dt_max=1e-4,
@@ -173,8 +174,9 @@ def test_snapshot_rows_match_public_functionals(n):
             assert row["f_l2"] == math.sqrt(rep.f_norm_sq)
         assert row["g_l2"] == math.sqrt(rep.g_norm_sq)
         assert row["gradv_lp"] == _row_reference(s, s.u.values)["gradv_lp"]
-        assert row["mass_u"] == integrate(s.u)
-        assert row["mass_v"] == integrate(s.v)
+        assert row["gradv_lp"] == rep.gradv_lp
+        assert row["mass_u"] == integrate(s.u) == rep.mass_u
+        assert row["mass_v"] == integrate(s.v) == rep.mass_v
         assert row["sup_u"] == sup_norm(s.u)
         assert row["sup_v"] == sup_norm(s.v)
 
@@ -394,6 +396,14 @@ def test_config_validation():
         SolverConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt_min=1e-3, dt_max=1e-6)
+    # t_end = inf would end run with zero steps, "reached_t_end"
+    for key in ("t_end", "dt_init", "dt_min", "dt_max", "blowup_factor"):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{key: math.inf})
+    for key in ("snapshot_every", "max_steps"):
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(TypeError, match=f"^{key} must be an integer"):
+                SolverConfig(**{key: bad})
 
 
 # --- detection ----------------------------------------------------------
