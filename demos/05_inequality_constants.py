@@ -11,7 +11,7 @@ import math
 import os
 import pathlib
 
-from kslab.functionals import StatePair
+from kslab.functionals import StatePair, theta_exponent
 from kslab.grid import build_grid
 from kslab.initial_data import baseline_profiles, constant_recipe, lemma14_pair, perturbed_constant
 from kslab.solver import SolverConfig, run
@@ -34,8 +34,8 @@ members += [(f"spike_{k}", (lambda d: StatePair(d.u0, d.v0))(lemma14_pair(recipe
             for k in range(1, 16)]
 
 corpus = StateCorpus.from_states(members, kappa=2.0)
-print(f"corpus: {corpus.size} states, n={corpus.window.n}, "
-      f"theta={corpus.window.theta:.6f}")
+print(f"corpus: {corpus.size} states, n={corpus.n}, kappa={corpus.kappa:g}, "
+      f"theta={theta_exponent(corpus.n, corpus.kappa):.6f}")
 print()
 reports = inequality_suite(corpus)
 width = max(len(r.name) for r in reports)

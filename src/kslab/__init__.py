@@ -18,13 +18,12 @@ from .grid import (
 from .functionals import (
     StatePair,
     EnergyReport,
-    ParamWindow,
     energy,
     energy_report,
     dissipation,
     residual_f,
     theta_exponent,
-    param_window,
+    exponent_window,
     lp_norm,
     sup_norm,
 )
@@ -71,8 +70,8 @@ __all__ = [
     "__version__",
     "RadialGrid", "RadialField", "build_grid", "ball_surface_coefficient",
     "integrate", "laplacian_radial",
-    "StatePair", "EnergyReport", "ParamWindow", "energy", "energy_report",
-    "dissipation", "residual_f", "theta_exponent", "param_window",
+    "StatePair", "EnergyReport", "energy", "energy_report",
+    "dissipation", "residual_f", "theta_exponent", "exponent_window",
     "lp_norm", "sup_norm",
     "Lemma14Recipe", "BlowupDatum", "phi", "phi_log",
     "choose_eta_log", "lemma14_pair", "baseline_profiles",

@@ -32,7 +32,8 @@ from .config import (
     member_ks,
     output_root,
 )
-from .functionals import StatePair, energy_report, param_window
+from .functionals import (StatePair, energy_report, exponent_window,
+                          theta_exponent)
 from .grid import ball_surface_coefficient
 from .initial_data import lemma14_pair
 from .io import load_run, persist_run, write_checks, write_snapshot
@@ -100,9 +101,7 @@ def _cmd_construct(args) -> int:
                 "%.17g" % energy_report(s).F, "%d" % core)) + "\n")
     if len(data) >= 3:
         try:
-            rep = check_lemma14_sequence(data, tail_start=int(
-                cfg.checks.get("tail_start", 10)))
-            print(rep)
+            print(check_lemma14_sequence(data))
         except ValueError as exc:
             print(f"sequence check skipped: {exc}")
     print(f"{cfg.name}: wrote {len(data)} data to {out}")
@@ -173,13 +172,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_constants(args) -> int:
     n, kappa, p = args.n, args.kappa, args.p
-    w = param_window(n=n, p=p, kappa=kappa)
+    theta = theta_exponent(n, kappa)
+    alpha, (lo, hi) = exponent_window(n, p)
     omega = ball_surface_coefficient(n)
     R = args.R
     print(f"n = {n}, kappa = {kappa}, p = {p}, R = {R}")
-    print(f"theta = {w.theta!r} (= {w.theta:.6f})")
-    print(f"alpha window = ({w.alpha_window[0]:.6f}, {w.alpha_window[1]:.6f}),"
-          f" midpoint = {w.alpha:.6f}")
+    print(f"theta = {theta!r} (= {theta:.6f})")
+    print(f"alpha window = ({lo:.6f}, {hi:.6f}), midpoint = {alpha:.6f}")
     print(f"p window = (1, {2.0 * n / (n + 2.0):.6f})")
     print(f"omega_n = {omega!r} (= {omega:.6f})")
     print(f"|B_R| = {omega * R ** n / n!r}")

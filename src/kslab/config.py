@@ -7,12 +7,13 @@ serialization, so identical configs hash identically regardless of key
 order in the source file.
 
 A config is checked whole when it is built: the grid keys and the grid,
-initial.kind, checks.kappa > n - 2 for every kind, and every setting of
-the initial block, which _initial_builder reads on the config's grid (for
-kind lemma14 the recipe of lemma14_recipe_from and the family indices k
-and ks), so a bad setting fails before any run starts or any file is
-written.  A value of the wrong JSON type (null where a number belongs, a
-float or a boolean where an integer belongs, in grid.n and N,
+initial.kind, checks.kappa > n - 2 for every kind (kappa is the only
+checks key; an unknown one is refused, as in the solver block), and every
+setting of the initial block, which _initial_builder reads on the config's
+grid (for kind lemma14 the recipe of lemma14_recipe_from and the family
+indices k and ks), so a bad setting fails before any run starts or any
+file is written.  A value of the wrong JSON type (null where a number
+belongs, a float or a boolean where an integer belongs, in grid.n and N,
 initial.k, ks and mode and the solver's snapshot_every and max_steps, or
 a block that is not an object) is refused as a bad value is, with a
 ValueError that names its block.
@@ -66,7 +67,7 @@ class ExperimentConfig:
     grid: dict          # n, R, N, grading
     initial: dict       # kind + parameters
     solver: SolverConfig
-    checks: dict = field(default_factory=dict)    # kappa, battery, ...
+    checks: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)    # directory
 
     def __post_init__(self):
@@ -82,6 +83,9 @@ class ExperimentConfig:
             n = _integer(g["n"], "n")
             _integer(g["N"], "N")
             grid = self.build_grid()
+        unknown = set(self.checks) - {"kappa"}
+        if unknown:
+            raise ValueError(f"unknown checks keys {sorted(unknown)}")
         with _block("checks"):
             theta_exponent(n, self.kappa)
         with _block("initial"):

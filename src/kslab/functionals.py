@@ -51,15 +51,14 @@ from .grid import RadialField, RadialGrid
 __all__ = [
     "StatePair",
     "EnergyReport",
-    "ParamWindow",
     "energy",
     "energy_report",
     "residual_f",
     "dissipation",
     "theta_exponent",
+    "exponent_window",
     "lp_norm",
     "sup_norm",
-    "param_window",
 ]
 
 # only guards log(0) underflow; positivity violations are rejected, not hidden
@@ -247,24 +246,7 @@ def sup_norm(f: RadialField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-@dataclass(frozen=True)
-class ParamWindow:
-    """Admissible exponents for the blow-up machinery in dimension n.
-
-    p lives in (1, 2n/(n+2)) (construction integrability), alpha in
-    (n - n/p, (n-2)/2) (spike steepness window), kappa > n - 2 (signal decay),
-    theta the derived dissipation exponent.
-    """
-
-    n: int
-    p: float
-    kappa: float
-    alpha: float
-    alpha_window: tuple
-    theta: float
-
-
-def _exponent_window(n: int, p: float, alpha: Optional[float] = None):
+def exponent_window(n: int, p: float, alpha: Optional[float] = None):
     """Check p in (1, 2n/(n+2)) and alpha in (n - n/p, (n-2)/2), alpha
     defaulting to the midpoint; returns (alpha, (lo, hi)).  The alpha
     window is never empty: p < 2n/(n+2) gives n - n/p < (n-2)/2."""
@@ -278,16 +260,3 @@ def _exponent_window(n: int, p: float, alpha: Optional[float] = None):
         raise ValueError(f"alpha must lie in ({lo}, {hi}), got {alpha}")
     return alpha, (lo, hi)
 
-
-def param_window(
-    n: int,
-    p: float,
-    kappa: float,
-    alpha: Optional[float] = None,
-) -> ParamWindow:
-    """Validate exponents and fill alpha with the window midpoint if absent."""
-    if n < 3:
-        raise ValueError(f"dimension n must be >= 3, got {n}")
-    alpha, (lo, hi) = _exponent_window(n, p, alpha)
-    return ParamWindow(n=n, p=p, kappa=kappa, alpha=alpha,
-                       alpha_window=(lo, hi), theta=theta_exponent(n, kappa))

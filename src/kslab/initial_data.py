@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .functionals import StatePair, _exponent_window
+from .functionals import StatePair, exponent_window
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -191,7 +191,7 @@ class Lemma14Recipe:
     def __post_init__(self):
         g = self.grid
         self.c = _constant_level(g, {"c": self.c}, "constant baseline")
-        self.alpha, _ = _exponent_window(g.n, self.p, self.alpha)
+        self.alpha, _ = exponent_window(g.n, self.p, self.alpha)
         r0, q = (g.R / 2.0, 0.5) if self.r_rule is None else self.r_rule
         if not 0 < r0 < g.R:
             raise ValueError(f"r_rule r0 must lie in (0, {g.R}), got {r0}")

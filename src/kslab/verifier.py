@@ -39,11 +39,9 @@ import numpy as np
 
 from .functionals import (
     EnergyReport,
-    ParamWindow,
     StatePair,
     _gradv_exponent,
     energy_report,
-    param_window,
     theta_exponent,
 )
 from .initial_data import BlowupDatum
@@ -189,9 +187,7 @@ def check_pointwise_bound(
 ) -> CheckReport:
     """sup_r v(r,t) r^kappa, normalized by |u0|_1 + |v0|_1 + |grad v0|_2,
     finite with no growth trend in t."""
-    n = traj.grid.n
-    if not kappa > n - 2:
-        raise ValueError(f"kappa must exceed n-2 = {n - 2}, got {kappa}")
+    theta_exponent(traj.grid.n, kappa)   # refuses kappa <= n - 2
     u0_l1, v0_l1, gradv0_l2 = _initial_norms(traj)
     denom = u0_l1 + v0_l1 + gradv0_l2
     snaps = [
@@ -378,12 +374,13 @@ def _member_stats(label: str, s: StatePair, beta: float) -> _MemberStats:
 
 @dataclass(frozen=True)
 class StateCorpus:
-    """The per-member numbers of labeled admissible states, plus the
-    parameter window they target.  Masses are recorded per member, so the
+    """The per-member numbers of labeled admissible states in dimension n,
+    for the decay exponent kappa.  Masses are recorded per member, so the
     corpus may mix masses.
     """
     stats: tuple              # (_MemberStats, ...), one per member
-    window: ParamWindow
+    n: int
+    kappa: float
 
     @staticmethod
     def from_states(labeled: Sequence[tuple[str, StatePair]],
@@ -392,14 +389,14 @@ class StateCorpus:
         if not labeled:
             raise ValueError("corpus must be nonempty")
         n = labeled[0][1].grid.n
+        theta_exponent(n, kappa)      # kappa > n - 2, before beta is used
         beta = _split_exponent(n, kappa)
         stats = []
         for label, s in labeled:
             if s.grid.n != n:
                 raise ValueError("corpus members must share the dimension n")
             stats.append(_member_stats(label, s, beta))
-        return StateCorpus(stats=tuple(stats),
-                           window=param_window(n=n, p=1.1, kappa=kappa))
+        return StateCorpus(stats=tuple(stats), n=n, kappa=kappa)
 
     @property
     def size(self) -> int:
@@ -417,9 +414,9 @@ def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
     asserted value.
     """
     eps = 0.25
-    n = corpus.window.n
-    theta = corpus.window.theta
-    beta = _split_exponent(n, corpus.window.kappa)
+    n = corpus.n
+    theta = theta_exponent(n, corpus.kappa)
+    beta = _split_exponent(n, corpus.kappa)
     q74 = (2.0 * n + 4.0) / (n + 4.0)
     stats = corpus.stats
     members = [(st, st.rep) for st in stats]

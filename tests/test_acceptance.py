@@ -9,7 +9,6 @@ the four family-index runs, the four grid-resolved construction runs, and
 the aggregation-driven collapse run.  A final test reuses three of them to
 pin the vectorized energy checks to a per-row reference.
 """
-import dataclasses
 import json
 import math
 import os
@@ -346,7 +345,7 @@ def test_criterion_08_inequality_suite(run4, spike_table, collapse_run,
     out = tmp_path / "empirical_constants.json"
     payload = {
         "corpus_size": corpus.size,
-        "window": dataclasses.asdict(corpus.window),
+        "window": {"n": corpus.n, "kappa": corpus.kappa, "theta": theta},
         "constants": {rep.name: rep.worst_ratio for rep in reports},
         "blowup_energy_over_dissipation": bound,
     }

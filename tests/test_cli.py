@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from kslab.cli import main
-from kslab.config import ExperimentConfig, lemma14_recipe_from, load_config
+from kslab.config import (ExperimentConfig, config_hash, lemma14_recipe_from,
+                          load_config)
 from kslab.functionals import StatePair, energy_report
 from kslab.grid import RadialField
 from kslab.initial_data import baseline_profiles, lemma14_pair
@@ -49,6 +50,19 @@ def test_constants_prints_derived_values(capsys):
     assert "0.272727" in out        # alpha window lower end
     assert "12.566370614359172" in out  # omega_3 = 4 pi
     assert "4.1887902047863905" in out  # |B_1|
+
+
+@pytest.mark.parametrize("argv", [
+    ["2", "2", "1.1"],      # n < 3
+    ["3", "1", "1.1"],      # kappa <= n - 2
+    ["3", "2", "1.6"],      # p outside (1, 2n/(n+2))
+])
+def test_constants_outside_a_window_is_single_error_line(capsys, argv):
+    assert main(["constants", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_writes_run_dir(workdir, capsys):
@@ -214,6 +228,12 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
                   "r_rule": {"r0": None, "q": 0.5}}}, "initial block"),
     ({"solver": {"dt_max": None}}, "solver block"),
     ({"checks": {"kappa": None}}, "checks block"),
+    # kappa is the only checks key: a retired or misspelled one is refused
+    ({"checks": {"kappa": 2.0, "tail_start": None}},
+     "unknown checks keys ['tail_start']"),
+    ({"checks": {"kappa": 2.0, "tail_start": 12}},
+     "unknown checks keys ['tail_start']"),
+    ({"checks": {"kapa": 2.0}}, "unknown checks keys ['kapa']"),
     ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
       "initial": {"kind": "lemma14", "k": 1, "p": 1.1, "baseline": 4.0}},
      "baseline"),
@@ -252,7 +272,8 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
     # json.dumps writes inf as the literal Infinity, which json.load reads
     ({"solver": {"t_end": math.inf}}, "finite"),
 ], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1", "r_rule_r0_null",
-        "solver_dt_max_null", "checks_kappa_null", "lemma14_baseline_number",
+        "solver_dt_max_null", "checks_kappa_null", "checks_tail_start_null",
+        "checks_tail_start_12", "checks_unknown_key", "lemma14_baseline_number",
         "lemma14_k_null", "constant_amplitude_null", "constant_mode_null",
         "bump_m_null", "initial_null", "lemma14_ks_entry_null",
         "grid_n_fraction", "grid_N_fraction", "grid_n_bool", "grid_N_float",
@@ -327,6 +348,50 @@ def test_construct_without_members_is_single_error_line(workdir, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "no states to store" in err
     assert not (workdir / "none").exists()
+
+
+def test_construct_of_a_non_lemma14_config_is_single_error_line(workdir,
+                                                                  capsys):
+    cfg = write_cfg(workdir, name="flat")
+    assert main(["construct", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "initial.kind = lemma14" in err
+    assert not (workdir / "flat").exists()
+
+
+def test_construct_prints_the_sequence_check_on_a_long_family(workdir,
+                                                               capsys):
+    # k >= 10 is the tail check_lemma14_sequence judges: ks 1..12 gives
+    # it three members
+    cfg = write_cfg(
+        workdir, name="long",
+        grid={"n": 3, "R": 1.0, "N": 512, "grading": 1.05},
+        initial={"kind": "lemma14", "ks": list(range(1, 13)), "p": 1.1})
+    assert main(["construct", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "lemma14_sequence" in out
+    assert "sequence check skipped" not in out
+
+
+def test_sweep_over_ks_writes_one_run_per_member(workdir, capsys):
+    cfg = write_cfg(
+        workdir, name="ksweep",
+        grid={"n": 3, "R": 1.0, "N": 128, "grading": 1.0},
+        initial={"kind": "lemma14", "k": 1, "p": 1.1,
+                 "baseline": {"kind": "constant", "c": 1.0}},
+        solver={"t_end": 0.02, "dt_init": 1e-5, "dt_max": 1e-3,
+                "snapshot_every": 20, "max_steps": 20})
+    assert main(["sweep", cfg, "--ks", "1,2"]) == 0
+    out = workdir / "ksweep"
+    for k in (1, 2):
+        run_data = load_run(str(out / f"k_{k:03d}"))
+        assert run_data.config.initial["k"] == k
+        assert run_data.config.name == f"ksweep_k{k:03d}"
+    sweep = json.loads((out / "sweep.json").read_text())
+    assert sweep["config_hash"] == config_hash(load_config(cfg))
+    assert [r["name"] for r in sweep["runs"]] == ["ksweep_k001",
+                                                   "ksweep_k002"]
 
 
 def test_plot_emits_scripts_not_images(workdir):

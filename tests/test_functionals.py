@@ -13,8 +13,8 @@ from kslab import (
     dissipation,
     energy,
     energy_report,
+    exponent_window,
     lp_norm,
-    param_window,
     residual_f,
     sup_norm,
     theta_exponent,
@@ -167,27 +167,25 @@ def test_theta_exponent_exact_fraction():
         theta_exponent(4, 2.0)  # needs kappa > n - 2
 
 
-def test_param_window_n3_defaults():
-    w = param_window(n=3, p=1.1, kappa=2.0)
-    assert w.theta == pytest.approx(20.0 / 23.0, rel=1e-15)
-    lo, hi = w.alpha_window
+def test_exponent_window_n3_defaults():
+    alpha, (lo, hi) = exponent_window(n=3, p=1.1)
     assert lo == pytest.approx(3.0 / 11.0, rel=1e-12)
     assert hi == pytest.approx(0.5, rel=1e-12)
-    assert w.alpha == pytest.approx(0.5 * (lo + hi), rel=1e-12)
-    assert lo < w.alpha < hi
+    assert alpha == pytest.approx(0.5 * (lo + hi), rel=1e-12)
+    assert lo < alpha < hi
 
 
-def test_param_window_rejects_bad_p():
+def test_exponent_window_rejects_bad_p():
     # p must stay below n/(n-1) for the construction to be L^p-small
     with pytest.raises(ValueError):
-        param_window(n=3, p=1.6, kappa=2.0)
+        exponent_window(n=3, p=1.6)
     with pytest.raises(ValueError):
-        param_window(n=3, p=0.9, kappa=2.0)
+        exponent_window(n=3, p=0.9)
 
 
-def test_param_window_rejects_alpha_outside_window():
+def test_exponent_window_rejects_alpha_outside_window():
     with pytest.raises(ValueError):
-        param_window(n=3, p=1.1, kappa=2.0, alpha=0.6)
+        exponent_window(n=3, p=1.1, alpha=0.6)
 
 
 def test_energy_scale_invariance_of_report(grid):

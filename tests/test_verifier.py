@@ -253,7 +253,7 @@ def corpus(decay_run, spike_sequence):
 
 
 def test_corpus_envelope(corpus):
-    assert corpus.window.theta == pytest.approx(20.0 / 23.0, rel=1e-15)
+    assert (corpus.n, corpus.kappa) == (3, 2.0)
     assert corpus.size >= 20
 
 
@@ -292,3 +292,13 @@ def test_corpus_rejects_mixed_dimensions(decay_run):
                                        build_grid(3, 1.0, 32), c=1.0))]
     with pytest.raises(ValueError):
         StateCorpus.from_states(labeled, kappa=2.5)
+
+
+def test_corpus_refuses_kappa_at_or_below_n_minus_2():
+    # the split exponent beta = (2n+4) kappa / n is taken per member, so the
+    # corpus refuses kappa <= n - 2 when it is built, not when the suite runs
+    grid = build_grid(3, 1.0, 32)
+    labeled = [("c", baseline_profiles("constant", grid, c=1.0))]
+    for kappa in (1.0, 0.5):
+        with pytest.raises(ValueError, match="kappa"):
+            StateCorpus.from_states(labeled, kappa=kappa)
