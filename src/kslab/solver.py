@@ -22,9 +22,10 @@ scipy.linalg package takes a fresh process 0.27-0.30 s and 23 MB to
 import, that module 4-7 ms and 2.5 MB (2-core x86-64 VM).  It is the only
 scipy code kslab runs: the construction's integrals are closed forms and
 a fixed Gauss-Legendre rule, so kslab construct, verify, plot and
-constants load no scipy at all.  A run steps in one _Workspace, whose
-buffers (laid out there) every step reuses, so that an accepted step and
-its diagnostics row, one pass of functionals._integrals over the (2, N)
+constants load no scipy at all.  A run steps in one _Workspace, which
+holds the accepted state with its time and sups, and whose buffers (laid
+out there) every step reuses, so that an accepted step and its
+diagnostics row, one pass of functionals._integrals over the (2, N)
 state, allocate no array.  A row's D and f_l2 are its step's (the D of a
 step in functionals, with f_l2 = ||(v' - v)/dt||), taken against the
 departure u that the workspace still holds; row 0's are s0's own.
@@ -32,32 +33,11 @@ Every column of the u-matrix sums to its cell weight and the off-diagonals
 are negative, so it is an M-matrix: u' stays positive and the u mass
 sum(w u) is conserved for every dt, with no CFL bound.  One solve keeps
 the weighted sums only to about eps * dt * flux / weight, which is why the
-controller limits growth per step (below).  The v mass obeys the exact
-discrete comparison m_v' = (m_v + dt m_u)/(1 + dt).
-
-Step size control: a trial step takes dt_try = min(dt, dt_max, t_end - t),
-floored at dt_min.  It is rejected, and dt halved, when u' or v' is not
-positive and finite, or when the growth factor gamma = max(u'/u) exceeds
-_GROWTH_REJECT with dt_try above dt_min.  After an accepted step dt grows
-by _DT_GROWTH toward dt_max, and when gamma > 1 it is also capped at
-dt_try ln(_GROWTH_TARGET) / ln(gamma), so that the next step should grow u
-by about _GROWTH_TARGET at most.  A step rejected at dt_min ends the run as
-numerically diverged; nonpositive values are never clipped into validity.
-So does an accepted state whose diagnostics row holds a non-finite value,
-with trigger "non_finite_diagnostics: <columns>" and t_detect its time; the
-row stays in the series.
-
-Blow-up is declared from two grid-visible signals, and the run stops as
-soon as both hold: sup u has grown by blowup_factor over its initial
-value, and cell 0 holds at least half the u mass, omega_n w_0 u_0 >=
-mass_u / 2.  Either alone is routine: a concentrating but resolved profile
-grows without collapsing into one cell, and a datum can start with its
-mass in cell 0.  t_detect is the first row where the growth condition
-held, the onset of the collapse; after the singularity mass keeps piling
-into cell 0, so the half-share row is a grid artifact, not a time of the
-solution.  A run whose step budget ends short of t_end is inconclusive.
-The verdict fits no singular time; verifier.check_odi_blowup fits one
-from the energy (its implied_T).
+controller limits growth per step (_next_dt).  The v mass obeys the exact
+discrete comparison m_v' = (m_v + dt m_u)/(1 + dt).  run is a driver over
+three parts, each the one home of its rules: _Workspace.advance accepts
+or rejects a trial step, _next_dt picks the next dt, and _Verdict holds
+every outcome rule.
 """
 
 from __future__ import annotations
@@ -199,27 +179,32 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
 
 
 class _Workspace:
-    """The buffers that every step of a run on one grid reuses.
+    """A run's state and the buffers that every step on its grid reuses.
 
-    state and trial are (2, N), rows u and v: the accepted state and the
-    step being tried.  A step writes only into trial, so a rejected trial
-    leaves state as it was, and accepting a step swaps the two buffers.
-    Each solve builds its band in off (rows upper and lower) and diag,
-    which gtsv overwrites: the v-band from negated Laplacian bands stored
-    once, the u-band from _bernoulli of diff (v' differences, then the
-    dt-scaled transmissibilities).  ratio takes u'/u, and block and sums
-    a diagnostics row's integrands and integrals (functionals._integrals).
+    state and trial are (2, N), rows u and v: the accepted state, at time t
+    with sups (sup u, sup v), and the step being tried.  advance is the one
+    acceptance rule: a step writes only into trial, so a rejected trial
+    leaves state, t and sups as they were, and accepting swaps the two
+    buffers.  Each solve builds its band in off (rows upper and lower) and
+    diag, which gtsv overwrites: the v-band from negated Laplacian bands
+    stored once, the u-band from _bernoulli of diff (v' differences, then
+    the dt-scaled transmissibilities).  maxes and ratio take the trial's
+    sups and u'/u, and block and sums a diagnostics row's integrands and
+    integrals (functionals._integrals).
     """
 
-    def __init__(self, g: RadialGrid):
-        self.g = g
+    def __init__(self, s: StatePair):
+        g = self.g = s.grid
         n = g.ncells
         self.state, self.trial = np.empty((2, 2, n))
+        self.state[:] = self.trial[:] = s.u.values, s.v.values
+        self.t = float(s.t)
+        self.sups = self.state.max(axis=1).tolist()
         self.off = np.empty((2, n - 1))
         self.upper, self.lower = self.off
         self.diag, self.ratio = np.empty((2, n))
         self.diff = np.empty(n - 1)
-        self.sups = np.empty(2)
+        self.maxes = np.empty(2)
         self.block = np.empty((len(EnergyReport._fields), n))
         self.sums = np.empty(len(EnergyReport._fields))
         self.neg_lap_off = -np.stack((g.lap_upper[:-1], g.lap_lower[1:]))
@@ -254,141 +239,156 @@ class _Workspace:
         self.diffusion_solve(1.0 + dt, dt, v_new)
         self.drift_diffusion_solve(dt)
 
-    def check_trial(self) -> Optional[tuple[tuple[float, float], float]]:
-        """((sup u', sup v'), max u'/u) when every trial value is positive
-        and finite, else None.  A NaN makes min and max NaN, and every
-        comparison with NaN is false, so NaN fails like +-inf does."""
-        sup_u, sup_v = self.trial.max(axis=1, out=self.sups).tolist()
-        if self.trial.min() > 0.0 and sup_u < math.inf and sup_v < math.inf:
-            np.divide(self.trial[0], self.state[0], out=self.ratio)
-            return (sup_u, sup_v), float(self.ratio.max())
-        return None
-
-    def accept(self) -> None:
+    def advance(self, dt: float, at_floor: bool) -> Optional[float]:
+        """Try a step of size dt and accept it, moving t on by dt: its growth
+        max u'/u, or None for a rejected trial, one not positive and finite
+        (a NaN makes min NaN, which fails every comparison, like +-inf) or,
+        off the floor dt_min, growing u by more than _GROWTH_REJECT."""
+        self.try_step(dt)
+        sups = self.trial.max(axis=1, out=self.maxes).tolist()
+        if not (self.trial.min() > 0.0 and max(sups) < math.inf):
+            return None
+        np.divide(self.trial[0], self.state[0], out=self.ratio)
+        if (gamma := float(self.ratio.max())) > _GROWTH_REJECT and not at_floor:
+            return None
+        self.sups = sups
         self.state, self.trial = self.trial, self.state
+        self.t += dt
+        return gamma
 
-    def row(self, t: float, dt: float, sups: tuple[float, float]) -> tuple:
-        """The SERIES_COLUMNS values of the state, whose sups check_trial
-        took while it was the trial.  D and f_l2 are the step's: f is taken
-        against trial's u, which after accept is the departure u, so that
-        f = (v - v')/dt with no cancellation; before the first step trial
-        holds s0, and row 0 records the state's D."""
+    def row(self, dt: float) -> tuple:
+        """The SERIES_COLUMNS values of the state, reached by a step of dt.
+        D and f_l2 are the step's: f is taken against trial's u, which after
+        the swap is the departure u, so that f = (v - v')/dt with no
+        cancellation; before the first step trial holds s0, and row 0
+        records the state's D."""
         rep = _integrals(self.g, self.state, self.trial[0], self.block,
                          self.sums)
-        return (t, dt, rep.mass_u, rep.mass_v, *sups, rep.F, rep.D,
-                math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
+        return (self.t, dt, rep.mass_u, rep.mass_v, *self.sups, rep.F,
+                rep.D, math.sqrt(rep.f_norm_sq), math.sqrt(rep.g_norm_sq),
                 rep.gradv_lp)
 
-
-def _non_finite(row: tuple) -> Optional[tuple[float, str]]:
-    """(t, trigger) of a series row with a non-finite value, else None."""
-    if all(map(math.isfinite, row)):
-        return None
-    bad = (c for c, x in zip(SERIES_COLUMNS, row) if not math.isfinite(x))
-    return row[0], "non_finite_diagnostics: " + ", ".join(bad)
+    def snapshot(self) -> StatePair:
+        """The state as a StatePair, which copies u and v."""
+        return StatePair(RadialField(self.g, self.state[0]),
+                         RadialField(self.g, self.state[1]), self.t)
 
 
-def _state(g: RadialGrid, u: np.ndarray, v: np.ndarray, t: float) -> StatePair:
-    return StatePair(RadialField(g, u), RadialField(g, v), t)
+def _next_dt(dt_try: float, gamma: float, dt_max: float) -> float:
+    """The dt to try after an accepted step of dt_try that grew u by
+    gamma = max u'/u: _DT_GROWTH dt_try, capped at dt_max and, when
+    gamma > 1, at dt_try ln(_GROWTH_TARGET) / ln(gamma), so that the next
+    step should grow u by about _GROWTH_TARGET at most."""
+    dt = min(_DT_GROWTH * dt_try, dt_max)
+    if gamma > 1.0:
+        dt = min(dt, dt_try * _LN_GROWTH_TARGET / math.log(gamma))
+    return dt
+
+
+class _Verdict:
+    """Every outcome rule of a run.  feed judges each row in order, row 0 (s0's
+    own) included, and result stays None while the run may go on.  A step
+    rejected at dt_min (fail_at_floor) ends the run as numerically diverged;
+    nonpositive values are never clipped into validity.  So does a row holding
+    a non-finite value, with trigger "non_finite_diagnostics: <columns>" and
+    t_detect its time; the row stays in the series.  Blow-up is declared from
+    two grid-visible signals, and the run stops as soon as both hold: sup u has
+    grown by blowup_factor over its initial value, and cell 0 holds at least
+    half the u mass, omega_n w_0 u_0 >= mass_u / 2.  Either alone is routine: a
+    concentrating but resolved profile grows without collapsing into one cell,
+    and a datum can start with its mass in cell 0.  t_detect is the first row
+    where the growth condition held, the onset of the collapse; after the
+    singularity mass keeps piling into cell 0, so the half-share row is a grid
+    artifact, not a time of the solution.  A row at t_end (up to 1e-12 t_end)
+    ends the run as reached_t_end, and a step budget that ends short of it as
+    inconclusive; a start time that is not finite and short of it is refused.
+    The verdict fits no singular time; verifier.check_odi_blowup fits one from
+    the energy (its implied_T).
+    """
+
+    def __init__(self, ws: _Workspace, cfg: SolverConfig):
+        self.t_stop = cfg.t_end - 1e-12 * cfg.t_end
+        if not (math.isfinite(ws.t) and ws.t < self.t_stop):
+            raise ValueError(f"need a finite start time below t_end = "
+                             f"{cfg.t_end}, got t = {ws.t}")
+        self.cell0 = ws.g.omega_n * float(ws.g.weights[0])   # omega_n w_0
+        self.sup0 = ws.sups[0]
+        self.sup_grown = cfg.blowup_factor * self.sup0
+        self.max_steps = cfg.max_steps
+        self.t_grow: Optional[float] = None   # first row with sup_u grown
+        self.result: Optional[BlowupVerdict] = None
+
+    def feed(self, row: tuple, u0: float, steps: int) -> None:
+        """Judge the row of step `steps` (0: s0's), whose cell 0 holds u0."""
+        t = row[0]
+        if self.t_grow is None and row[_SUP_U] >= self.sup_grown:
+            self.t_grow = t
+        share = 0.0 if self.t_grow is None else self.cell0 * u0 / row[_MASS_U]
+        if not all(map(math.isfinite, row)):
+            bad = ", ".join(c for c, x in zip(SERIES_COLUMNS, row)
+                            if not math.isfinite(x))
+            self.result = BlowupVerdict("diverged_numerically", t,
+                                        "non_finite_diagnostics: " + bad)
+        elif share >= 0.5:
+            self.result = BlowupVerdict("blew_up", self.t_grow, (
+                f"collapsed_on_grid: cell 0 holds {share:.3g} of the u mass, "
+                f"sup_u x{row[_SUP_U] / self.sup0:.3g}"))
+        elif not t < self.t_stop:
+            self.result = BlowupVerdict("reached_t_end", None,
+                                        "no blow-up footprint")
+        elif steps == self.max_steps:
+            self.result = BlowupVerdict("inconclusive", None,
+                                        f"step_budget_exhausted_at_t={t:.6g}")
+
+    def fail_at_floor(self, t: float) -> None:
+        self.result = BlowupVerdict("diverged_numerically", t,
+                                    "step_rejected_at_dt_min")
 
 
 def step(s: StatePair, dt: float) -> StatePair:
     """One step of size dt.  Purely a function of (state, dt)."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    ws = _Workspace(s.grid)
-    ws.state[:] = s.u.values, s.v.values
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    ws = _Workspace(s)
     ws.try_step(dt)
-    return _state(s.grid, *ws.trial, s.t + dt)
+    ws.state, ws.t = ws.trial, ws.t + dt
+    return ws.snapshot()
 
 
 def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     """Integrate from s0 with adaptive dt until t_end, on-grid collapse,
-    numerical divergence, or the step budget."""
-    g = s0.grid
-    ws = _Workspace(g)
-    ws.state[:] = ws.trial[:] = s0.u.values, s0.v.values
-    if (checked := ws.check_trial()) is None:
+    numerical divergence, or the step budget.  Each trial takes dt_try =
+    min(dt, dt_max, t_end - t), floored at dt_min; a rejection halves dt."""
+    ws = _Workspace(s0)
+    if not (ws.state.min() > 0.0 and max(ws.sups) < math.inf):
         raise ValueError("initial state must be positive and finite")
-    sups = checked[0]
-    sup0 = sups[0]
-    cell0 = g.omega_n * float(g.weights[0])   # u_0 times this is cell 0's mass
-
-    rows = array("d")  # SERIES_COLUMNS values, one row after another
-    t = float(s0.t)
-    row = ws.row(s0.t, 0.0, sups)
-    rows.extend(row)
-    # only retained states become StatePairs, which copy u and v
+    verdict = _Verdict(ws, cfg)
+    rows = array("d", row := ws.row(0.0))  # SERIES_COLUMNS, row after row
+    verdict.feed(row, float(ws.state[0, 0]), 0)
     snapshots = [s0]
-
-    dt = cfg.dt_init
-    steps = 0
-    rejected = 0
-    diverged = _non_finite(row)      # (t_detect, trigger) of a divergence
-    i_grow: Optional[int] = None     # first row with sup_u grown
-    share = 0.0                      # cell 0's share of the u mass
-    eps_t = 1e-12 * cfg.t_end
-
-    while (diverged is None and t < cfg.t_end - eps_t
-           and steps < cfg.max_steps):
-        dt_try = max(min(dt, cfg.dt_max, cfg.t_end - t), cfg.dt_min)
+    dt, steps, rejected = cfg.dt_init, 0, 0
+    while verdict.result is None:
+        dt_try = max(min(dt, cfg.dt_max, cfg.t_end - ws.t), cfg.dt_min)
         at_floor = dt_try <= cfg.dt_min * (1.0 + 1e-12)
-        ws.try_step(dt_try)
-        checked = ws.check_trial()
-        if checked is None or (checked[1] > _GROWTH_REJECT and not at_floor):
+        if (gamma := ws.advance(dt_try, at_floor)) is None:
             rejected += 1
             if at_floor:
-                diverged = (t, "step_rejected_at_dt_min")
-                log.warning("step failed at dt_min=%.3g, t=%.6g: diverged", cfg.dt_min, t)
-                break
+                verdict.fail_at_floor(ws.t)
             dt = max(0.5 * dt_try, cfg.dt_min)
             continue
-        sups, gamma = checked
-        ws.accept()
-        t += dt_try
         steps += 1
-        row = ws.row(t, dt_try, sups)
-        rows.extend(row)
+        rows.extend(row := ws.row(dt_try))
+        verdict.feed(row, float(ws.state[0, 0]), steps)
         if steps % cfg.snapshot_every == 0:
-            snapshots.append(_state(g, *ws.state, t))
-        diverged = _non_finite(row)
-        if diverged is not None:
-            log.warning("%s at t=%.6g: diverged", diverged[1], t)
-            break
-        if i_grow is None and row[_SUP_U] >= cfg.blowup_factor * sup0:
-            i_grow = steps
-        if i_grow is not None:
-            share = cell0 * float(ws.state[0, 0]) / row[_MASS_U]
-            if share >= 0.5:
-                log.info("collapsed on the grid at t=%.6g after %d steps", t, steps)
-                break
-        dt = min(_DT_GROWTH * dt_try, cfg.dt_max)
-        if gamma > 1.0:
-            dt = min(dt, dt_try * _LN_GROWTH_TARGET / math.log(gamma))
-
+            snapshots.append(ws.snapshot())
+        dt = _next_dt(dt_try, gamma, cfg.dt_max)
     if steps % cfg.snapshot_every:
-        snapshots.append(_state(g, *ws.state, t))
+        snapshots.append(ws.snapshot())
     table = np.frombuffer(rows).reshape(-1, len(SERIES_COLUMNS))
     series = {name: table[:, i].copy() for i, name in enumerate(SERIES_COLUMNS)}
-
-    if diverged is not None:
-        verdict = BlowupVerdict("diverged_numerically", *diverged)
-    elif share >= 0.5:
-        verdict = BlowupVerdict(
-            outcome="blew_up", t_detect=float(series["t"][i_grow]),
-            trigger=f"collapsed_on_grid: cell 0 holds {share:.3g} of the u "
-                    f"mass, sup_u x{series['sup_u'][-1] / sup0:.3g}",
-        )
-    elif t < cfg.t_end - eps_t:
-        verdict = BlowupVerdict(
-            outcome="inconclusive", t_detect=None,
-            trigger=f"step_budget_exhausted_at_t={t:.6g}",
-        )
-    else:
-        verdict = BlowupVerdict("reached_t_end", None, "no blow-up footprint")
-    log.info("run finished: %s after %d steps (%d rejected), t=%.6g",
-             verdict.outcome, steps, rejected, t)
-    return Trajectory(
-        grid=g, config=cfg, series=series, snapshots=snapshots,
-        verdict=verdict, rejected_steps=rejected,
-    )
+    v = verdict.result
+    log.log(logging.WARNING if v.outcome == "diverged_numerically" else
+            logging.INFO, "run finished: %s (%s) after %d steps (%d "
+            "rejected), t=%.6g", v.outcome, v.trigger, steps, rejected, ws.t)
+    return Trajectory(grid=s0.grid, config=cfg, series=series,
+                      snapshots=snapshots, verdict=v, rejected_steps=rejected)

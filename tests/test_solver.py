@@ -24,7 +24,7 @@ from kslab import (
 from kslab import solver
 from kslab.config import lemma14_recipe_from
 from kslab.functionals import _gradv_exponent
-from kslab.solver import _bernoulli, _Workspace
+from kslab.solver import _bernoulli, _next_dt, _Workspace
 from kslab.verifier import _TOL_FLOOR
 
 
@@ -44,6 +44,14 @@ def test_constant_state_is_fixed_point(grid):
 def test_step_advances_time(grid):
     s = baseline_profiles("constant", grid, c=1.0)
     assert step(s, 2e-3).t == pytest.approx(s.t + 2e-3, rel=1e-15)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_step_refuses_a_dt_that_is_not_positive_and_finite(grid, dt):
+    # dt = inf would return an all-NaN state at t = inf
+    s = baseline_profiles("constant", grid, c=1.0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        step(s, dt)
 
 
 def test_mass_conservation_per_step(grid):
@@ -232,14 +240,18 @@ def test_every_series_row_matches_spelled_out_diagnostics(n, grading):
         assert got.tobytes() == np.array(list(ref.values())).tobytes(), i
 
 
-def test_non_finite_diagnostics_row_ends_the_run(overflow_row):
-    # the row stays in the series, and the run ends at it, named
-    overflow_row(5)
+@pytest.mark.parametrize("at", [0, 5])
+def test_non_finite_diagnostics_row_ends_the_run(overflow_row, at):
+    # the row stays in the series, and the run ends at it, named; at row 0,
+    # s0's own, the run takes no step and keeps s0 as its one snapshot
+    overflow_row(at)
     traj = _collapse_run()
     v, t = traj.verdict, traj.series["t"]
     assert v.outcome == "diverged_numerically"
     assert v.trigger == "non_finite_diagnostics: D, g_l2"
-    assert t.size == 6 and v.t_detect == t[-1] == traj.snapshots[-1].t
+    assert t.size == at + 1 and v.t_detect == t[-1] == traj.snapshots[-1].t
+    assert len(traj.snapshots) == (1 if at == 0 else 2)
+    assert traj.snapshots[0].t == t[0] == 0.0
     assert traj.series["D"][-1] == traj.series["g_l2"][-1] == math.inf
     assert np.all(np.isfinite(traj.series["F"]))
     assert all(np.isfinite(traj.series[c][:-1]).all() for c in traj.series)
@@ -318,7 +330,8 @@ def test_solve_matches_solve_banded_bitwise(N, grading, dt, v_shift):
     shift = 1.0 + dt if v_shift else 1.0
     ref = _solve_reference(g, shift, dt, rhs.copy())
     x = rhs.copy()
-    _Workspace(g).diffusion_solve(shift, dt, x)
+    _Workspace(baseline_profiles("constant", g, c=1.0)).diffusion_solve(
+        shift, dt, x)
     assert x.tobytes() == ref.tobytes()
 
 
@@ -346,7 +359,21 @@ def test_solve_refuses_singular_band():
     with pytest.raises(LinAlgError):
         _solve_reference(g, 0.0, 0.0, rhs.copy())
     with pytest.raises(LinAlgError):
-        _Workspace(g).diffusion_solve(0.0, 0.0, rhs.copy())
+        _Workspace(baseline_profiles("constant", g, c=1.0)).diffusion_solve(
+            0.0, 0.0, rhs.copy())
+
+
+def test_next_dt_grows_by_1_2_up_to_dt_max_and_caps_growth_of_u():
+    # growth by 1.2 when u did not grow, or grew too little to bind the cap
+    assert _next_dt(1e-6, 1.0, 1e-2) == 1.2 * 1e-6
+    assert _next_dt(1e-6, 0.5, 1e-2) == 1.2 * 1e-6
+    assert _next_dt(1e-6, 1.1, 1e-2) == 1.2 * 1e-6
+    # the dt_max cap
+    assert _next_dt(9e-3, 1.0, 1e-2) == 1e-2
+    # after a step that grew u by gamma, the next one should grow u by
+    # about 1.5 at most: dt ln 1.5 / ln gamma
+    assert _next_dt(1e-3, 3.0, 1e-2) == 1e-3 * math.log(1.5) / math.log(3.0)
+    assert _next_dt(1e-3, 1e6, 1e-2) < 0.03 * 1e-3
 
 
 def test_controller_grows_dt_to_cap(grid):
@@ -389,6 +416,16 @@ def test_determinism_bitwise(grid):
     b = run(perturbed_constant(grid, c=1.0, amplitude=0.2), cfg)
     for col in a.series:
         assert np.all(a.series[col] == b.series[col]), col
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, 0.2, 0.3])
+def test_run_refuses_a_start_time_not_finite_and_short_of_t_end(grid, t0):
+    # t = nan ended diverged_numerically on row 0, and t >= t_end ended
+    # reached_t_end after no step
+    c = baseline_profiles("constant", grid, c=1.0)
+    s0 = StatePair(c.u, c.v, t0)
+    with pytest.raises(ValueError, match="finite start time below t_end"):
+        run(s0, SolverConfig(t_end=0.2))
 
 
 def test_config_validation():
