@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from kslab.grid import RadialField, build_grid, laplacian_radial
+from kslab.grid import build_grid
 
 
 def ball_volume(n, R):
@@ -31,7 +31,7 @@ print("  geometric grading family, interior band 0.1 < r < 0.9")
 prev = None
 for N in (64, 128, 256, 512):
     g = build_grid(3, 1.0, N, grading=20.0 ** (1.0 / N))
-    lap = laplacian_radial(RadialField(g, g.centers ** 2)).values
+    lap = g.laplacian(g.centers ** 2)
     band = (g.centers > 0.1) & (g.centers < 0.9)
     err = float(np.max(np.abs(lap[band] - 6.0)))
     rate = "" if prev is None else f"  order = {math.log2(prev / err):.3f}"
@@ -39,12 +39,12 @@ for N in (64, 128, 256, 512):
     prev = err
 
 g = build_grid(3, 1.0, 256)
-lap = laplacian_radial(RadialField(g, g.centers ** 2)).values
+lap = g.laplacian(g.centers ** 2)
 print(f"  uniform N=256 interior: max error = "
       f"{np.max(np.abs(lap[:-1] - 6.0)):.2e} (flux form is exact here)")
 
 # conservativity: the weighted sum of any Laplacian is a boundary flux,
 # zero under the no-flux closure
-f = RadialField(g, np.cos(3.0 * g.centers) + g.centers ** 4)
-total = g.integrate_values(laplacian_radial(f).values)
+f = np.cos(3.0 * g.centers) + g.centers ** 4
+total = g.integrate_values(g.laplacian(f))
 print(f"  conservativity check: integral of Laplacian = {total:.2e}")

@@ -6,7 +6,7 @@ a short run then shows F sliding back down at rate -D.
 """
 import math
 
-from kslab.functionals import dissipation, energy_report
+from kslab.functionals import energy_report
 from kslab.grid import build_grid
 from kslab.initial_data import baseline_profiles, perturbed_constant
 from kslab.solver import SolverConfig, run
@@ -17,8 +17,8 @@ vol = g.domain_volume
 print("== constants ==")
 for c in (0.25, 1.0, math.e, 10.0):
     s = baseline_profiles("constant", g, c=c)
-    F = energy_report(s).F
-    D = dissipation(s)
+    rep = energy_report(s)
+    F, D = rep.F, rep.D
     exact = vol * (c * math.log(c) - 0.5 * c * c)
     print(f"  c={c:8.4f}: F = {F:12.6f}  closed form {exact:12.6f}  "
           f"(rel err {abs(F - exact) / abs(exact):.1e}), D = {D:.2e}")
@@ -28,7 +28,7 @@ print("== perturbed constant, amplitude 0.2 ==")
 s = perturbed_constant(g, c=1.0, amplitude=0.2, mode=1)
 r0 = energy_report(s)
 print(f"  F = {r0.F:.6f} (constant reference {vol * (-0.5):.6f})")
-print(f"  D = {dissipation(s):.6f}")
+print(f"  D = {r0.D:.6f}")
 
 cfg = SolverConfig(t_end=0.5, dt_init=1e-5, dt_min=1e-8, dt_max=5e-3,
                    snapshot_every=50)

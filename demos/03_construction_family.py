@@ -29,7 +29,7 @@ for k in range(1, 17):
           f"{d.F0:9.3f}  {d.du_lp:9.3e}  {d.dv_w12:9.3e}  {d.uv_over_k:7.4f}")
 
 print()
-rep = check_lemma14_sequence(table, tail_start=10)
+rep = check_lemma14_sequence(table)
 print(rep)
 for key, val in rep.details.items():
     print(f"  {key}: {val}")

@@ -13,19 +13,15 @@ from .grid import (
     build_grid,
     ball_surface_coefficient,
     integrate,
-    laplacian_radial,
 )
 from .functionals import (
     StatePair,
     EnergyReport,
-    energy,
     energy_report,
-    dissipation,
     residual_f,
     theta_exponent,
     exponent_window,
     lp_norm,
-    sup_norm,
 )
 from .initial_data import (
     Lemma14Recipe,
@@ -69,10 +65,9 @@ from .config import (
 __all__ = [
     "__version__",
     "RadialGrid", "RadialField", "build_grid", "ball_surface_coefficient",
-    "integrate", "laplacian_radial",
-    "StatePair", "EnergyReport", "energy", "energy_report",
-    "dissipation", "residual_f", "theta_exponent", "exponent_window",
-    "lp_norm", "sup_norm",
+    "integrate",
+    "StatePair", "EnergyReport", "energy_report", "residual_f",
+    "theta_exponent", "exponent_window", "lp_norm",
     "Lemma14Recipe", "BlowupDatum", "phi", "phi_log",
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",

@@ -32,7 +32,7 @@ since J = B(d) e^{v_{i+1}} (u_i e^{-v_i} - u_{i+1} e^{-v_{i+1}}) has the
 sign of mu_i - mu_{i+1}, and is 0 on every constant state; a term that
 roundoff makes negative counts as 0.
 
-The D of a state (energy_report, dissipation) takes f against the state's
+The D of a state (energy_report) takes f against the state's
 own u.  The D of a step from (u, v) to (u', v'), which the solver's series
 records, takes f = -Lap v' + v' - u against the departure u, which the
 v-solve makes equal to (v - v')/dt, plus P_SG(u', v'); with it each step
@@ -51,14 +51,11 @@ from .grid import RadialField, RadialGrid
 __all__ = [
     "StatePair",
     "EnergyReport",
-    "energy",
     "energy_report",
     "residual_f",
-    "dissipation",
     "theta_exponent",
     "exponent_window",
     "lp_norm",
-    "sup_norm",
 ]
 
 # only guards log(0) underflow; positivity violations are rejected, not hidden
@@ -139,21 +136,11 @@ def _bernoulli(delta: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def energy(s: StatePair) -> float:
-    """The Lyapunov functional F(u, v)."""
-    return energy_report(s).F
-
-
 def residual_f(s: StatePair) -> RadialField:
     """f = -Lap v + v - u, the v-equation residual (equals -v_t along solutions)."""
     g = s.grid
     v = s.v.values
     return RadialField(g, -g.laplacian(v) + v - s.u.values)
-
-
-def dissipation(s: StatePair) -> float:
-    """D = ||f||_2^2 + P_SG >= 0, the energy dissipation rate."""
-    return energy_report(s).D
 
 
 def energy_report(s: StatePair) -> EnergyReport:
@@ -240,10 +227,6 @@ def lp_norm(f: RadialField, p: float) -> float:
         raise ValueError(f"Lp norm needs p >= 1, got {p}")
     g = f.grid
     return g.integrate_values(np.abs(f.values) ** p) ** (1.0 / p)
-
-
-def sup_norm(f: RadialField) -> float:
-    return float(np.max(np.abs(f.values)))
 
 
 def exponent_window(n: int, p: float, alpha: Optional[float] = None):

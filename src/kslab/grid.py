@@ -30,7 +30,6 @@ __all__ = [
     "RadialField",
     "build_grid",
     "integrate",
-    "laplacian_radial",
     "ball_surface_coefficient",
 ]
 
@@ -151,10 +150,6 @@ def build_grid(n: int, R: float, N: int, grading: float = 1.0) -> RadialGrid:
     uniform grid.  Larger values concentrate resolution near r = 0, which is
     where the interesting states in this package live.
     """
-    if n < 3:
-        raise ValueError(f"dimension n must be >= 3, got {n}")
-    if not R > 0:
-        raise ValueError(f"ball radius R must be positive, got {R}")
     if N < 16:
         raise ValueError(f"need at least 16 cells, got {N}")
     if grading < 1.0:
@@ -172,10 +167,17 @@ def build_grid(n: int, R: float, N: int, grading: float = 1.0) -> RadialGrid:
 
 
 def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
-    """Assemble a grid from explicit faces (also used by snapshot reload)."""
+    """Assemble a grid from explicit faces (also used by snapshot reload),
+    refusing n < 3, R <= 0 and faces that do not run from 0 up to R."""
+    if n < 3:
+        raise ValueError(f"dimension n must be >= 3, got {n}")
+    if not R > 0:
+        raise ValueError(f"ball radius R must be positive, got {R}")
     edges = np.asarray(edges, dtype=float)
     if edges[0] != 0.0 or not np.all(np.diff(edges) > 0):
         raise ValueError("faces must start at 0 and increase strictly")
+    if edges[-1] != R:
+        raise ValueError(f"last face {edges[-1]!r} is not R = {R!r}")
     centers = 0.5 * (edges[:-1] + edges[1:])
     epow = edges ** n
     weights = np.diff(epow) / n
@@ -211,11 +213,3 @@ def integrate(f: RadialField) -> float:
     """Integral of f over the ball, omega_n * int_0^R f(r) r^{n-1} dr."""
     return f.grid.integrate_values(f.values)
 
-
-def laplacian_radial(f: RadialField) -> RadialField:
-    """Conservative radial Laplacian with zero-flux faces at r = 0 and r = R.
-
-    Cell values are flux divergences, so integrate(laplacian_radial(f)) = 0
-    to machine precision by telescoping.
-    """
-    return RadialField(f.grid, f.grid.laplacian(f.values))

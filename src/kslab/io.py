@@ -151,9 +151,10 @@ def write_snapshot(states: Sequence[StatePair], directory: str,
 def load_snapshots(directory: str, cfg_hash: str,
                    listed: dict | None = None) -> list[StatePair]:
     """The states write_snapshot stored in `directory`, on one grid rebuilt
-    from the stored edges.  Refuses an index that does not embed `cfg_hash`,
-    a row file with more or fewer rows than the index lists and, given a
-    manifest's inventory `listed`, a file whose sha256 is not the listed one.
+    from the stored edges.  Refuses an index that does not embed `cfg_hash`
+    or lists no state, a row file with more or fewer rows than the index
+    lists and, given a manifest's inventory `listed`, a file whose sha256 is
+    not the listed one.
     """
     path = os.path.join(directory, "snapshots.npz")
     if not os.path.exists(path) and any(
@@ -170,6 +171,8 @@ def load_snapshots(directory: str, cfg_hash: str,
     times = index["t"]
     if times.ndim != 1 or index["edges"].ndim != 1:
         raise ValueError(f"inconsistent snapshot index {path}")
+    if times.size == 0:
+        raise ValueError(f"snapshot index {path} lists no state")
     grid = _grid_from_edges(int(index["n"]), float(index["R"]),
                             np.asarray(index["edges"], dtype=np.float64))
     # one row buffer, reused: the rows hashed are the rows parsed, and the

@@ -12,7 +12,10 @@ Two families:
 "No growth trend" for t-uniform bounds is operationalized as: the
 supremum of the ratio over the last quarter of the time span is at most 1.5
 times its supremum over the first quarter.  A finite run cannot certify
-t-uniformity; this is the concrete surrogate used throughout.
+t-uniformity; this is the concrete surrogate used throughout.  The
+paper's bounds hold only up to the blow-up time, so on a run whose
+verdict is blew_up both bound checks judge only the times
+t <= t_detect (1 + 1e-12), and every time otherwise (_judged).
 
 The energy law is the one each step of the solver satisfies exactly, for
 every dt: with D_{j+1} the step's dissipation, ||(v' - v)/dt||^2 plus the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +69,8 @@ log = logging.getLogger(__name__)
 MASS_DRIFT_TOL = 1e-10
 V_MASS_TOL = 1e-8
 GROWTH_LIMIT = 1.5
+# the first family index of the tail check_lemma14_sequence judges
+TAIL_START = 10
 
 # roundoff in the functional evaluations themselves, relative to 1 + |F|
 _TOL_FLOOR = 1e-12
@@ -182,37 +187,36 @@ def _trend_report(name: str, ratios: np.ndarray, times: np.ndarray,
     )
 
 
-def check_pointwise_bound(
-    traj: Trajectory, kappa: float, t_stop: Optional[float] = None
-) -> CheckReport:
+def _judged(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    """The times a bound check judges: t <= t_detect (1 + 1e-12) if blew_up."""
+    if traj.verdict.outcome != "blew_up":
+        return np.ones(t.size, bool)
+    return t <= traj.verdict.t_detect * (1 + 1e-12)
+
+
+def check_pointwise_bound(traj: Trajectory, kappa: float) -> CheckReport:
     """sup_r v(r,t) r^kappa, normalized by |u0|_1 + |v0|_1 + |grad v0|_2,
-    finite with no growth trend in t."""
+    finite with no growth trend in t, over the times _judged keeps."""
     theta_exponent(traj.grid.n, kappa)   # refuses kappa <= n - 2
     u0_l1, v0_l1, gradv0_l2 = _initial_norms(traj)
     denom = u0_l1 + v0_l1 + gradv0_l2
-    snaps = [
-        s for s in traj.snapshots
-        if t_stop is None or s.t <= t_stop * (1 + 1e-12)
-    ]
+    times = np.array([s.t for s in traj.snapshots])
+    keep = _judged(traj, times)
+    snaps = [s for s, k in zip(traj.snapshots, keep) if k]
     sups = np.array([_snapshot_sup_vrk(s, kappa) for s in snaps]) / denom
-    times = np.array([s.t for s in snaps])
-    return _trend_report(f"pointwise_bound_kappa={kappa:g}", sups, times,
-                         "empirical_C_kappa",
+    return _trend_report(f"pointwise_bound_kappa={kappa:g}", sups,
+                         times[keep], "empirical_C_kappa",
                          {"n_snapshots": len(snaps), "denominator": denom})
 
 
-def check_gradv_lp(
-    traj: Trajectory, t_stop: Optional[float] = None
-) -> CheckReport:
-    """|grad v(t)|_p / (|u0|_1 + |grad v0|_2) bounded with no growth trend,
-    read from the per-step series column, which the solver records at
-    p = functionals._gradv_exponent(n).
+def check_gradv_lp(traj: Trajectory) -> CheckReport:
+    """|grad v(t)|_p / (|u0|_1 + |grad v0|_2) bounded with no growth trend
+    over the times _judged keeps, read from the per-step series column,
+    which the solver records at p = functionals._gradv_exponent(n).
     """
     p = _gradv_exponent(traj.grid.n)
     s = traj.series
-    keep = np.ones(s["t"].size, bool)
-    if t_stop is not None:
-        keep = s["t"] <= t_stop * (1 + 1e-12)
+    keep = _judged(traj, s["t"])
     u0_l1, _, gradv0_l2 = _initial_norms(traj)
     denom = u0_l1 + gradv0_l2
     return _trend_report(f"gradv_lp_p={p:g}", s["gradv_lp"][keep] / denom,
@@ -284,13 +288,11 @@ def check_odi_blowup(traj: Trajectory, theta: float) -> CheckReport:
     )
 
 
-def check_lemma14_sequence(
-    data: Sequence[BlowupDatum], tail_start: int = 10
-) -> CheckReport:
+def check_lemma14_sequence(data: Sequence[BlowupDatum]) -> CheckReport:
     """Convergence/divergence pattern of a constructed data sequence.
 
     (a) both distance norms decrease monotonically over the tail
-        (k >= tail_start) toward below 1e-2 of their first-k values;
+        (k >= TAIL_START) toward below 1e-2 of their first-k values;
     (b) F0 monotone decreasing over the tail and, at the largest k, below
         F0 at the first k, i.e. strictly more negative than where it started;
     (c) the uv integral grows at least linearly: uv/k >= 0.8 omega_n
@@ -301,9 +303,9 @@ def check_lemma14_sequence(
     ks = [d.k for d in data]
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise ValueError(f"k must be strictly ascending, got {ks}")
-    tail = [d for d in data if d.k >= tail_start]
+    tail = [d for d in data if d.k >= TAIL_START]
     if len(tail) < 2:
-        raise ValueError(f"no tail: need at least 2 data with k >= {tail_start}")
+        raise ValueError(f"no tail: need at least 2 data with k >= {TAIL_START}")
     du = np.array([d.du_lp for d in tail])
     dv = np.array([d.dv_w12 for d in tail])
     f0 = np.array([d.F0 for d in tail])
@@ -490,11 +492,10 @@ def trajectory_battery(traj: Trajectory, kappa: float) -> list[CheckReport]:
     """The standard per-run battery: conservation, energy inequality,
     pointwise bound, grad-v ratio, ODI diagnostics."""
     theta = theta_exponent(traj.grid.n, kappa)
-    t_stop = traj.verdict.t_detect if traj.verdict.outcome == "blew_up" else None
     return [
         check_conservation(traj),
         check_energy_inequality(traj),
-        check_pointwise_bound(traj, kappa, t_stop=t_stop),
-        check_gradv_lp(traj, t_stop=t_stop),
+        check_pointwise_bound(traj, kappa),
+        check_gradv_lp(traj),
         check_odi_blowup(traj, theta),
     ]

@@ -144,6 +144,33 @@ def test_retired_snapshot_layout_is_single_error_line(workdir, capsys):
         assert "simulate the run again" in err
 
 
+def test_run_dir_with_an_empty_store_is_single_error_line(workdir, capsys):
+    # a store index that lists no state, its row file empty and both files
+    # listed in the manifest with their own sha256
+    main(["simulate", write_cfg(workdir)])
+    run_dir = workdir / "clirun"
+    index = run_dir / "snapshots.npz"
+    with np.load(str(index)) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["t"] = np.array([], dtype=np.float64)
+    with open(index, "wb") as fh:
+        np.savez(fh, **arrays)
+    (run_dir / "snapshots.f64").write_bytes(b"")
+    man = json.loads((run_dir / "manifest.json").read_text())
+    for name in ("snapshots.npz", "snapshots.f64"):
+        digest = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        man["files"][name] = {"sha256": digest}
+    (run_dir / "manifest.json").write_text(json.dumps(man))
+    capsys.readouterr()
+    for argv in (["verify", str(run_dir)], ["plot", str(run_dir)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "lists no state" in err
+    assert not (run_dir / "plot_series.py").exists()
+
+
 @pytest.mark.parametrize("kind", ["relaxation", "collapse"])
 def test_run_dir_with_fitted_time_still_loads(workdir, capsys, kind):
     # older run directories hold a power-law "t_extrapolated" in the

@@ -10,13 +10,10 @@ from kslab import (
     RadialField,
     StatePair,
     build_grid,
-    dissipation,
-    energy,
     energy_report,
     exponent_window,
     lp_norm,
     residual_f,
-    sup_norm,
     theta_exponent,
 )
 from kslab.functionals import _bernoulli
@@ -63,7 +60,7 @@ def test_energy_of_constants(grid, c):
 
 def test_energy_of_one_is_minus_half_volume(grid):
     # c = 1: entropy vanishes and F = -|B_1|/2 = -2 pi / 3
-    assert energy(constant_state(grid, 1.0)) == pytest.approx(
+    assert energy_report(constant_state(grid, 1.0)).F == pytest.approx(
         -2.0 * math.pi / 3.0, rel=1e-12)
 
 
@@ -85,7 +82,6 @@ def test_dissipation_splits_into_residuals(grid):
     assert rep.f_norm_sq == pytest.approx(f2, rel=1e-12)
     assert rep.g_norm_sq == pytest.approx(p_sg, rel=1e-12)
     assert rep.D == pytest.approx(f2 + p_sg, rel=1e-12)
-    assert dissipation(s) == pytest.approx(rep.D, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -153,12 +149,6 @@ def test_lp_norm_against_quad(grid):
     assert lp_norm(f, p) == pytest.approx(exact ** (1.0 / p), rel=1e-5)
 
 
-def test_sup_norm(grid):
-    vals = np.ones(grid.ncells)
-    vals[37] = 5.5
-    assert sup_norm(RadialField(grid, vals)) == 5.5
-
-
 def test_theta_exponent_exact_fraction():
     # theta = 1 / (1 + n / ((2n+4) kappa)); n=3, kappa=2 gives 20/23
     assert theta_exponent(3, 2.0) == pytest.approx(20.0 / 23.0, rel=1e-15)
@@ -197,6 +187,6 @@ def test_energy_scale_invariance_of_report(grid):
             RadialField(g, np.full(g.ncells, 1.0)),
         )
         if g is grid:
-            coarse_F = energy(s)
+            coarse_F = energy_report(s).F
         else:
-            assert energy(s) == pytest.approx(coarse_F, rel=1e-4)
+            assert energy_report(s).F == pytest.approx(coarse_F, rel=1e-4)

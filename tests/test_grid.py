@@ -10,7 +10,6 @@ from kslab import (
     RadialField,
     build_grid,
     integrate,
-    laplacian_radial,
 )
 from kslab.grid import _grid_from_edges, ball_surface_coefficient
 
@@ -88,7 +87,7 @@ def test_laplacian_r2_uniform_interior_exact():
     # the divergence reproduces 2n to rounding away from the wall closure
     for n in (3, 4):
         grid = build_grid(n, 1.0, 96)
-        lap = laplacian_radial(RadialField(grid, grid.centers ** 2)).values
+        lap = grid.laplacian(grid.centers ** 2)
         assert np.max(np.abs(lap[:-1] - 2.0 * n)) < 1e-10
 
 
@@ -100,7 +99,7 @@ def test_laplacian_r2_graded_band_second_order():
     errs = []
     for N in (64, 128, 256):
         grid = build_grid(3, 1.0, N, grading=ratio ** (1.0 / N))
-        lap = laplacian_radial(RadialField(grid, grid.centers ** 2)).values
+        lap = grid.laplacian(grid.centers ** 2)
         band = (grid.centers > 0.1) & (grid.centers < 0.9)
         errs.append(np.max(np.abs(lap[band] - 6.0)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
@@ -112,7 +111,7 @@ def test_laplacian_closure_cells_still_converge():
     errs = []
     for N in (64, 128, 256):
         grid = build_grid(3, 1.0, N, grading=ratio ** (1.0 / N))
-        lap = laplacian_radial(RadialField(grid, grid.centers ** 2)).values
+        lap = grid.laplacian(grid.centers ** 2)
         errs.append(abs(lap[0] - 6.0))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert min(orders) >= 0.9
@@ -125,7 +124,7 @@ def test_laplacian_cosine_against_analytic():
     for N in (128, 256):
         grid = build_grid(n, 1.0, N)
         r = grid.centers
-        lap = laplacian_radial(RadialField(grid, np.cos(math.pi * r))).values
+        lap = grid.laplacian(np.cos(math.pi * r))
         exact = (-math.pi ** 2 * np.cos(math.pi * r)
                  - (n - 1) * math.pi * np.sin(math.pi * r) / r)
         errs.append(np.max(np.abs(lap[1:-1] - exact[1:-1])))
@@ -146,9 +145,9 @@ def test_laplacian_is_conservative():
     # no-flux closure: the weighted sum of the laplacian of anything is zero
     grid = build_grid(3, 1.0, 80, grading=1.04)
     rng = np.random.default_rng(7)
-    f = RadialField(grid, 1.0 + rng.random(grid.ncells))
-    total = float(np.dot(grid.weights, laplacian_radial(f).values))
-    assert abs(total) < 1e-12 * float(np.dot(grid.weights, np.abs(f.values)))
+    f = 1.0 + rng.random(grid.ncells)
+    total = float(np.dot(grid.weights, grid.laplacian(f)))
+    assert abs(total) < 1e-12 * float(np.dot(grid.weights, np.abs(f)))
 
 
 def test_build_grid_validation():

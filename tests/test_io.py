@@ -202,6 +202,33 @@ def test_snapshot_refuses_damaged_file(small_run, tmp_path, damage):
         load_snapshots(str(out), config_hash(cfg))
 
 
+@pytest.mark.parametrize("change, says", [
+    (lambda a: {"t": np.array([], dtype=np.float64)}, "lists no state"),
+    (lambda a: {"n": np.int64(2)}, "dimension n must be >= 3"),
+    (lambda a: {"n": np.int64(1)}, "dimension n must be >= 3"),
+    (lambda a: {"R": np.float64(0.0)}, "ball radius R must be positive"),
+    (lambda a: {"R": np.float64(-1.0)}, "ball radius R must be positive"),
+    (lambda a: {"edges": 0.5 * a["edges"]}, "last face"),
+    (lambda a: {"R": 2.0 * a["R"]}, "last face"),
+], ids=["no_state", "n2", "n1", "R0", "R_negative", "edges_halved",
+        "R_doubled"])
+def test_snapshot_refuses_an_index_of_no_state_or_an_invalid_grid(
+        small_run, tmp_path, change, says):
+    # write_snapshot refuses to store no state, and build_grid refuses
+    # these grids; the loader refuses an index that holds them
+    cfg, traj = small_run
+    out = tmp_path / "store"
+    write_snapshot(traj.snapshots, str(out), config_hash(cfg))
+    index = out / "snapshots.npz"
+    with np.load(str(index)) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays.update(change(arrays))
+    with open(index, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match=says):
+        load_snapshots(str(out), config_hash(cfg))
+
+
 def test_snapshot_refuses_retired_construct_layout(small_run, tmp_path):
     # a construct directory of the one-archive-per-member layout
     cfg, traj = small_run

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kslab import (
+    BlowupVerdict,
     RadialField,
     SolverConfig,
     StateCorpus,
@@ -110,6 +111,35 @@ def test_pointwise_bound_flags_growth(decay_run):
     bumped = dataclasses.replace(
         decay_run, snapshots=list(decay_run.snapshots[:-1]) + [bigger])
     assert not check_pointwise_bound(bumped, kappa=2.0).passed
+
+
+def test_bound_checks_judge_a_blew_up_run_only_up_to_t_detect(decay_run):
+    # v and |grad v|_p grow after the middle snapshot's time t_mid (v by a
+    # factor rising to 1 + 4 GROWTH_LIMIT, |grad v|_p, which decays fast,
+    # from its maximum): both checks fail under the run's own reached_t_end
+    # verdict, and pass once the verdict says the run blew up at t_mid
+    snaps = decay_run.snapshots
+    t_mid, t_last = snaps[len(snaps) // 2].t, snaps[-1].t
+
+    def ramp(t):
+        return 1.0 + 4 * GROWTH_LIMIT * np.maximum(t - t_mid, 0.0) / (
+            t_last - t_mid)
+
+    series = dict(decay_run.series)
+    t, g = series["t"], series["gradv_lp"]
+    series["gradv_lp"] = np.where(t > t_mid, g.max() * ramp(t), g)
+    grown = dataclasses.replace(decay_run, series=series, snapshots=[
+        StatePair(s.u, RadialField(s.grid, s.v.values * ramp(s.t)), t=s.t)
+        for s in snaps])
+    assert grown.verdict.outcome == "reached_t_end"
+    blew_up = dataclasses.replace(
+        grown, verdict=BlowupVerdict("blew_up", t_mid, "test"))
+    for check in (lambda traj: check_pointwise_bound(traj, kappa=2.0),
+                  check_gradv_lp):
+        assert not check(grown).passed
+        assert check(blew_up).passed
+    judged = check_pointwise_bound(blew_up, kappa=2.0).details["n_snapshots"]
+    assert judged == len(snaps) // 2 + 1
 
 
 def test_quartile_trend_logic():
@@ -221,19 +251,19 @@ def spike_sequence():
 
 
 def test_lemma14_sequence_passes(spike_sequence):
-    rep = check_lemma14_sequence(spike_sequence, tail_start=10)
+    rep = check_lemma14_sequence(spike_sequence)
     assert rep.passed, str(rep)
 
 
 def test_lemma14_sequence_requires_ascending_k(spike_sequence):
     shuffled = [spike_sequence[3], spike_sequence[0], spike_sequence[8]]
     with pytest.raises(ValueError):
-        check_lemma14_sequence(shuffled, tail_start=10)
+        check_lemma14_sequence(shuffled)
 
 
 def test_lemma14_sequence_flags_energy_plateau(spike_sequence):
     flat = [dataclasses.replace(d, F0=-1.0) for d in spike_sequence]
-    assert not check_lemma14_sequence(flat, tail_start=10).passed
+    assert not check_lemma14_sequence(flat).passed
 
 
 # --- corpus suite -------------------------------------------------------
