@@ -30,7 +30,9 @@ the cell terms are omega_n sum w (...).  The first is the exact summation
 by parts of -int v Lap v with the grid Laplacian.  Each P_SG term is >= 0,
 since J = B(d) e^{v_{i+1}} (u_i e^{-v_i} - u_{i+1} e^{-v_{i+1}}) has the
 sign of mu_i - mu_{i+1}, and is 0 on every constant state; a term that
-roundoff makes negative counts as 0.
+roundoff makes negative counts as 0.  d and [B(d); B(-d)] are the face
+pass (_face_pass), which the u-step's band and the diagnostics row of the
+state it reaches share: each step computes it once.
 
 The D of a state (energy_report) takes f against the state's
 own u.  The D of a step from (u, v) to (u', v'), which the solver's series
@@ -116,24 +118,39 @@ def _require_positive(vals: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be strictly positive everywhere")
 
 
-def _bernoulli(delta: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def _bernoulli(delta: np.ndarray, out: np.ndarray = None,
+               scratch: np.ndarray = None) -> np.ndarray:
     """[B(delta); B(-delta)] for B(x) = x / (e^x - 1), into out, a (2, M)
     buffer for M deltas (new if None), from one expm1: with a = |delta|,
     B(+-delta) = B(a) + max(-+delta, 0), where B(a) = a / expm1(a) is 0
     once expm1 overflows, and 1 at a = 0.  Finite for every finite delta,
-    and free of floating-point warnings.  delta is overwritten."""
+    and free of floating-point warnings.  scratch, a row of M, takes
+    max(-delta, 0); if None, delta does and is overwritten."""
     if out is None:
         out = np.empty((2, delta.size))
+    if scratch is None:
+        scratch = delta
     b, b_neg = out
     np.maximum(np.abs(delta, out=b_neg), _A_FLOOR, out=b_neg)
     with np.errstate(over="ignore"):
         np.expm1(b_neg, out=b)
     np.divide(b_neg, b, out=b)                    # B(a)
     np.maximum(delta, 0.0, out=b_neg)
-    np.subtract(b_neg, delta, out=delta)          # max(-delta, 0), exactly
+    np.subtract(b_neg, delta, out=scratch)        # max(-delta, 0), exactly
     b_neg += b
-    b += delta
+    b += scratch
     return out
+
+
+def _face_pass(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The face data of a signal v that the u-solve's band and the
+    diagnostics row of a state with signal v share, into block (one row of
+    N per EnergyReport field, _integrals' layout): d = v_{i+1} - v_i on the
+    N - 1 faces in row 0 and [B(d); B(-d)] in rows 3 and 4, with row 1 as
+    _bernoulli's scratch.  Returns the (2, N - 1) view of the pair."""
+    faces = block[:, :-1]
+    d = np.subtract(v[1:], v[:-1], out=faces[0])
+    return _bernoulli(d, out=faces[3:5], scratch=faces[1])
 
 
 def residual_f(s: StatePair) -> RadialField:
@@ -150,6 +167,7 @@ def energy_report(s: StatePair) -> EnergyReport:
     _require_positive(u, "u")
     _require_positive(v, "v")
     block = np.empty((len(EnergyReport._fields), s.grid.ncells))
+    _face_pass(v, block)
     return _integrals(s.grid, np.stack((u, v)), u, block)
 
 
@@ -157,25 +175,26 @@ def _integrals(g: RadialGrid, uv: np.ndarray, source: np.ndarray,
                block: np.ndarray, sums: np.ndarray = None) -> EnergyReport:
     """The EnergyReport of the (2, N) state uv, with no positivity check,
     and f = -Lap v + v - source (uv's own u for the D of a state, the
-    step's departure u for D_step).  block, one row of N per field, takes
-    each integrand in its field's row (scratch before that): the
-    grad_v_sq, g_norm_sq and gradv_lp rows on the N - 1 faces, summed
-    against trans, trans and face_area (the last is face_dr
-    |d/face_dr|^p_n), the rest on cells, summed against the weights, into
-    sums (new if None), each bitwise omega_n * np.dot(weights, row)."""
+    step's departure u for D_step).  block, one row of N per field, holds
+    on entry _face_pass of uv's v (d in row 0, B(d) and B(-d) in rows 3 and
+    4, on the N - 1 faces), which it reads, and takes each integrand in
+    its field's row (scratch before that): the grad_v_sq, g_norm_sq and
+    gradv_lp rows on the faces, summed against trans, trans and face_area
+    (the last is face_dr |d/face_dr|^p_n, with d/face_dr bitwise
+    g.face_gradient(v)), the rest on cells, summed against the weights,
+    into sums (new if None), each bitwise omega_n * np.dot(weights, row)."""
     u, v = uv
     faces = block[:, :-1]
-    d2, p_sg, f = faces[0], faces[1], block[2]
-    g.laplacian(v, out=f, work=block[3])
+    d, p_sg, f = faces[0], faces[1], block[2]
+    b_u, flux = faces[3:5]            # B(d), B(-d)
+    g.laplacian(v, out=f, work=block[5])
     np.subtract(v, f, out=f)          # f = -Lap v + v - source
     f -= source
     block[6:8] = uv
-    lp = g.face_gradient(v, out=faces[8])
+    lp = np.divide(d, g.face_dr, out=faces[8])
     np.power(np.abs(lp, out=lp), _gradv_exponent(g.n), out=lp)
     lp *= g.face_dr
-    d = np.subtract(v[1:], v[:-1], out=p_sg)
-    np.square(d, out=d2)
-    b_u, flux = _bernoulli(d, out=faces[3:5])     # B(d), B(-d)
+    np.square(d, out=d)
     b_u *= u[1:]
     flux *= u[:-1]
     flux -= b_u                       # J = B(-d) u_i - B(d) u_{i+1}

@@ -11,9 +11,10 @@ data (face_area, face_dr and their ratio trans, the face
 transmissibility), the face gradient, the flux divergence and the radial
 Laplacian (the cell average of r^{1-n} d/dr (r^{n-1} df/dr), stored as
 three bands).  The Laplacian is the divergence of face_area *
-face_gradient; the functionals call face_gradient for the recorded
-|grad v|^p, and flux_divergence is the reference that tests/test_grid.py
-checks the bands against.  The solver and the functionals share trans.
+face_gradient.  face_gradient and flux_divergence are references: the
+functionals' face gradient, taken from the step's v differences, is
+bitwise face_gradient, and tests/test_grid.py checks the bands against
+flux_divergence.  The solver and the functionals share trans.
 The faces at r = 0 and r = R carry zero flux (the r = 0 face has area
 factor 0 anyway), so the origin needs no special casing.
 """
@@ -168,12 +169,16 @@ def build_grid(n: int, R: float, N: int, grading: float = 1.0) -> RadialGrid:
 
 def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
     """Assemble a grid from explicit faces (also used by snapshot reload),
-    refusing n < 3, R <= 0 and faces that do not run from 0 up to R."""
+    refusing n < 3, R <= 0 and faces that are not a 1-D array running from
+    0 up to R."""
     if n < 3:
         raise ValueError(f"dimension n must be >= 3, got {n}")
     if not R > 0:
         raise ValueError(f"ball radius R must be positive, got {R}")
     edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError(f"faces must be a 1-D array of at least 2 values, "
+                         f"got shape {edges.shape}")
     if edges[0] != 0.0 or not np.all(np.diff(edges) > 0):
         raise ValueError("faces must start at 0 and increase strictly")
     if edges[-1] != R:

@@ -169,7 +169,7 @@ def load_snapshots(directory: str, cfg_hash: str,
                          f"does not match {cfg_hash}")
     _check_sha256("snapshots.npz", hashlib.sha256(buf.getvalue()), listed)
     times = index["t"]
-    if times.ndim != 1 or index["edges"].ndim != 1:
+    if times.ndim != 1:
         raise ValueError(f"inconsistent snapshot index {path}")
     if times.size == 0:
         raise ValueError(f"snapshot index {path} lists no state")

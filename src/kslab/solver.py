@@ -26,7 +26,10 @@ constants load no scipy at all.  A run steps in one _Workspace, which
 holds the accepted state with its time and sups, and whose buffers (laid
 out there) every step reuses, so that an accepted step and its
 diagnostics row, one pass of functionals._integrals over the (2, N)
-state, allocate no array.  A row's D and f_l2 are its step's (the D of a
+state, allocate no array.  The u-solve's face pass (the v' differences d
+and B(+-d), functionals._face_pass) stays in the workspace's integrand
+block, where the row of the accepted state reads it: one Bernoulli pass
+per trial step.  A row's D and f_l2 are its step's (the D of a
 step in functionals, with f_l2 = ||(v' - v)/dt||), taken against the
 departure u that the workspace still holds; row 0's are s0's own.
 Every column of the u-matrix sums to its cell weight and the off-diagonals
@@ -56,7 +59,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .functionals import EnergyReport, StatePair, _bernoulli, _integrals
+from .functionals import EnergyReport, StatePair, _face_pass, _integrals
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -187,10 +190,12 @@ class _Workspace:
     leaves state, t and sups as they were, and accepting swaps the two
     buffers.  Each solve builds its band in off (rows upper and lower) and
     diag, which gtsv overwrites: the v-band from negated Laplacian bands
-    stored once, the u-band from _bernoulli of diff (v' differences, then
-    the dt-scaled transmissibilities).  maxes and ratio take the trial's
-    sups and u'/u, and block and sums a diagnostics row's integrands and
-    integrals (functionals._integrals).
+    stored once, the u-band from the trial's face pass
+    (functionals._face_pass: v' differences and their Bernoulli pair, in
+    rows of block) times the dt-scaled transmissibilities in scaled.
+    maxes and ratio take the trial's sups and u'/u, and block and sums a
+    diagnostics row's integrands and integrals (functionals._integrals),
+    which read the accepted trial's face pass from block.
     """
 
     def __init__(self, s: StatePair):
@@ -203,7 +208,7 @@ class _Workspace:
         self.off = np.empty((2, n - 1))
         self.upper, self.lower = self.off
         self.diag, self.ratio = np.empty((2, n))
-        self.diff = np.empty(n - 1)
+        self.scaled = np.empty(n - 1)
         self.maxes = np.empty(2)
         self.block = np.empty((len(EnergyReport._fields), n))
         self.sums = np.empty(len(EnergyReport._fields))
@@ -220,11 +225,12 @@ class _Workspace:
     def drift_diffusion_solve(self, dt: float) -> None:
         """Trial u <- u' from (W + dt K(v')) u' = W u with the
         Scharfetter-Gummel flux, u the state's and v' the trial's: the
-        off-diagonals are -dt trans B(+-d), and diag = W - lower - upper."""
-        v_new, w, diag = self.trial[1], self.g.weights, self.diag
-        _bernoulli(np.subtract(v_new[1:], v_new[:-1], out=self.diff),
-                   out=self.off)
-        self.off *= np.multiply(self.g.trans, -dt, out=self.diff)
+        off-diagonals are -dt trans B(+-d), from the face pass of v' that
+        it leaves in block for the row, and diag = W - lower - upper."""
+        w, diag = self.g.weights, self.diag
+        np.multiply(_face_pass(self.trial[1], self.block),
+                    np.multiply(self.g.trans, -dt, out=self.scaled),
+                    out=self.off)
         np.subtract(w[:-1], self.lower, out=diag[:-1])
         diag[-1] = w[-1]
         diag[1:] -= self.upper
@@ -257,11 +263,12 @@ class _Workspace:
         return gamma
 
     def row(self, dt: float) -> tuple:
-        """The SERIES_COLUMNS values of the state, reached by a step of dt.
-        D and f_l2 are the step's: f is taken against trial's u, which after
-        the swap is the departure u, so that f = (v - v')/dt with no
-        cancellation; before the first step trial holds s0, and row 0
-        records the state's D."""
+        """The SERIES_COLUMNS values of the state, reached by a step of dt,
+        from the face pass in block: the accepted trial's, or s0's, which
+        run makes for row 0.  D and f_l2 are the step's: f is taken against
+        trial's u, which after the swap is the departure u, so that f =
+        (v - v')/dt with no cancellation; before the first step trial holds
+        s0, and row 0 records the state's D."""
         rep = _integrals(self.g, self.state, self.trial[0], self.block,
                          self.sums)
         return (self.t, dt, rep.mass_u, rep.mass_v, *self.sups, rep.F,
@@ -363,6 +370,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
     if not (ws.state.min() > 0.0 and max(ws.sups) < math.inf):
         raise ValueError("initial state must be positive and finite")
     verdict = _Verdict(ws, cfg)
+    _face_pass(ws.state[1], ws.block)      # row 0's; each trial makes its own
     rows = array("d", row := ws.row(0.0))  # SERIES_COLUMNS, row after row
     verdict.feed(row, float(ws.state[0, 0]), 0)
     snapshots = [s0]

@@ -210,8 +210,12 @@ def test_snapshot_refuses_damaged_file(small_run, tmp_path, damage):
     (lambda a: {"R": np.float64(-1.0)}, "ball radius R must be positive"),
     (lambda a: {"edges": 0.5 * a["edges"]}, "last face"),
     (lambda a: {"R": 2.0 * a["R"]}, "last face"),
+    (lambda a: {"edges": np.array([], dtype=np.float64)},
+     r"faces must be a 1-D array .* got shape \(0,\)"),
+    (lambda a: {"edges": np.stack((a["edges"], a["edges"]))},
+     r"faces must be a 1-D array .* got shape \(2, "),
 ], ids=["no_state", "n2", "n1", "R0", "R_negative", "edges_halved",
-        "R_doubled"])
+        "R_doubled", "edges_empty", "edges_2d"])
 def test_snapshot_refuses_an_index_of_no_state_or_an_invalid_grid(
         small_run, tmp_path, change, says):
     # write_snapshot refuses to store no state, and build_grid refuses

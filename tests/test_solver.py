@@ -20,10 +20,10 @@ from kslab import (
     run,
     step,
 )
-from kslab import solver
+from kslab import functionals, solver
 from kslab.config import lemma14_recipe_from
-from kslab.functionals import _gradv_exponent
-from kslab.solver import _bernoulli, _next_dt, _Workspace
+from kslab.functionals import _bernoulli, _gradv_exponent
+from kslab.solver import _next_dt, _Workspace
 from kslab.verifier import _TOL_FLOOR
 
 
@@ -221,22 +221,57 @@ def _row_reference(s, u_old):
     }
 
 
+def _assert_rows_match_reference(traj):
+    """Each row of a run that retained every state is, bit for bit, the
+    reference built from the state it records and the one before (row 0:
+    the state itself)."""
+    assert len(traj.snapshots) == traj.series["t"].size
+    for i, s in enumerate(traj.snapshots):
+        ref = _row_reference(s, traj.snapshots[max(i - 1, 0)].u.values)
+        got = np.array([traj.series[c][i] for c in ref])
+        assert got.tobytes() == np.array(list(ref.values())).tobytes(), i
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("grading", [1.0, 1.05])
 def test_every_series_row_matches_spelled_out_diagnostics(n, grading):
     # a concentrating bump (it collapses within the budget on the uniform
-    # grids) retained at every step: each row's diagnostics are, bit for
-    # bit, the reference built from the state it records and the one before
-    # (row 0: the state itself)
+    # grids) retained at every step
     g = build_grid(n, 1.0, 128, grading)
     s0 = baseline_profiles("bump", g, m=20.0, width=0.2, floor=1e-2)
     traj = run(s0, SolverConfig(t_end=1.0, dt_init=1e-6, dt_max=1e-4,
                                 snapshot_every=1, max_steps=40))
     assert len(traj.snapshots) == traj.series["t"].size > 30
-    for i, s in enumerate(traj.snapshots):
-        ref = _row_reference(s, traj.snapshots[max(i - 1, 0)].u.values)
-        got = np.array([traj.series[c][i] for c in ref])
-        assert got.tobytes() == np.array(list(ref.values())).tobytes(), i
+    _assert_rows_match_reference(traj)
+
+
+def test_rows_after_rejected_trials_match_spelled_out_diagnostics():
+    # a rejected trial leaves its face pass behind, and the next trial
+    # makes its own: every row, the rows right after a rejection included,
+    # is bit for bit the reference of its state and departure u
+    _, traj = _graded_collapse_run(1)
+    assert traj.rejected_steps >= 3
+    _assert_rows_match_reference(traj)
+
+
+def test_one_bernoulli_pass_per_trial_step(monkeypatch):
+    # the u-solve's face pass is the one its row reads: a run makes one per
+    # trial step, accepted or rejected, plus one for s0's row 0, and step,
+    # which computes no row, makes one
+    real, calls = functionals._bernoulli, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "_bernoulli", counting)
+    s0, traj = _graded_collapse_run(20)
+    steps = traj.series["t"].size - 1
+    assert traj.rejected_steps >= 3
+    assert len(calls) == steps + traj.rejected_steps + 1
+    calls.clear()
+    step(s0, 1e-6)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("at", [0, 5])
@@ -289,18 +324,23 @@ def _assert_snapshots_replay(traj, s0, rows):
             assert snap.v.values.tobytes() == s.v.values.tobytes()
 
 
-def test_rejected_trials_leave_the_state_untouched():
-    # the collapse datum on a grid graded 1.2 toward the origin, stepped
-    # from dt 1e-16: the controller rejects several trials on the way to
-    # the collapse.  A trial is built in its own buffer, so each retained
-    # state is the replay of the accepted steps alone
+def _graded_collapse_run(snapshot_every):
+    """(s0, trajectory) of the collapse datum on a grid graded 1.2 toward
+    the origin, stepped from dt 1e-16: the controller rejects several
+    trials on the way to the collapse."""
     grid = build_grid(3, 1.0, 256, 1.2)
     ub = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
     vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2)
     s0 = StatePair(ub.u, RadialField(grid, 0.5 * vb.v.values))
-    traj = run(s0, SolverConfig(t_end=1.0, dt_init=1e-16, dt_min=1e-18,
-                                dt_max=1e-2, snapshot_every=20,
-                                max_steps=20000))
+    return s0, run(s0, SolverConfig(t_end=1.0, dt_init=1e-16, dt_min=1e-18,
+                                    dt_max=1e-2, snapshot_every=snapshot_every,
+                                    max_steps=20000))
+
+
+def test_rejected_trials_leave_the_state_untouched():
+    # a trial is built in its own buffer, so each retained state is the
+    # replay of the accepted steps alone
+    s0, traj = _graded_collapse_run(20)
     steps = traj.series["t"].size - 1
     assert traj.rejected_steps >= 3
     assert traj.verdict.outcome == "blew_up"
