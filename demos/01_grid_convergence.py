@@ -22,7 +22,7 @@ for n, R in ((3, 1.0), (4, 1.0), (3, 2.0), (5, 0.7)):
     g = build_grid(n, R, 200, grading=1.02)
     vol = g.integrate_values(np.ones(g.ncells))
     exact = ball_volume(n, R)
-    print(f"  n={n} R={R}: integrate(1) = {vol:.15f}  "
+    print(f"  n={n} R={R}: integral of 1 = {vol:.15f}  "
           f"exact = {exact:.15f}  rel err = {abs(vol - exact) / exact:.2e}")
 
 print()

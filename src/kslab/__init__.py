@@ -12,7 +12,6 @@ from .grid import (
     RadialField,
     build_grid,
     ball_surface_coefficient,
-    integrate,
 )
 from .functionals import (
     StatePair,
@@ -21,12 +20,10 @@ from .functionals import (
     residual_f,
     theta_exponent,
     exponent_window,
-    lp_norm,
 )
 from .initial_data import (
     Lemma14Recipe,
     BlowupDatum,
-    phi,
     phi_log,
     choose_eta_log,
     lemma14_pair,
@@ -65,10 +62,9 @@ from .config import (
 __all__ = [
     "__version__",
     "RadialGrid", "RadialField", "build_grid", "ball_surface_coefficient",
-    "integrate",
     "StatePair", "EnergyReport", "energy_report", "residual_f",
-    "theta_exponent", "exponent_window", "lp_norm",
-    "Lemma14Recipe", "BlowupDatum", "phi", "phi_log",
+    "theta_exponent", "exponent_window",
+    "Lemma14Recipe", "BlowupDatum", "phi_log",
     "choose_eta_log", "lemma14_pair", "baseline_profiles",
     "perturbed_constant", "constant_recipe",
     "SolverConfig", "Trajectory", "BlowupVerdict", "step", "run",

@@ -135,34 +135,37 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """One run per k or N; every job's config is built, and so checked,
+    before the first run, so a bad or repeated value writes nothing."""
     cfg = load_config(args.config)
     out = _resolve_out(cfg, args.out)
-    jobs = []
     if args.ks and args.resolutions:
         raise ValueError("sweep takes --ks or --resolutions, not both")
     if args.ks:
         if cfg.initial.get("kind") != "lemma14":
             raise ValueError("sweep --ks needs initial.kind = lemma14")
-        for k in (int(x) for x in args.ks.split(",")):
-            d = cfg.to_dict()
-            d["name"] = f"{cfg.name}_k{k:03d}"
-            d["initial"]["k"] = k
-            jobs.append((d, os.path.join(out, f"k_{k:03d}")))
+        block, key, spec = "initial", "k", "03d"
     elif args.resolutions:
-        for N in (int(x) for x in args.resolutions.split(",")):
-            d = cfg.to_dict()
-            d["name"] = f"{cfg.name}_N{N}"
-            d["grid"]["N"] = N
-            jobs.append((d, os.path.join(out, f"N_{N}")))
+        block, key, spec = "grid", "N", ""
     else:
         raise ValueError("sweep needs --ks or --resolutions")
+    values = [int(x) for x in (args.ks or args.resolutions).split(",")]
+    if len(set(values)) < len(values):
+        raise ValueError(f"sweep lists a {key} more than once: {values}")
+    jobs = []
+    for x in values:
+        d = cfg.to_dict()
+        d["name"] = f"{cfg.name}_{key}{x:{spec}}"
+        d[block][key] = x
+        jobs.append((ExperimentConfig.from_dict(d),
+                     os.path.join(out, f"{key}_{x:{spec}}")))
     os.makedirs(out, exist_ok=True)
     results = []
-    for d, directory in jobs:
-        v = _simulate(ExperimentConfig.from_dict(d), directory)
-        results.append({"name": d["name"], "outcome": v.outcome,
+    for job, directory in jobs:
+        v = _simulate(job, directory)
+        results.append({"name": job.name, "outcome": v.outcome,
                         "t_detect": v.t_detect})
-        print(f"{d['name']}: {v.outcome} t_detect={v.t_detect}")
+        print(f"{job.name}: {v.outcome} t_detect={v.t_detect}")
     with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"config_hash": config_hash(cfg), "runs": results},
                   fh, indent=2, sort_keys=True)
@@ -171,11 +174,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    n, kappa, p = args.n, args.kappa, args.p
+    n, kappa, p, R = args.n, args.kappa, args.p, args.R
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     theta = theta_exponent(n, kappa)
     alpha, (lo, hi) = exponent_window(n, p)
     omega = ball_surface_coefficient(n)
-    R = args.R
     print(f"n = {n}, kappa = {kappa}, p = {p}, R = {R}")
     print(f"theta = {theta!r} (= {theta:.6f})")
     print(f"alpha window = ({lo:.6f}, {hi:.6f}), midpoint = {alpha:.6f}")
@@ -186,14 +190,13 @@ def _cmd_constants(args) -> int:
 
 
 _PLOT_SERIES = """\
-# Plot F(t), D(t), sup_u(t) from a stored series.
+# Plot F(t), D(t), sup_u(t) of the run stored in this directory.
 import os
 import matplotlib.pyplot as plt
-import numpy as np
+from kslab.io import load_run
 
 here = os.path.dirname(os.path.abspath(__file__))
-with np.load(os.path.join(here, "series.npz"), allow_pickle=False) as z:
-    series = {col: z[col] for col in ("t", "F", "D", "sup_u")}
+series = load_run(here).series
 
 fig, axes = plt.subplots(3, 1, sharex=True, figsize=(7, 9))
 for ax, col, label in zip(
@@ -211,26 +214,22 @@ print(f"wrote {out}")
 """
 
 _PLOT_PROFILES = """\
-# Plot v(r) r^kappa across snapshots.
+# Plot v(r) r^kappa across the snapshots of the run stored in this directory.
 import os
 import matplotlib.pyplot as plt
-import numpy as np
+from kslab.io import load_run
 
-KAPPA = %(kappa)s
 here = os.path.dirname(os.path.abspath(__file__))
-with np.load(os.path.join(here, "snapshots.npz"), allow_pickle=False) as z:
-    edges, times = z["edges"], z["t"]
-r = 0.5 * (edges[:-1] + edges[1:])
-# one row per snapshot: u then v, little-endian float64
-rows = np.fromfile(os.path.join(here, "snapshots.f64"), dtype="<f8")
-rows = rows.reshape(times.size, 2, r.size)
+run = load_run(here)
+kappa = run.config.kappa
 
 fig, ax = plt.subplots(figsize=(7, 5))
-for (u, v), t in zip(rows, times):
-    ax.plot(r, v * r ** KAPPA, label=f"t={t:.4g}")
+for s in run.snapshots:
+    r = s.grid.centers
+    ax.plot(r, s.v.values * r ** kappa, label=f"t={s.t:.4g}")
 ax.set_xscale("log")
 ax.set_xlabel("r")
-ax.set_ylabel(f"v(r) r^{KAPPA}")
+ax.set_ylabel(f"v(r) r^{kappa}")
 ax.legend(fontsize=7)
 fig.tight_layout()
 out = os.path.join(here, "profiles.png")
@@ -240,13 +239,13 @@ print(f"wrote {out}")
 
 
 def _cmd_plot(args) -> int:
-    kappa = load_run(args.run_dir).config.kappa
+    load_run(args.run_dir)      # a directory that does not load gets none
     p1 = os.path.join(args.run_dir, "plot_series.py")
     p2 = os.path.join(args.run_dir, "plot_profiles.py")
     with open(p1, "w", encoding="utf-8") as fh:
         fh.write(_PLOT_SERIES)
     with open(p2, "w", encoding="utf-8") as fh:
-        fh.write(_PLOT_PROFILES % {"kappa": repr(kappa)})
+        fh.write(_PLOT_PROFILES)
     print(f"wrote {p1} and {p2}")
     return 0
 

@@ -11,12 +11,12 @@ initial.kind, checks.kappa > n - 2 for every kind (kappa is the only
 checks key; an unknown one is refused, as in the solver block), and every
 setting of the initial block, which _initial_builder reads on the config's
 grid (for kind lemma14 the recipe of lemma14_recipe_from and the family
-indices k and ks), so a bad setting fails before any run starts or any
-file is written.  A value of the wrong JSON type (null where a number
-belongs, a float or a boolean where an integer belongs, in grid.n and N,
-initial.k, ks and mode and the solver's snapshot_every and max_steps, or
-a block that is not an object) is refused as a bad value is, with a
-ValueError that names its block.
+indices k and ks, each an integer >= 1), so a bad setting fails before
+any run starts or any file is written.  A value of the wrong JSON type
+(null where a number belongs, a float or a boolean where an integer
+belongs, in grid.n and N, initial.k, ks and mode and the solver's
+snapshot_every and max_steps, or a block that is not an object) is
+refused as a bad value is, with a ValueError that names its block.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .grid import RadialGrid, build_grid
 from .initial_data import (
     Lemma14Recipe,
     _constant_level,
+    _family_index,
     _sampled_member,
     baseline_profiles,
     lemma14_pair,  # noqa: F401  perfbench's span hooks wrap config.lemma14_pair
@@ -165,11 +166,11 @@ def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
 
 def member_ks(init: dict) -> list:
     """The sorted distinct family indices of a lemma14 initial block:
-    initial.ks, else [initial.k], else none."""
+    initial.ks, else [initial.k], else none.  Each is an integer >= 1."""
     ks = init.get("ks")
     if ks is None:
-        return [_integer(init["k"], "k")] if "k" in init else []
-    return sorted({_integer(k, "each entry of ks") for k in ks})
+        return [_family_index(_integer(init["k"], "k"))] if "k" in init else []
+    return sorted({_family_index(_integer(k, "each entry of ks")) for k in ks})
 
 
 def _initial_builder(init: dict, grid: RadialGrid):
@@ -191,7 +192,7 @@ def _initial_builder(init: dict, grid: RadialGrid):
                                          floor=floor)
     recipe = lemma14_recipe_from(init, grid)
     member_ks(init)                   # construct's members, read at load
-    k = _integer(init["k"], "k") if "k" in init else None
+    k = _family_index(_integer(init["k"], "k")) if "k" in init else None
 
     def member() -> StatePair:
         if k is None:

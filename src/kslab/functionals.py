@@ -57,7 +57,6 @@ __all__ = [
     "residual_f",
     "theta_exponent",
     "exponent_window",
-    "lp_norm",
 ]
 
 # only guards log(0) underflow; positivity violations are rejected, not hidden
@@ -239,13 +238,6 @@ def _gradv_exponent(n: int) -> float:
     """p_n = 1 + 0.8/(n-1), the p of the recorded |grad v|_p: inside the
     window (1, n/(n-1)) of the paper's bound for every n >= 3, 1.4 at n = 3."""
     return 1.0 + 0.8 / (n - 1.0)
-
-
-def lp_norm(f: RadialField, p: float) -> float:
-    if not p >= 1:
-        raise ValueError(f"Lp norm needs p >= 1, got {p}")
-    g = f.grid
-    return g.integrate_values(np.abs(f.values) ** p) ** (1.0 / p)
 
 
 def exponent_window(n: int, p: float, alpha: Optional[float] = None):

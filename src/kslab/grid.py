@@ -10,11 +10,13 @@ There is one discrete calculus, on the N - 1 interior faces: the face
 data (face_area, face_dr and their ratio trans, the face
 transmissibility), the face gradient, the flux divergence and the radial
 Laplacian (the cell average of r^{1-n} d/dr (r^{n-1} df/dr), stored as
-three bands).  The Laplacian is the divergence of face_area *
-face_gradient.  face_gradient and flux_divergence are references: the
-functionals' face gradient, taken from the step's v differences, is
-bitwise face_gradient, and tests/test_grid.py checks the bands against
-flux_divergence.  The solver and the functionals share trans.
+its diagonal lap_diag and one read-only block lap_off of its two
+off-diagonals, which the solver's v-band also reads).  The Laplacian is
+the divergence of face_area * face_gradient.  face_gradient and
+flux_divergence are references: the functionals' face gradient, taken
+from the step's v differences, is bitwise face_gradient, and
+tests/test_grid.py checks the bands against flux_divergence.  The
+solver and the functionals share trans.
 The faces at r = 0 and r = R carry zero flux (the r = 0 face has area
 factor 0 anyway), so the origin needs no special casing.
 """
@@ -30,7 +32,6 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "build_grid",
-    "integrate",
     "ball_surface_coefficient",
 ]
 
@@ -55,8 +56,9 @@ class RadialGrid:
     face_area : e_i^{n-1} at the N-1 interior faces
     face_dr : center-to-center distance across each interior face
     trans : face_area / face_dr, the transmissibility of each interior face
-    lap_lower, lap_diag, lap_upper : flux-form Laplacian coefficients,
-        (lap f)_i = lo_i f_{i-1} + di_i f_i + up_i f_{i+1}
+    lap_diag : the flux-form Laplacian's N diagonal coefficients di
+    lap_off : its (2, N-1) off-diagonals, rows up and lo, so that
+        (lap f)_i = lo_{i-1} f_{i-1} + di_i f_i + up_i f_{i+1}
     """
 
     n: int
@@ -68,9 +70,8 @@ class RadialGrid:
     face_area: np.ndarray = field(repr=False)
     face_dr: np.ndarray = field(repr=False)
     trans: np.ndarray = field(repr=False)
-    lap_lower: np.ndarray = field(repr=False)
     lap_diag: np.ndarray = field(repr=False)
-    lap_upper: np.ndarray = field(repr=False)
+    lap_off: np.ndarray = field(repr=False)
 
     def __eq__(self, other) -> bool:
         """The same n and R and bitwise-equal faces, from which every other
@@ -118,9 +119,10 @@ class RadialGrid:
         bitwise.  out and work, of vals' shape, take the result and the
         products (new if None): a caller passing both allocates nothing."""
         prod = (np.empty(np.shape(vals)) if work is None else work)[..., 1:]
+        up, lo = self.lap_off
         out = np.multiply(self.lap_diag, vals, out=out)
-        out[..., 1:] += np.multiply(self.lap_lower[1:], vals[..., :-1], prod)
-        out[..., :-1] += np.multiply(self.lap_upper[:-1], vals[..., 1:], prod)
+        out[..., 1:] += np.multiply(lo, vals[..., :-1], prod)
+        out[..., :-1] += np.multiply(up, vals[..., 1:], prod)
         return out
 
 
@@ -191,30 +193,19 @@ def _grid_from_edges(n: int, R: float, edges: np.ndarray) -> RadialGrid:
 
     # flux-form Laplacian: faces carry area factor e^{n-1}, zero-flux at both
     # ends (the r = 0 face has zero area anyway, r = R face is Neumann).
-    nc = centers.size
     face_area = edges[1:-1] ** (n - 1)
     face_dr = np.diff(centers)
     trans = face_area / face_dr
-    lo = np.zeros(nc)
-    di = np.zeros(nc)
-    up = np.zeros(nc)
-    up[:-1] = trans / weights[:-1]
-    lo[1:] = trans / weights[1:]
-    di[:-1] -= trans / weights[:-1]
-    di[1:] -= trans / weights[1:]
+    off = np.stack((trans / weights[:-1], trans / weights[1:]))
+    di = np.zeros(centers.size)
+    di[:-1] -= off[0]
+    di[1:] -= off[1]
 
-    for arr in (edges, centers, weights, face_area, face_dr, trans, lo, di,
-                up):
+    for arr in (edges, centers, weights, face_area, face_dr, trans, off, di):
         arr.setflags(write=False)
     return RadialGrid(
         n=n, R=float(R), edges=edges, centers=centers, weights=weights,
         omega_n=ball_surface_coefficient(n), face_area=face_area,
-        face_dr=face_dr, trans=trans, lap_lower=lo, lap_diag=di,
-        lap_upper=up,
+        face_dr=face_dr, trans=trans, lap_diag=di, lap_off=off,
     )
-
-
-def integrate(f: RadialField) -> float:
-    """Integral of f over the ball, omega_n * int_0^R f(r) r^{n-1} dr."""
-    return f.grid.integrate_values(f.values)
 

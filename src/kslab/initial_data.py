@@ -54,7 +54,6 @@ from .functionals import StatePair, exponent_window
 from .grid import RadialField, RadialGrid
 
 __all__ = [
-    "phi",
     "phi_log",
     "choose_eta_log",
     "Lemma14Recipe",
@@ -80,20 +79,12 @@ _PANEL_GROWTH = 1.25
 _KINK_LEVELS = 45
 
 
-def phi(xi: float, n: int) -> float:
-    """phi(xi) = int_0^1 rho^{n-1} (rho^2 + xi)^{-n/2} drho for xi > 0."""
-    if not xi > 0:
-        raise ValueError(f"phi needs xi > 0, got {xi}")
-    if n < 3:
-        raise ValueError(f"dimension n must be >= 3, got {n}")
-    return phi_log(math.log(xi), n)
-
-
 def phi_log(log_xi: float, n: int) -> float:
-    """phi evaluated from log(xi); valid for arbitrarily negative log_xi.
+    """phi(xi) = int_0^1 rho^{n-1} (rho^2 + xi)^{-n/2} drho, evaluated from
+    log(xi); valid for arbitrarily negative log_xi.
 
-    This is the entry point for depth parameters below the float64 floor:
-    log_xi is an ordinary double even when xi itself is not.  With
+    The one entry point for phi: log_xi is an ordinary double even when a
+    depth parameter xi lies below the float64 floor.  With
     t = rho / sqrt(rho^2 + xi), phi = int_0^T t^{n-1} / (1 - t^2) dt for
     T = (1 + xi)^{-1/2}, and t^{j+2} / (1 - t^2) = t^j / (1 - t^2) - t^j
     lowers n by two at a time, so
@@ -229,10 +220,6 @@ class BlowupDatum:
     v0: RadialField
 
 
-def _powq(base_log: float, expo: float) -> float:
-    return math.exp(expo * base_log)
-
-
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """The _GL_ORDER-point Gauss-Legendre rule on [0, 1] by Golub-Welsch
@@ -278,13 +265,18 @@ def _log1m_exp(x: np.ndarray) -> np.ndarray:
         return np.log(np.abs(np.expm1(-x)))
 
 
+def _family_index(k) -> int:
+    """k as a family index: a whole number >= 1, else a ValueError."""
+    if k < 1 or k != int(k):
+        raise ValueError(f"family index k must be a positive integer, got {k}")
+    return int(k)
+
+
 def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     """The k-th member's spike and its grid data, without the continuum
     integrals that lemma14_pair adds: (r_k, log_eta, margin, log_xi, eta,
     a, b, u0, v0).  Raises as lemma14_pair does."""
-    if k < 1 or k != int(k):
-        raise ValueError(f"family index k must be a positive integer, got {k}")
-    k = int(k)
+    k = _family_index(k)
     g = recipe.grid
     n, R = g.n, g.R
     alpha = recipe.alpha
@@ -304,8 +296,8 @@ def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     # log(r_k^2 + eta) without cancellation for astronomically small eta
     log_s = 2.0 * math.log(r_k) + math.log1p(math.exp(min(log_xi, 700.0)))
     c = recipe.c
-    a = _powq(log_s, (n - alpha) / 2.0) * c
-    b = _powq(log_s, alpha / 2.0) * c
+    a = math.exp((n - alpha) / 2.0 * log_s) * c
+    b = math.exp(alpha / 2.0 * log_s) * c
 
     # grid sampling: spike inside, baseline outside, renormalized on-grid
     r = g.centers

@@ -189,8 +189,8 @@ class _Workspace:
     acceptance rule: a step writes only into trial, so a rejected trial
     leaves state, t and sups as they were, and accepting swaps the two
     buffers.  Each solve builds its band in off (rows upper and lower) and
-    diag, which gtsv overwrites: the v-band from negated Laplacian bands
-    stored once, the u-band from the trial's face pass
+    diag, which gtsv overwrites: the v-band from the grid's Laplacian
+    bands scaled by -dt, the u-band from the trial's face pass
     (functionals._face_pass: v' differences and their Bernoulli pair, in
     rows of block) times the dt-scaled transmissibilities in scaled.
     maxes and ratio take the trial's sups and u'/u, and block and sums a
@@ -199,8 +199,8 @@ class _Workspace:
     """
 
     def __init__(self, s: StatePair):
-        g = self.g = s.grid
-        n = g.ncells
+        self.g = s.grid
+        n = s.grid.ncells
         self.state, self.trial = np.empty((2, 2, n))
         self.state[:] = self.trial[:] = s.u.values, s.v.values
         self.t = float(s.t)
@@ -212,13 +212,11 @@ class _Workspace:
         self.maxes = np.empty(2)
         self.block = np.empty((len(EnergyReport._fields), n))
         self.sums = np.empty(len(EnergyReport._fields))
-        self.neg_lap_off = -np.stack((g.lap_upper[:-1], g.lap_lower[1:]))
-        self.neg_lap_diag = -g.lap_diag
 
     def diffusion_solve(self, shift: float, dt: float, x: np.ndarray) -> None:
         """x <- the solution of ((shift) I - dt Lap) x' = x, in place."""
-        np.multiply(self.neg_lap_off, dt, out=self.off)
-        np.multiply(self.neg_lap_diag, dt, out=self.diag)
+        np.multiply(self.g.lap_off, -dt, out=self.off)
+        np.multiply(self.g.lap_diag, -dt, out=self.diag)
         self.diag += shift
         _gtsv(self.lower, self.diag, self.upper, x)
 

@@ -56,6 +56,9 @@ def test_constants_prints_derived_values(capsys):
     ["2", "2", "1.1"],      # n < 3
     ["3", "1", "1.1"],      # kappa <= n - 2
     ["3", "2", "1.6"],      # p outside (1, 2n/(n+2))
+    ["3", "2", "1.1", "--R", "-1"],     # a ball radius R <= 0
+    ["3", "2", "1.1", "--R", "nan"],
+    ["3", "2", "1.1", "--R", "inf"],
 ])
 def test_constants_outside_a_window_is_single_error_line(capsys, argv):
     assert main(["constants", *argv]) == 2
@@ -298,6 +301,13 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
      "solver block: max_steps must be"),
     # json.dumps writes inf as the literal Infinity, which json.load reads
     ({"solver": {"t_end": math.inf}}, "finite"),
+    # a family index is a whole number >= 1, in k and in every entry of ks
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "k": 0, "p": 1.1}},
+     "family index k must be a positive integer, got 0"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
+      "initial": {"kind": "lemma14", "ks": [0, 1], "p": 1.1}},
+     "family index k must be a positive integer, got 0"),
 ], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1", "r_rule_r0_null",
         "solver_dt_max_null", "checks_kappa_null", "checks_tail_start_null",
         "checks_tail_start_12", "checks_unknown_key", "lemma14_baseline_number",
@@ -306,7 +316,8 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
         "grid_n_fraction", "grid_N_fraction", "grid_n_bool", "grid_N_float",
         "lemma14_k_fraction", "lemma14_k_bool", "lemma14_ks_entry_fraction",
         "constant_mode_fraction", "solver_snapshot_every_fraction",
-        "solver_max_steps_bool", "solver_t_end_infinity"])
+        "solver_max_steps_bool", "solver_t_end_infinity", "lemma14_k_0",
+        "lemma14_ks_entry_0"])
 def test_bad_config_is_refused_at_load(workdir, capsys, overrides, says):
     cfg = write_cfg(workdir, name="bad", **overrides)
     assert main(["simulate", cfg]) == 2
@@ -486,6 +497,23 @@ def test_plot_scripts_read_stored_run(workdir, monkeypatch, capsys):
     assert not list(run_dir.glob("*.png"))
 
 
+def test_plot_scripts_refuse_an_altered_store(workdir, monkeypatch):
+    # the scripts read the run through kslab.io, which checks each file's
+    # sha256 against the manifest
+    cfg = write_cfg(workdir)
+    main(["simulate", cfg])
+    run_dir = workdir / "clirun"
+    assert main(["plot", str(run_dir)]) == 0
+    rows = run_dir / "snapshots.f64"
+    data = bytearray(rows.read_bytes())
+    data[-1] ^= 0x01
+    rows.write_bytes(bytes(data))
+    _stub_pyplot(monkeypatch)
+    with pytest.raises(ValueError, match="snapshots.f64 sha256"):
+        runpy.run_path(str(run_dir / "plot_profiles.py"), run_name="__main__")
+    assert not list(run_dir.glob("*.png"))
+
+
 def test_sweep_over_resolutions(workdir, capsys):
     cfg = write_cfg(workdir, name="sw")
     rc = main(["sweep", cfg, "--resolutions", "32,48"])
@@ -500,7 +528,14 @@ def test_sweep_over_resolutions(workdir, capsys):
     # k reaches only lemma14 data: constant runs labelled by k are identical
     ("constant", ["--ks", "1,2"]),
     ("lemma14", ["--ks", "1,2", "--resolutions", "32,48"]),
-], ids=["no_axis", "ks_without_lemma14", "ks_and_resolutions"])
+    # every job's config is built before the first run: a bad value later
+    # in the list, or a repeated one, writes nothing
+    ("constant", ["--resolutions", "64,8"]),
+    ("lemma14", ["--ks", "1,0"]),
+    ("lemma14", ["--ks", "1,1"]),
+    ("constant", ["--resolutions", "32,48,32"]),
+], ids=["no_axis", "ks_without_lemma14", "ks_and_resolutions",
+        "resolution_below_16", "k_0", "k_repeated", "resolution_repeated"])
 def test_sweep_requires_axis(workdir, capsys, kind, axes):
     initial = {"kind": kind, "c": 1.0, "k": 1, "p": 1.1}
     cfg = write_cfg(workdir, name="sw2", initial=initial)

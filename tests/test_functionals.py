@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from kslab import (
     RadialField,
@@ -12,7 +11,6 @@ from kslab import (
     build_grid,
     energy_report,
     exponent_window,
-    lp_norm,
     residual_f,
     theta_exponent,
 )
@@ -77,7 +75,7 @@ def test_constants_have_zero_dissipation(grid):
 def test_dissipation_splits_into_residuals(grid):
     s = random_state(grid, 3)
     rep = energy_report(s)
-    f2 = lp_norm(residual_f(s), 2.0) ** 2
+    f2 = grid.integrate_values(residual_f(s).values ** 2)
     p_sg = grid.omega_n * float(np.dot(grid.trans, sg_terms(s)))
     assert rep.f_norm_sq == pytest.approx(f2, rel=1e-12)
     assert rep.g_norm_sq == pytest.approx(p_sg, rel=1e-12)
@@ -139,14 +137,6 @@ def test_entropy_handles_small_values(grid):
                                   RadialField(grid, np.ones(grid.ncells))))
     assert math.isfinite(rep.entropy)
     assert rep.entropy <= 0.0
-
-
-def test_lp_norm_against_quad(grid):
-    p = 1.4
-    f = RadialField(grid, 1.0 + grid.centers ** 2)
-    exact, _ = quad(lambda r: 4 * math.pi * r ** 2 * (1 + r ** 2) ** p,
-                    0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
-    assert lp_norm(f, p) == pytest.approx(exact ** (1.0 / p), rel=1e-5)
 
 
 def test_theta_exponent_exact_fraction():

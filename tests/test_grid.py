@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kslab import (
-    RadialField,
-    build_grid,
-    integrate,
-)
+from kslab import build_grid
 from kslab.grid import _grid_from_edges, ball_surface_coefficient
 
 
@@ -28,8 +24,8 @@ def test_surface_coefficient_closed_forms():
 @pytest.mark.parametrize("grading", [1.0, 1.05])
 def test_integrate_one_is_ball_volume(n, R, grading):
     grid = build_grid(n, R, 200, grading=grading)
-    ones = RadialField(grid, np.ones(grid.ncells))
-    assert integrate(ones) == pytest.approx(ball_volume(n, R), rel=1e-10)
+    assert grid.integrate_values(np.ones(grid.ncells)) == pytest.approx(
+        ball_volume(n, R), rel=1e-10)
     assert grid.domain_volume == pytest.approx(ball_volume(n, R), rel=1e-10)
 
 
@@ -40,18 +36,18 @@ def test_integrate_r2_unit_ball():
     errs = []
     for N in (100, 200, 400):
         grid = build_grid(3, 1.0, N)
-        f = RadialField(grid, grid.centers ** 2)
-        errs.append(abs(integrate(f) - 4.0 * math.pi / 5.0))
+        errs.append(abs(grid.integrate_values(grid.centers ** 2)
+                        - 4.0 * math.pi / 5.0))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
 
 
 def test_integrate_smooth_against_quad():
     grid = build_grid(3, 1.0, 400)
-    f = RadialField(grid, np.exp(-grid.centers))
     exact, _ = quad(lambda r: 4.0 * math.pi * r ** 2 * math.exp(-r), 0.0, 1.0,
                     epsabs=1e-14, epsrel=1e-13)
-    assert integrate(f) == pytest.approx(exact, rel=1e-5)
+    assert grid.integrate_values(np.exp(-grid.centers)) == pytest.approx(
+        exact, rel=1e-5)
 
 
 def test_weights_match_shell_volumes():

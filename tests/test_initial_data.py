@@ -17,10 +17,8 @@ from kslab import (
     build_grid,
     choose_eta_log,
     constant_recipe,
-    integrate,
     lemma14_pair,
     perturbed_constant,
-    phi,
     phi_log,
 )
 from kslab.config import (ExperimentConfig, build_initial_state,
@@ -33,7 +31,7 @@ from kslab.initial_data import _gauss_legendre, _gaussian_moment
 
 def test_phi_at_one_closed_form():
     # int_0^1 rho^2 (rho^2+1)^{-3/2} drho = ln(1+sqrt 2) - 1/sqrt 2
-    assert phi(1.0, 3) == pytest.approx(
+    assert phi_log(0.0, 3) == pytest.approx(
         math.log(1 + math.sqrt(2)) - 1 / math.sqrt(2), rel=1e-13)
 
 
@@ -42,7 +40,7 @@ def test_phi_matches_direct_quadrature(xi):
     direct, _ = quad(lambda rho: rho ** 2 / (rho ** 2 + xi) ** 1.5, 0.0, 1.0,
                      points=[math.sqrt(xi)] if xi < 1 else None,
                      epsabs=1e-14, epsrel=1e-13, limit=300)
-    assert phi(xi, 3) == pytest.approx(direct, rel=1e-10)
+    assert phi_log(math.log(xi), 3) == pytest.approx(direct, rel=1e-10)
 
 
 def test_phi_small_xi_constant():
@@ -53,8 +51,13 @@ def test_phi_small_xi_constant():
 
 
 def test_phi_log_agrees_with_phi_when_representable():
+    # phi by direct quadrature at xi = e^lx, split at the core sqrt(xi)
     for lx in (-3.0, -10.0, -17.0):
-        assert phi_log(lx, 3) == pytest.approx(phi(math.exp(lx), 3), rel=1e-9)
+        xi = math.exp(lx)
+        direct = sum(quad(lambda rho: rho ** 2 / (rho ** 2 + xi) ** 1.5,
+                          a, b, epsabs=1e-15, epsrel=1e-13, limit=300)[0]
+                     for a, b in ((0.0, math.sqrt(xi)), (math.sqrt(xi), 1.0)))
+        assert phi_log(lx, 3) == pytest.approx(direct, rel=1e-9)
 
 
 def test_phi_log_handles_sub_float_arguments():
@@ -75,13 +78,6 @@ def test_tail_constant_matches_quadrature(n):
     a1, _ = quad(h, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     a2, _ = quad(h, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
     assert abs(phi_log(-50.0, n) - 25.0 - (a1 + a2)) <= 1e-14
-
-
-def test_phi_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        phi(0.0, 3)
-    with pytest.raises(ValueError):
-        phi(-1.0, 3)
 
 
 # phi_n(xi) = int_0^T t^{n-1} / (1 - t^2) dt with T = (1 + xi)^{-1/2}
@@ -105,7 +101,7 @@ def test_phi_matches_its_closed_form(n):
     [1e-8, 1e3], and phi_log at log xi down to -1e12."""
     for xi in np.logspace(-8.0, 3.0, 45):
         exact = _PHI_CLOSED_FORM[n](xi)
-        assert abs(phi(xi, n) / exact - 1.0) <= 1e-12, xi
+        assert abs(phi_log(math.log(xi), n) / exact - 1.0) <= 1e-12, xi
     for lx in (-50.0, -1e3, -1e6, -1e12):
         exact = _PHI_CLOSED_FORM_LOG[n](lx, math.exp(lx))
         assert abs(phi_log(lx, n) / exact - 1.0) <= 1e-14, lx
@@ -161,7 +157,8 @@ def test_default_radius_rule(recipe):
 def test_datum_mass_is_exact_on_grid(recipe, fine_grid):
     for k in (1, 5, 12):
         d = lemma14_pair(recipe, k)
-        assert integrate(d.u0) == pytest.approx(4 * math.pi / 3, rel=1e-12)
+        assert fine_grid.integrate_values(d.u0.values) == pytest.approx(
+            4 * math.pi / 3, rel=1e-12)
         assert d.mass == pytest.approx(4 * math.pi / 3, rel=1e-10)
 
 
@@ -277,7 +274,7 @@ def test_bump_baseline_mass_and_positivity():
         s = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
         assert np.all(s.u.values >= 1e-2)
         assert s.u.values[0] == np.max(s.u.values)
-        errs.append(abs(integrate(s.u) - 50.0))
+        errs.append(abs(grid.integrate_values(s.u.values) - 50.0))
     assert errs[0] < 50.0 * 2e-4
     assert errs[1] < errs[0] / 3.0
 
@@ -311,7 +308,8 @@ def test_perturbed_constant_properties():
     assert np.all(s.u.values > 0)
     np.testing.assert_allclose(s.v.values, 1.0)
     # cosine perturbation integrates to nearly zero mass change
-    assert integrate(s.u) != pytest.approx(4 * math.pi / 3, rel=1e-12)
+    assert grid.integrate_values(s.u.values) != pytest.approx(
+        4 * math.pi / 3, rel=1e-12)
     with pytest.raises(ValueError):
         perturbed_constant(grid, amplitude=1.0)
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from kslab import (
     build_grid,
     constant_recipe,
     energy_report,
-    integrate,
     lemma14_pair,
     perturbed_constant,
     run,
@@ -91,8 +90,8 @@ def test_v_mode_decay_matches_discrete_eigenvalue(grid):
     e^{-(1+mu) t} where mu is the eigenvalue of the assembled radial
     operator for the mode closest to cos(pi r / R)."""
     L = (np.diag(grid.lap_diag)
-         + np.diag(grid.lap_upper[:-1], 1)
-         + np.diag(grid.lap_lower[1:], -1))
+         + np.diag(grid.lap_off[0], 1)
+         + np.diag(grid.lap_off[1], -1))
     evals, evecs = np.linalg.eig(L)
     w = grid.weights
     target = np.cos(math.pi * grid.centers)
@@ -182,8 +181,10 @@ def test_snapshot_rows_match_public_functionals(n):
         assert row["g_l2"] == math.sqrt(rep.g_norm_sq)
         assert row["gradv_lp"] == _row_reference(s, s.u.values)["gradv_lp"]
         assert row["gradv_lp"] == rep.gradv_lp
-        assert row["mass_u"] == integrate(s.u) == rep.mass_u
-        assert row["mass_v"] == integrate(s.v) == rep.mass_v
+        assert row["mass_u"] == s.grid.integrate_values(s.u.values) \
+            == rep.mass_u
+        assert row["mass_v"] == s.grid.integrate_values(s.v.values) \
+            == rep.mass_v
         assert row["sup_u"] == np.max(s.u.values)
         assert row["sup_v"] == np.max(s.v.values)
 
@@ -353,9 +354,9 @@ def _solve_reference(g, shift, dt, rhs):
     """The band solve through scipy's solve_banded, which dispatches to the
     same LAPACK gtsv that _Workspace.diffusion_solve calls directly."""
     ab = np.zeros((3, g.ncells))
-    ab[0, 1:] = -dt * g.lap_upper[:-1]
+    ab[0, 1:] = -dt * g.lap_off[0]
     ab[1, :] = shift - dt * g.lap_diag
-    ab[2, :-1] = -dt * g.lap_lower[1:]
+    ab[2, :-1] = -dt * g.lap_off[1]
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
 
 
@@ -518,7 +519,8 @@ def _collapse_run(N=256, grading=1.0, **overrides):
 
 def _cell0_share(s):
     g = s.grid
-    return g.omega_n * g.weights[0] * s.u.values[0] / integrate(s.u)
+    return g.omega_n * g.weights[0] * s.u.values[0] / g.integrate_values(
+        s.u.values)
 
 
 def test_collapse_datum_blows_up_on_grid_within_budget():
@@ -639,10 +641,10 @@ def step_data(request):
 @pytest.mark.parametrize("kind", ["bump", "lemma14"])
 def test_one_step_positive_and_conservative(step_data, kind, dt):
     s = step_data[kind]
-    m0 = integrate(s.u)
+    m0 = s.grid.integrate_values(s.u.values)
     s1 = step(s, dt)
     assert np.all(s1.u.values > 0) and np.all(s1.v.values > 0)
-    assert abs(integrate(s1.u) - m0) <= 1e-12 * m0
+    assert abs(s.grid.integrate_values(s1.u.values) - m0) <= 1e-12 * m0
 
 
 @pytest.mark.parametrize("dt", [1e-16, 1e-12, 1e-6, 1e-2])
@@ -652,7 +654,7 @@ def test_one_step_mass_error_at_flux_roundoff_scale(step_data, dt):
     # at dt = 1e-6 (the run's growth limit keeps its steps far smaller)
     s = step_data["lemma14_resolved"]
     g = s.grid
-    m0 = integrate(s.u)
+    m0 = g.integrate_values(s.u.values)
     s1 = step(s, dt)
     u, v = s1.u.values, s1.v.values
     assert np.all(u > 0) and np.all(v > 0) and np.all(np.isfinite(u))
@@ -660,7 +662,7 @@ def test_one_step_mass_error_at_flux_roundoff_scale(step_data, dt):
     flux = g.omega_n * np.sum(g.face_area / g.face_dr
                               * (b * u[1:] + b_neg * u[:-1]))
     eps = np.finfo(float).eps
-    assert abs(integrate(s1.u) - m0) <= 16.0 * eps * (m0 + dt * flux)
+    assert abs(g.integrate_values(u) - m0) <= 16.0 * eps * (m0 + dt * flux)
 
 
 def _property_state(kind, grid, mass):
