@@ -1,5 +1,5 @@
 """End-to-end: configured run, persisted artifacts, verification battery,
-then a finite-time collapse with the on-grid detector's outcome and onset.
+then a finite-time collapse with the blow-up detector's outcome and onset.
 
 Outputs land under ./demo_out (or $KSLAB_OUT if set).
 """

@@ -43,6 +43,7 @@ satisfies F(u', v') - F(u, v) <= -dt D_step exactly (see the verifier).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -54,6 +55,7 @@ __all__ = [
     "StatePair",
     "EnergyReport",
     "energy_report",
+    "constant_energy",
     "residual_f",
     "theta_exponent",
     "exponent_window",
@@ -168,6 +170,12 @@ def energy_report(s: StatePair) -> EnergyReport:
     block = np.empty((len(EnergyReport._fields), s.grid.ncells))
     _face_pass(v, block)
     return _integrals(s.grid, np.stack((u, v)), u, block)
+
+
+def constant_energy(g: RadialGrid, m: float) -> float:
+    """F_c(m) = |B_R| (c ln c - c^2/2) of u = v = c = m / |B_R|."""
+    c = m / g.domain_volume
+    return m * (math.log(c) - 0.5 * c)
 
 
 def _integrals(g: RadialGrid, uv: np.ndarray, source: np.ndarray,

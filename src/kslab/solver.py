@@ -40,7 +40,7 @@ controller limits growth per step (_next_dt).  The v mass obeys the exact
 discrete comparison m_v' = (m_v + dt m_u)/(1 + dt).  run is a driver over
 three parts, each the one home of its rules: _Workspace.advance accepts
 or rejects a trial step, _next_dt picks the next dt, and _Verdict holds
-every outcome rule.
+every outcome rule, which reads the series rows, not the state.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .functionals import EnergyReport, StatePair, _face_pass, _integrals
+from .functionals import (EnergyReport, StatePair, _face_pass, _integrals,
+                          constant_energy)
 from .grid import RadialField, RadialGrid
 
 __all__ = [
@@ -77,8 +78,7 @@ SERIES_COLUMNS = (
     "t", "dt", "mass_u", "mass_v", "sup_u", "sup_v",
     "F", "D", "f_l2", "g_l2", "gradv_lp",
 )
-_MASS_U = SERIES_COLUMNS.index("mass_u")
-_SUP_U = SERIES_COLUMNS.index("sup_u")
+_MASS_U, _SUP_U, _F = map(SERIES_COLUMNS.index, ("mass_u", "sup_u", "F"))
 
 _DT_GROWTH = 1.2
 _GROWTH_REJECT = 10.0   # reject a step above dt_min that grows u more
@@ -291,53 +291,45 @@ def _next_dt(dt_try: float, gamma: float, dt_max: float) -> float:
 
 
 class _Verdict:
-    """Every outcome rule of a run.  feed judges each row in order, row 0 (s0's
-    own) included, and result stays None while the run may go on.  A step
-    rejected at dt_min (fail_at_floor) ends the run as numerically diverged;
-    nonpositive values are never clipped into validity.  So does a row holding
-    a non-finite value, with trigger "non_finite_diagnostics: <columns>" and
-    t_detect its time; the row stays in the series.  Blow-up is declared from
-    two grid-visible signals, and the run stops as soon as both hold: sup u has
-    grown by blowup_factor over its initial value, and cell 0 holds at least
-    half the u mass, omega_n w_0 u_0 >= mass_u / 2.  Either alone is routine: a
-    concentrating but resolved profile grows without collapsing into one cell,
-    and a datum can start with its mass in cell 0.  t_detect is the first row
-    where the growth condition held, the onset of the collapse; after the
-    singularity mass keeps piling into cell 0, so the half-share row is a grid
-    artifact, not a time of the solution.  A row at t_end (up to 1e-12 t_end)
-    ends the run as reached_t_end, and a step budget that ends short of it as
-    inconclusive; a start time that is not finite and short of it is refused.
-    The verdict fits no singular time; verifier.check_odi_blowup fits one from
-    the energy (its implied_T).
-    """
+    """Every outcome rule of a run, a function of its series rows and of a step
+    rejected at dt_min (fail_at_floor), which ends it as numerically diverged,
+    as does a row with a non-finite value (trigger "non_finite_diagnostics:
+    <columns>", t_detect its t).  Row 0, s0's own, gives the start time
+    (finite, short of t_end), sup u and the mass m; feed judges each row, and
+    result stays None while the run may go on.  It blows up at the first row
+    where sup u has grown by blowup_factor and F < constant_energy(g, m), with
+    t_detect the first growth row.  F never rises, so such a run cannot settle
+    while the constant is the only radial steady state: below the first
+    bifurcation mass, c = 1 + mu_1 (mu_1 the first radial Neumann eigenvalue;
+    m ~ 88.8 at n = 3, R = 1).  A row within 1e-12 t_end of t_end ends it as
+    reached_t_end, a spent step budget as inconclusive."""
 
-    def __init__(self, ws: _Workspace, cfg: SolverConfig):
+    def __init__(self, g: RadialGrid, cfg: SolverConfig, row0: tuple):
         self.t_stop = cfg.t_end - 1e-12 * cfg.t_end
-        if not (math.isfinite(ws.t) and ws.t < self.t_stop):
+        if not (math.isfinite(row0[0]) and row0[0] < self.t_stop):
             raise ValueError(f"need a finite start time below t_end = "
-                             f"{cfg.t_end}, got t = {ws.t}")
-        self.cell0 = ws.g.omega_n * float(ws.g.weights[0])   # omega_n w_0
-        self.sup0 = ws.sups[0]
+                             f"{cfg.t_end}, got t = {row0[0]}")
+        self.sup0 = row0[_SUP_U]
         self.sup_grown = cfg.blowup_factor * self.sup0
+        self.F_c = constant_energy(g, row0[_MASS_U])
         self.max_steps = cfg.max_steps
         self.t_grow: Optional[float] = None   # first row with sup_u grown
         self.result: Optional[BlowupVerdict] = None
 
-    def feed(self, row: tuple, u0: float, steps: int) -> None:
-        """Judge the row of step `steps` (0: s0's), whose cell 0 holds u0."""
+    def feed(self, row: tuple, steps: int) -> None:
+        """Judge the row of step `steps` (0: row0)."""
         t = row[0]
         if self.t_grow is None and row[_SUP_U] >= self.sup_grown:
             self.t_grow = t
-        share = 0.0 if self.t_grow is None else self.cell0 * u0 / row[_MASS_U]
         if not all(map(math.isfinite, row)):
             bad = ", ".join(c for c, x in zip(SERIES_COLUMNS, row)
                             if not math.isfinite(x))
             self.result = BlowupVerdict("diverged_numerically", t,
                                         "non_finite_diagnostics: " + bad)
-        elif share >= 0.5:
+        elif self.t_grow is not None and row[_F] < self.F_c:
             self.result = BlowupVerdict("blew_up", self.t_grow, (
-                f"collapsed_on_grid: cell 0 holds {share:.3g} of the u mass, "
-                f"sup_u x{row[_SUP_U] / self.sup0:.3g}"))
+                f"below_constant_energy: F {row[_F]:.6g} < F_c "
+                f"{self.F_c:.6g}, sup_u x{row[_SUP_U] / self.sup0:.3g}"))
         elif not t < self.t_stop:
             self.result = BlowupVerdict("reached_t_end", None,
                                         "no blow-up footprint")
@@ -361,16 +353,16 @@ def step(s: StatePair, dt: float) -> StatePair:
 
 
 def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
-    """Integrate from s0 with adaptive dt until t_end, on-grid collapse,
-    numerical divergence, or the step budget.  Each trial takes dt_try =
+    """Integrate from s0 with adaptive dt until t_end, blow-up, numerical
+    divergence, or the step budget.  Each trial takes dt_try =
     min(dt, dt_max, t_end - t), floored at dt_min; a rejection halves dt."""
     ws = _Workspace(s0)
     if not (ws.state.min() > 0.0 and max(ws.sups) < math.inf):
         raise ValueError("initial state must be positive and finite")
-    verdict = _Verdict(ws, cfg)
     _face_pass(ws.state[1], ws.block)      # row 0's; each trial makes its own
     rows = array("d", row := ws.row(0.0))  # SERIES_COLUMNS, row after row
-    verdict.feed(row, float(ws.state[0, 0]), 0)
+    verdict = _Verdict(ws.g, cfg, row)
+    verdict.feed(row, 0)
     snapshots = [s0]
     dt, steps, rejected = cfg.dt_init, 0, 0
     while verdict.result is None:
@@ -384,7 +376,7 @@ def run(s0: StatePair, cfg: SolverConfig) -> Trajectory:
             continue
         steps += 1
         rows.extend(row := ws.row(dt_try))
-        verdict.feed(row, float(ws.state[0, 0]), steps)
+        verdict.feed(row, steps)
         if steps % cfg.snapshot_every == 0:
             snapshots.append(ws.snapshot())
         dt = _next_dt(dt_try, gamma, cfg.dt_max)

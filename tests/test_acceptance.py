@@ -12,6 +12,7 @@ pin the vectorized energy checks to a per-row reference.
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from kslab.functionals import StatePair, energy_report, theta_exponent
 from kslab.grid import RadialField, build_grid
 from kslab.initial_data import baseline_profiles, constant_recipe, lemma14_pair
 from kslab.io import load_run, persist_run
-from kslab.solver import BlowupVerdict, SolverConfig, Trajectory, run, step
+from kslab.solver import (SERIES_COLUMNS, BlowupVerdict, SolverConfig,
+                          Trajectory, _Verdict, run, step)
 from kslab.verifier import (_TOL_FLOOR, StateCorpus, check_conservation,
                             check_energy_inequality, check_gradv_lp,
                             check_lemma14_sequence, check_odi_blowup,
@@ -81,9 +83,9 @@ def k_runs():
     return out
 
 
-def _resolved_run(k):
-    """(datum, trajectory) of construction member k on the k_runs grid,
-    with the k_runs solver settings.
+def _resolved_run(k, c=4.0):
+    """(datum, trajectory) of construction member k over the constant
+    baseline c on the k_runs grid, with the k_runs solver settings.
 
     The depth inequality forces log(r_k / sqrt(eta_k)) ~ k / r_k^n, so
     under the default radius rule (R/2) 2^-k the core sqrt(eta_k) is far
@@ -92,7 +94,7 @@ def _resolved_run(k):
     (config key initial.r_rule) keeps the core on the grid.
     """
     recipe = lemma14_recipe_from(
-        {"p": 1.1, "baseline": {"kind": "constant", "c": 4.0},
+        {"p": 1.1, "baseline": {"kind": "constant", "c": c},
          "r_rule": {"r0": 0.8, "q": 0.97}}, _k_grid())
     d = lemma14_pair(recipe, k)
     return d, run(StatePair(d.u0, d.v0), K_RUN_CONFIG)
@@ -304,6 +306,31 @@ def test_criterion_06_blowup_experiment(resolved_runs):
     assert okmono, f"detection times not decreasing in k: {det}"
 
 
+def test_criterion_06_small_mass_collapses(resolved_runs):
+    # The paper's theorem holds for any mass m > 0.  Over the baselines
+    # c = 0.25 and 0.1 (m = 1.05 and 0.42) the k = 4 members collapse, and
+    # F falls below the constant state's F_c(m) a few dozen rows after
+    # sup_u has grown 1e4-fold; c = 0.25 k = 3, like c = 4 k = 1, relaxes.
+    stats, ok = {}, True
+    for c, k, expect in ((0.25, 4, "blew_up"), (0.1, 4, "blew_up"),
+                         (0.25, 3, "reached_t_end")):
+        start = time.perf_counter()
+        traj = _resolved_run(k, c)[1]
+        seconds = time.perf_counter() - start
+        t, sup = traj.series["t"], traj.series["sup_u"]
+        v = traj.verdict
+        grew = sup >= K_RUN_CONFIG.blowup_factor * sup[0]
+        if expect == "blew_up":
+            ok &= v.t_detect == t[np.argmax(grew)]
+        ok &= v.outcome == expect and seconds < 0.1
+        stats[c, k] = (v.outcome, v.t_detect, t.size - 1, round(seconds, 3))
+    v1 = resolved_runs[1][1].verdict
+    ok &= v1.outcome == "reached_t_end"
+    _line(6, ok, f"small masses (outcome, t_detect, steps, s): {stats}; "
+                 f"c=4 k=1 {v1.outcome}")
+    assert ok, (stats, v1)
+
+
 def test_criterion_07_uniform_bounds_along_blowup(resolved_runs):
     traj = resolved_runs[4][1]
     assert traj.verdict.outcome == "blew_up", traj.verdict
@@ -434,6 +461,41 @@ def test_criterion_10_determinism_and_restart(run4, tmp_path):
     assert rel <= 1e-12
 
 
+# ------------------------------------------------------- verdict replay
+
+def _replayed_verdict(rd):
+    """The verdict of a loaded run's series, each row fed in order through
+    a fresh solver._Verdict; the run must not end before its last row."""
+    cols = [rd.series[c].tolist() for c in SERIES_COLUMNS]
+    rows = list(zip(*cols))
+    verdict = _Verdict(rd.snapshots[0].grid, rd.config.solver, rows[0])
+    for steps, row in enumerate(rows):
+        assert verdict.result is None, (steps, verdict.result)
+        verdict.feed(row, steps)
+    return verdict.result
+
+
+def test_verdict_replays_from_the_stored_series(run4, collapse_run, tmp_path):
+    # a verdict is a function of the series rows and of a step rejected at
+    # dt_min, which neither run has.  The collapse run's initial block
+    # records its datum, a bump u over half a wider bump's v, as the
+    # benchmark's collapse_store config does.
+    collapse_cfg = ExperimentConfig(
+        name="acc_collapse", grid={"n": 3, "R": 1.0, "N": 512},
+        initial={"kind": "bump", "m": 50.0, "width": 0.15, "floor": 1e-2,
+                 "v": {"m": 25.0, "width": 0.3, "floor": 1e-2,
+                       "scale": 0.5}},
+        solver=collapse_run.config)
+    runs = {"run4": run4, "collapse": (collapse_cfg, collapse_run)}
+    for name, (cfg, traj) in runs.items():
+        persist_run(traj, cfg, str(tmp_path / name))
+        rd = load_run(str(tmp_path / name))
+        assert rd.verdict == traj.verdict, name
+        assert _replayed_verdict(rd) == rd.verdict, name
+    assert collapse_run.verdict.outcome == "blew_up"
+    assert run4[1].verdict.outcome == "reached_t_end"
+
+
 # ------------------------------------------------- per-row energy reference
 
 def _energy_rows_reference(traj):
@@ -469,8 +531,8 @@ def test_energy_checks_match_per_row_reference(run4, collapse_run,
                                                resolved_runs):
     # every row of each run, the collapse run included, which passes.  The
     # ODI half reads resolved_k2 in its place: the collapse run stops once
-    # cell 0 holds half the mass, and its F < 0 tail is shorter than the
-    # 16 rows check_odi_blowup needs to apply.
+    # F is below the constant state's F_c, and its F < 0 tail is shorter
+    # than the 16 rows check_odi_blowup needs to apply.
     theta = theta_exponent(3, 2.0)
     runs = {"run4": run4[1], "collapse": collapse_run,
             "resolved_k4": resolved_runs[4][1]}

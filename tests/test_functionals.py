@@ -14,7 +14,7 @@ from kslab import (
     residual_f,
     theta_exponent,
 )
-from kslab.functionals import _bernoulli
+from kslab.functionals import _bernoulli, constant_energy
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,12 @@ def test_energy_of_constants(grid, c):
     rep = energy_report(constant_state(grid, c))
     assert rep.F == pytest.approx(expected, rel=1e-12)
     assert rep.grad_v_sq == 0.0
+    # F_c(m) of the mass m = c |B_1|, |B_1| = 4 pi / 3
+    ball = 4.0 * math.pi / 3.0
+    f_c = constant_energy(grid, c * ball)
+    assert f_c == pytest.approx(ball * (c * math.log(c) - 0.5 * c * c),
+                                rel=1e-12)
+    assert f_c == pytest.approx(rep.F, rel=1e-12)
 
 
 def test_energy_of_one_is_minus_half_volume(grid):

@@ -21,7 +21,7 @@ from kslab import (
 )
 from kslab import functionals, solver
 from kslab.config import lemma14_recipe_from
-from kslab.functionals import _bernoulli, _gradv_exponent
+from kslab.functionals import _bernoulli, _gradv_exponent, constant_energy
 from kslab.solver import _next_dt, _Workspace
 from kslab.verifier import _TOL_FLOOR
 
@@ -487,8 +487,8 @@ def test_config_validation():
 
 
 def test_blowup_run_end_to_end():
-    # concentrated data on a uniform grid: collapse detected once cell 0
-    # holds half the mass
+    # concentrated data on a uniform grid: collapse detected once sup_u has
+    # grown 1e4-fold and F has fallen below the constant state's F_c(m)
     grid = build_grid(3, 1.0, 256)
     ub = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
     vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2)
@@ -506,7 +506,7 @@ def test_blowup_run_end_to_end():
 def _collapse_run(N=256, grading=1.0, **overrides):
     # the collapse datum: a mass-50 bump over half a wider mass-25 signal,
     # by default on the uniform N=256 grid; there sup_u has grown 1e4-fold
-    # after 40 steps, and cell 0 holds half the mass after 50
+    # after 40 steps, and F is below F_c(50) after 46
     grid = build_grid(3, 1.0, N, grading)
     ub = baseline_profiles("bump", grid, m=50.0, width=0.15, floor=1e-2)
     vb = baseline_profiles("bump", grid, m=25.0, width=0.3, floor=1e-2)
@@ -517,51 +517,50 @@ def _collapse_run(N=256, grading=1.0, **overrides):
     return run(s, SolverConfig(**cfg))
 
 
-def _cell0_share(s):
-    g = s.grid
-    return g.omega_n * g.weights[0] * s.u.values[0] / g.integrate_values(
-        s.u.values)
+def _constant_energy_of(traj):
+    # F_c of the run's mass, row 0's, as the verdict takes it
+    return constant_energy(traj.grid, traj.series["mass_u"][0])
 
 
 def test_collapse_datum_blows_up_on_grid_within_budget():
     traj = _collapse_run()
     v = traj.verdict
     assert v.outcome == "blew_up"
-    assert v.trigger.startswith("collapsed_on_grid")
+    assert v.trigger.startswith("below_constant_energy: F -")
     assert traj.series["t"].size - 1 < traj.config.max_steps
-    assert _cell0_share(traj.snapshots[-1]) >= 0.5
+    assert traj.series["F"][-1] < _constant_energy_of(traj)
     grew = traj.series["sup_u"] >= 1e4 * traj.series["sup_u"][0]
     assert v.t_detect == traj.series["t"][np.argmax(grew)]
 
 
-def test_blowup_needs_growth_and_half_share():
-    # growth without the half share: stop the collapse between the growth
-    # row and the half-share row
+def test_blowup_needs_growth_and_energy_below_constant():
+    # growth without F < F_c: stop the collapse between the growth row (40)
+    # and the F_c row (46)
     full = _collapse_run()
     t_end = 0.5 * (full.verdict.t_detect + full.series["t"][-1])
     traj = _collapse_run(t_end=t_end)
     sup = traj.series["sup_u"]
     assert np.max(sup) >= 1e4 * sup[0]
-    assert _cell0_share(traj.snapshots[-1]) < 0.5
+    assert traj.series["F"][-1] >= _constant_energy_of(traj)
     assert traj.verdict.outcome == "reached_t_end"
-    # the half share without growth: the same trajectory judged against a
-    # growth factor it never reaches runs on past the collapse
+    # F < F_c without growth: the same trajectory judged against a growth
+    # factor it never reaches runs on past the collapse
     traj = _collapse_run(t_end=5e-3, blowup_factor=1e6)
     sup = traj.series["sup_u"]
     assert np.max(sup) < 1e6 * sup[0]
-    assert _cell0_share(traj.snapshots[-1]) > 0.9
+    assert traj.series["F"][-1] < _constant_energy_of(traj)
     assert traj.verdict.outcome == "reached_t_end"
     assert traj.verdict.t_detect is None
 
 
 @pytest.mark.parametrize("blowup_factor, grows", [(1e4, True), (1e9, False)])
 def test_budget_exhausted_short_of_t_end_is_inconclusive(blowup_factor, grows):
-    # 45 steps: past the growth row, short of the half-share row
+    # 45 steps: past the growth row, short of the F_c row
     traj = _collapse_run(max_steps=45, blowup_factor=blowup_factor)
     sup = traj.series["sup_u"]
     assert traj.series["t"].size - 1 == 45
     assert (np.max(sup) >= blowup_factor * sup[0]) == grows
-    assert _cell0_share(traj.snapshots[-1]) < 0.5
+    assert traj.series["F"][-1] >= _constant_energy_of(traj)
     assert traj.verdict.outcome == "inconclusive"
     assert traj.verdict.t_detect is None
 
