@@ -49,7 +49,6 @@ from .verifier import (
     check_odi_blowup,
     check_lemma14_sequence,
     inequality_suite,
-    fit_odi_constant,
     trajectory_battery,
 )
 from .config import (
@@ -72,6 +71,6 @@ __all__ = [
     "CheckReport", "StateCorpus", "check_conservation",
     "check_energy_inequality", "check_pointwise_bound", "check_gradv_lp",
     "check_odi_blowup", "check_lemma14_sequence", "inequality_suite",
-    "fit_odi_constant", "trajectory_battery",
+    "trajectory_battery",
     "ExperimentConfig", "config_hash", "load_config", "build_initial_state",
 ]

@@ -3,7 +3,8 @@
 Two families:
 
   - trajectory checks: conservation identities, the per-step energy
-    inequality, t-uniform bound diagnostics, and the ODI fit on y = -F;
+    inequality, t-uniform bound diagnostics, and the paper's explicit
+    blow-up criterion on y = -F;
   - a corpus suite: functional inequalities evaluated member by member on a
     set of admissible states, reporting the observed worst ratio and never
     asserting a specific constant (the underlying constants are
@@ -26,9 +27,8 @@ Scharfetter-Gummel entropy production of the arrival state,
 The v-part is an exact quadratic identity: F is quadratic in v, and the
 v-solve makes (v' - v)/dt = Lap v' - v' + u with the departure u.  The
 u-part follows from the convexity of s ln s and the u-solve's mass
-conservation.  So check_energy_inequality allows every row, and
-check_odi_blowup's monotonicity test on y = -F every step, roundoff alone:
-_TOL_FLOOR (1 + |F_j|).
+conservation.  So check_energy_inequality allows every row roundoff
+alone: _TOL_FLOOR (1 + |F_j|).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .functionals import (
     EnergyReport,
     StatePair,
     _gradv_exponent,
+    constant_energy,
     energy_report,
     theta_exponent,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "check_odi_blowup",
     "check_lemma14_sequence",
     "inequality_suite",
-    "fit_odi_constant",
     "trajectory_battery",
 ]
 
@@ -223,68 +223,45 @@ def check_gradv_lp(traj: Trajectory) -> CheckReport:
                          s["t"][keep], "empirical_C_p", {"denominator": denom})
 
 
-def fit_odi_constant(t: np.ndarray, y: np.ndarray, theta: float) -> tuple[float, float]:
-    """Fit y(t) = y(0) (1 - C t)^{-theta/(1-theta)} by the exact linearizing
-    transform z = (y/y(0))^{-(1-theta)/theta} = 1 - C t.
-
-    Returns (C, max |z - (1 - C t)|).  Slope is least squares through the
-    exact intercept z(0) = 1.
-    """
-    t = np.asarray(t, float)
-    y = np.asarray(y, float)
-    if t.size < 3:
-        raise ValueError("need at least 3 points to fit")
-    if np.any(y <= 0):
-        raise ValueError("y must be positive")
-    z = (y / y[0]) ** (-(1.0 - theta) / theta)
-    tt = np.sum(t * t)
-    C = float(np.sum((1.0 - z) * t) / tt) if tt > 0 else 0.0
-    resid = float(np.max(np.abs(z - (1.0 - C * t))))
-    return C, resid
-
-
 def check_odi_blowup(traj: Trajectory, theta: float) -> CheckReport:
-    """y = -F along the run: monotone within roundoff, and the fitted
-    (1 - C t)^{-theta/(1-theta)} lower envelope has bounded residual.
+    """The paper's explicit blow-up criterion with K = K_hat = -F_c(m).
 
-    Fits the terminal stretch where F < 0 (y = -F needs a positive base);
-    inapplicable (reported, not failed) when that stretch is too short.
+    The constant state of mass m has D = 0, so K_hat is the least K that
+    -F <= K (D^theta + 1) admits at m.  If y0 = -F(s0) > K, y = -F obeys
+    y' = D >= (y/K - 1)^{1/theta} and blows up before
+    T_ODI = t0 + K theta/(1-theta) (y0/K - 1)^{-(1-theta)/theta}.  Passes
+    iff the run ended blew_up with t_detect <= T_ODI(K_hat); worst_ratio
+    is (t_detect - t0) / (T_ODI - t0), inf if it did not blow up.
+    Inapplicable (reported, not failed) when y0 <= K_hat + _TOL_FLOOR
+    (1 + |y0|): the grid's sum F and the closed form F_c differ by
+    roundoff, so the constant state itself may read y0 > K_hat.
+
+    Strict in both directions: the paper's K is at least K_hat and T_ODI
+    grows with K, so T_ODI(K_hat) <= T_ODI(K) makes the time test stricter
+    than the paper's, and y0 > K_hat is necessary for its premise y0 > K,
+    but not sufficient.
     """
     if not 0.5 < theta < 1.0:
         raise ValueError(f"theta must lie in (1/2, 1), got {theta}")
-    s = traj.series
-    F, t = s["F"], s["t"]
-    neg = F < 0
-    start = int(np.argmax(neg)) if neg.any() else F.size
-    if not neg[start:].all() or F.size - start < 16:
-        return CheckReport(
-            name="odi_blowup", passed=True, worst_ratio=math.nan,
-            details={"applicable": False},
-            notes="inapplicable: no terminal stretch with F < 0 to fit",
-        )
-    F, t = F[start:], t[start:]
-    y = -F
-    # monotone within the energy law's roundoff allowance
-    dec = y[1:] - y[:-1] + _TOL_FLOOR * (1.0 + np.abs(F[:-1]))
-    monotone = bool(np.all(dec >= 0.0))
-    C, resid = fit_odi_constant(t - t[0], y, theta)
-    resid_ok = resid <= 0.1
-    t_detect = traj.verdict.t_detect
-    implied_T = t[0] + 1.0 / C if C > 0 else math.inf
+    s, v = traj.series, traj.verdict
+    t0, y0 = float(s["t"][0]), -float(s["F"][0])
+    k_hat = -constant_energy(traj.grid, float(s["mass_u"][0]))
+    applicable = y0 > k_hat + _TOL_FLOOR * (1.0 + abs(y0))
+    t_odi = ratio = math.nan
+    if applicable:
+        span = (k_hat * theta / (1.0 - theta)
+                * (y0 / k_hat - 1.0) ** (-(1.0 - theta) / theta))
+        t_odi = t0 + span
+        ratio = (v.t_detect - t0) / span if v.outcome == "blew_up" else math.inf
     return CheckReport(
         name="odi_blowup",
-        passed=monotone and resid_ok,
-        worst_ratio=resid,
-        location=float(t[int(np.argmax(np.abs(dec)))]) if y.size > 1 else None,
-        details={
-            "applicable": True,
-            "fitted_C": C,
-            "implied_T": implied_T,
-            "t_detect": t_detect,
-            "monotone": monotone,
-            "fit_residual": resid,
-        },
-        notes=f"fitted C={C:.6g}, implied T={implied_T:.6g}",
+        passed=bool(not applicable or ratio <= 1.0),
+        worst_ratio=float(ratio),
+        location=v.t_detect,
+        details={"applicable": applicable, "K_hat": k_hat, "y0": y0,
+                 "T_ODI": t_odi, "t_detect": v.t_detect},
+        notes=(f"K_hat={k_hat:.6g}, -F(s0)={y0:.6g}, T_ODI={t_odi:.6g}"
+               + ("" if applicable else " (inapplicable: -F(s0) <= K_hat)")),
     )
 
 
@@ -490,7 +467,8 @@ def inequality_suite(corpus: StateCorpus) -> list[CheckReport]:
 
 def trajectory_battery(traj: Trajectory, kappa: float) -> list[CheckReport]:
     """The standard per-run battery: conservation, energy inequality,
-    pointwise bound, grad-v ratio, ODI diagnostics."""
+    pointwise bound, grad-v ratio, and the ODI blow-up criterion at
+    K_hat = -F_c(m)."""
     theta = theta_exponent(traj.grid.n, kappa)
     return [
         check_conservation(traj),

@@ -22,7 +22,6 @@ from kslab import (
     check_odi_blowup,
     check_pointwise_bound,
     constant_recipe,
-    fit_odi_constant,
     inequality_suite,
     lemma14_pair,
     perturbed_constant,
@@ -30,6 +29,7 @@ from kslab import (
     trajectory_battery,
 )
 from kslab.config import build_initial_state, load_config
+from kslab.functionals import constant_energy
 from kslab.verifier import GROWTH_LIMIT, _TOL_FLOOR, _quartile_trend
 
 
@@ -98,6 +98,29 @@ def test_energy_check_catches_time_reversal(decay_run):
     series["t"], series["dt"] = keep_t, keep_dt
     rev = dataclasses.replace(decay_run, series=series)
     assert not check_energy_inequality(rev).passed
+
+
+@pytest.mark.parametrize("of_tol, of_drop, passes", [
+    (0.5, 0.0, True), (1.0, 0.1, False), (1.0, 0.9, False)])
+def test_energy_allowance_is_the_roundoff_floor_alone(decay_run, of_tol,
+                                                      of_drop, passes):
+    # every row keeps the law with room dt_i, except row j, into which D
+    # drops sharply and whose margin is (of_tol - 1) tol_j + of_drop dt_j
+    # (D_{j-1} - D_j): a rise past tol_j fails even when
+    # dt_j (D_{j-1} - D_j)_+ would cover it
+    t = np.linspace(0.0, 0.2, 40)
+    dt = np.concatenate([[0.0], np.diff(t)])
+    D = np.ones_like(t)
+    j = 20
+    D[j - 1] = 11.0
+    F = -2.0 - np.cumsum(dt * (D + 1.0))
+    tol = _TOL_FLOOR * (1.0 + abs(F[j - 1]))
+    assert tol < 0.1 * dt[j] * (D[j - 1] - D[j])
+    F[j:] += dt[j] + of_tol * tol + of_drop * dt[j] * (D[j - 1] - D[j])
+    rep = check_energy_inequality(dataclasses.replace(
+        decay_run, series={"t": t, "dt": dt, "F": F, "D": D}))
+    assert rep.passed is passes
+    assert rep.location == float(t[j])
 
 
 def test_pointwise_bound_flags_growth(decay_run):
@@ -182,24 +205,33 @@ def test_gradv_lp_passes_on_short_relaxation_from_constant_v(n):
 # --- ODI ----------------------------------------------------------------
 
 
-def test_fit_odi_constant_recovers_manufactured():
+@pytest.mark.parametrize("outcome, shift, passes", [
+    ("blew_up", -1e-9, True), ("blew_up", 1e-9, False),
+    ("reached_t_end", 0.0, False)])
+def test_odi_check_known_answer(decay_run, outcome, shift, passes):
+    # y0 = 2 K_hat makes (y0/K_hat - 1) = 1, so T_ODI = t0 + K_hat theta /
+    # (1 - theta) exactly; a blow-up detected just before it passes
     theta = 20.0 / 23.0
-    q = theta / (1.0 - theta)
-    t = np.linspace(0.0, 0.45, 400)
-    y = (1.0 - 2.0 * t) ** (-q)
-    C, resid = fit_odi_constant(t, y, theta)
-    assert C == pytest.approx(2.0, rel=1e-12)
-    assert resid < 1e-12
-
-
-def test_fit_odi_constant_scales_with_y0():
-    theta = 0.75
-    q = theta / (1.0 - theta)
-    t = np.linspace(0.0, 0.2, 200)
-    y = 7.0 * (1.0 - 3.0 * t) ** (-q)
-    C, resid = fit_odi_constant(t, y, theta)
-    assert C == pytest.approx(3.0, rel=1e-10)
-    assert resid < 1e-10
+    m = float(decay_run.series["mass_u"][0])
+    k_hat = -constant_energy(decay_run.grid, m)
+    t = np.linspace(0.5, 0.7, 40)
+    series = {"t": t, "F": -2.0 * k_hat * (1.0 + t - t[0]),
+              "mass_u": np.full_like(t, m)}
+    t_odi = float(t[0]) + k_hat * theta / (1.0 - theta)
+    t_detect = t_odi * (1.0 + shift) if outcome == "blew_up" else None
+    rep = check_odi_blowup(dataclasses.replace(
+        decay_run, series=series,
+        verdict=BlowupVerdict(outcome, t_detect, "test")), theta)
+    assert set(rep.details) == {"applicable", "K_hat", "y0", "T_ODI",
+                                "t_detect"}
+    assert rep.details["applicable"] is True
+    assert rep.details["K_hat"] == k_hat
+    assert abs(rep.details["T_ODI"] - t_odi) <= 1e-12 * t_odi
+    assert rep.passed is passes
+    if outcome != "blew_up":
+        assert rep.worst_ratio == math.inf
+    elif not passes:
+        assert rep.worst_ratio > 1.0
 
 
 def test_odi_check_inapplicable_on_positive_energy(decay_run):
@@ -211,33 +243,22 @@ def test_odi_check_inapplicable_on_positive_energy(decay_run):
     assert rep.details["applicable"] is False
 
 
+def test_odi_check_inapplicable_on_the_constant_state():
+    # at c = 1 on this grid the summed -F exceeds the closed form -F_c by
+    # 2e-16 relative: roundoff, not a datum above K_hat
+    grid = build_grid(3, 1.0, 96)
+    traj = run(baseline_profiles("constant", grid, c=1.0),
+               SolverConfig(t_end=1e-2, dt_init=1e-4, dt_max=1e-3))
+    assert -traj.series["F"][0] > -constant_energy(
+        grid, traj.series["mass_u"][0])
+    rep = check_odi_blowup(traj, theta=20.0 / 23.0)
+    assert rep.passed
+    assert rep.details["applicable"] is False
+
+
 def test_odi_check_rejects_bad_theta(decay_run):
     with pytest.raises(ValueError):
         check_odi_blowup(decay_run, theta=0.4)
-
-
-@pytest.mark.parametrize("of_tol, of_drop, monotone", [
-    (0.5, 0.0, True), (1.0, 0.1, False), (1.0, 0.9, False)])
-def test_odi_monotone_allowance_is_the_energy_law(decay_run, of_tol, of_drop,
-                                                  monotone):
-    # a terminal F < 0 stretch where D drops sharply into row j and F rises
-    # there by of_tol * tol_j + of_drop * dt_j (D_{j-1} - D_j): the
-    # allowance is the roundoff floor alone, so a rise past it breaks
-    # monotonicity even when dt_j (D_{j-1} - D_j)_+ would cover it
-    t = np.linspace(0.0, 0.2, 40)
-    dt = np.concatenate([[0.0], np.diff(t)])
-    F = -2.0 * (1.0 - t) ** -3.0
-    D = np.ones_like(t)
-    j = 20
-    D[j - 1] = 11.0
-    tol = _TOL_FLOOR * (1.0 + abs(F[j - 1]))
-    assert tol < 0.1 * dt[j] * (D[j - 1] - D[j])
-    F[j] = F[j - 1] + of_tol * tol + of_drop * dt[j] * (D[j - 1] - D[j])
-    assert np.all(F < 0)
-    odi = check_odi_blowup(dataclasses.replace(
-        decay_run, series={"t": t, "dt": dt, "F": F, "D": D}), 20.0 / 23.0)
-    assert odi.details["applicable"]
-    assert odi.details["monotone"] is monotone
 
 
 # --- sequence check -----------------------------------------------------
