@@ -4,7 +4,8 @@ Subcommands:
 
     simulate <config.json>            run and persist a trajectory
     construct <config.json>           tabulate and store a constructed sequence
-    verify <run_dir> --battery NAME   run checks against a stored run
+    verify <run_dir> [--battery B]    run checks against a stored run: B is
+                                      trajectory (the default) or suite
     sweep <config.json> --ks ...      one run per k or N, in turn
     constants <n> <kappa> <p>         print the derived exponents/windows
     plot <run_dir>                    emit plot scripts (no rendering)
@@ -16,7 +17,6 @@ directories resolve against KSLAB_OUT when set.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,12 +25,12 @@ import numpy as np
 
 from .config import (
     ExperimentConfig,
+    _json,
     build_initial_state,
     config_hash,
     lemma14_recipe_from,
     load_config,
     member_ks,
-    output_root,
 )
 from .functionals import (StatePair, energy_report, exponent_window,
                           theta_exponent)
@@ -40,8 +40,6 @@ from .io import load_run, persist_run, write_checks, write_snapshot
 from .solver import run as run_solver
 from .verifier import (
     StateCorpus,
-    check_conservation,
-    check_energy_inequality,
     check_lemma14_sequence,
     inequality_suite,
     trajectory_battery,
@@ -51,10 +49,11 @@ __all__ = ["main"]
 
 
 def _resolve_out(cfg: ExperimentConfig, override: str | None) -> str:
-    d = override or cfg.output.get("directory") or cfg.name
-    if not os.path.isabs(d):
-        d = os.path.join(output_root(), d)
-    return d
+    """--out, else output.directory, else the config's name, under
+    KSLAB_OUT (else the working directory); an absolute path is kept."""
+    root = os.environ.get("KSLAB_OUT", os.getcwd())
+    return os.path.join(root, override or cfg.output.get("directory")
+                        or cfg.name)
 
 
 def _simulate(cfg: ExperimentConfig, directory: str):
@@ -108,27 +107,17 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-_BATTERIES = ("trajectory", "conservation", "energy", "suite")
-
-
 def _cmd_verify(args) -> int:
     run_data = load_run(args.run_dir)
     traj = run_data.as_trajectory()
-    battery = args.battery
     kappa = run_data.config.kappa
-    if battery == "trajectory":
+    if args.battery == "trajectory":
         reports = trajectory_battery(traj, kappa=kappa)
-    elif battery == "conservation":
-        reports = [check_conservation(traj)]
-    elif battery == "energy":
-        reports = [check_energy_inequality(traj)]
-    elif battery == "suite":
+    else:
         labeled = [(f"snap_t={s.t:.6g}", s) for s in traj.snapshots]
         corpus = StateCorpus.from_states(labeled, kappa=kappa)
         reports = inequality_suite(corpus)
-    else:
-        raise ValueError(f"unknown battery {battery!r}; pick from {_BATTERIES}")
-    write_checks(reports, args.run_dir, battery)
+    write_checks(reports, args.run_dir, args.battery)
     for rep in reports:
         print(rep)
     return 0 if all(r.passed for r in reports) else 1
@@ -166,10 +155,8 @@ def _cmd_sweep(args) -> int:
         results.append({"name": job.name, "outcome": v.outcome,
                         "t_detect": v.t_detect})
         print(f"{job.name}: {v.outcome} t_detect={v.t_detect}")
-    with open(os.path.join(out, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump({"config_hash": config_hash(cfg), "runs": results},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(os.path.join(out, "sweep.json"), "wb") as fh:
+        fh.write(_json({"config_hash": config_hash(cfg), "runs": results}))
     return 0
 
 
@@ -266,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify", help="run a check battery on a stored run")
     s.add_argument("run_dir")
-    s.add_argument("--battery", default="trajectory", choices=_BATTERIES)
+    s.add_argument("--battery", default="trajectory",
+                   choices=("trajectory", "suite"))
     s.set_defaults(fn=_cmd_verify)
 
     s = sub.add_parser("sweep", help="one run per k or N, in turn")

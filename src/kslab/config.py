@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -46,7 +45,6 @@ __all__ = [
     "config_hash",
     "load_config",
     "build_initial_state",
-    "output_root",
 ]
 
 _INITIAL_KINDS = ("constant", "bump", "lemma14")
@@ -153,10 +151,15 @@ def load_config(path: str) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
+def _json(obj) -> bytes:
+    """kslab's JSON form, the bytes of every JSON file it writes: indent
+    2, sorted keys, a final newline."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(_json(cfg.to_dict()))
 
 
 def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
@@ -223,7 +226,3 @@ def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:
         grid, float(baseline.get("c", 1.0)), float(init.get("p", 1.1)),
         None if alpha is None else float(alpha), rule)
 
-
-def output_root() -> str:
-    """Output directory root; KSLAB_OUT overrides the working directory."""
-    return os.environ.get("KSLAB_OUT", os.getcwd())

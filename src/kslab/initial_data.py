@@ -18,11 +18,11 @@ v_k -> v in W^{1,2}.
 phi(xi) diverges only logarithmically as xi -> 0, so the eta_k demanded by
 the inequality above is double-exponentially small in k / r_k^n.  For the
 default radius rule it underflows float64 at k = 3 already.  All internal
-arithmetic therefore carries log(eta_k) exactly; the float eta field of a
-datum is the (possibly subnormal or underflowed-to-zero) exponential, kept
-for display.  Pointwise evaluation at representable radii stays correctly
-rounded: below the underflow threshold r^2 + eta_k rounds to r^2 at every
-representable r > 0, so the float profiles are the pure power tails there.
+arithmetic therefore carries log(eta_k) exactly, and a datum records
+log_eta, not eta.  Pointwise evaluation at representable radii stays
+correctly rounded: below the underflow threshold r^2 + eta_k rounds to r^2
+at every representable r > 0, so the float profiles are the pure power
+tails there.
 
 The baseline is the constant u = v = c, the only one the lab builds data
 over.  Convergence and energy numbers of a datum are continuum integrals,
@@ -203,7 +203,6 @@ class BlowupDatum:
 
     k: int
     r_k: float
-    eta: float          # exp(log_eta); 0.0 when below the float64 floor
     log_eta: float
     margin: float       # r_k^n phi(eta/r_k^2) - k, nonnegative
     a: float
@@ -211,7 +210,6 @@ class BlowupDatum:
     scale: float        # m / ||u~_k||_1, the renormalization factor
     mass: float
     F0: float
-    uv_integral: float
     du_lp: float        # ||u_k - u||_{L^p}, continuum integral
     dv_w12: float       # ||v_k - v||_{W^{1,2}}, continuum integral
     uv_over_k: float
@@ -274,8 +272,8 @@ def _family_index(k) -> int:
 
 def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     """The k-th member's spike and its grid data, without the continuum
-    integrals that lemma14_pair adds: (r_k, log_eta, margin, log_xi, eta,
-    a, b, u0, v0).  Raises as lemma14_pair does."""
+    integrals that lemma14_pair adds: (r_k, log_eta, margin, log_xi, a, b,
+    u0, v0).  Raises as lemma14_pair does."""
     k = _family_index(k)
     g = recipe.grid
     n, R = g.n, g.R
@@ -306,7 +304,7 @@ def _sampled_member(recipe: Lemma14Recipe, k: int) -> tuple:
     v_vals = np.where(inside, b * (r * r + eta) ** (-alpha / 2.0), c)
     grid_mass = g.integrate_values(np.full(g.ncells, c))
     u_vals = u_vals * (grid_mass / g.integrate_values(u_vals))
-    return (r_k, log_eta, margin, log_xi, eta, a, b, RadialField(g, u_vals),
+    return (r_k, log_eta, margin, log_xi, a, b, RadialField(g, u_vals),
             RadialField(g, v_vals))
 
 
@@ -326,8 +324,7 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
     alpha = recipe.alpha
     p = recipe.p
     c = recipe.c
-    (r_k, log_eta, margin, log_xi, eta, a, b, u0,
-     v0) = _sampled_member(recipe, k)
+    r_k, log_eta, margin, log_xi, a, b, u0, v0 = _sampled_member(recipe, k)
     k = int(k)
     wn = g.omega_n
 
@@ -413,9 +410,9 @@ def lemma14_pair(recipe: Lemma14Recipe, k: int) -> BlowupDatum:
         log_eta, margin, F0,
     )
     return BlowupDatum(
-        k=k, r_k=r_k, eta=eta, log_eta=log_eta, margin=margin, a=a, b=b,
-        scale=scale, mass=m, F0=F0, uv_integral=uv, du_lp=du_lp,
-        dv_w12=dv_w12, uv_over_k=uv / k, center_uv=c * c, u0=u0, v0=v0,
+        k=k, r_k=r_k, log_eta=log_eta, margin=margin, a=a, b=b, scale=scale,
+        mass=m, F0=F0, du_lp=du_lp, dv_w12=dv_w12, uv_over_k=uv / k,
+        center_uv=c * c, u0=u0, v0=v0,
     )
 
 

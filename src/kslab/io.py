@@ -10,7 +10,8 @@ Layout of a run directory:
                      (2N values), in the order of the index's t
     checks_*.json    CheckReports, one file per verify battery
     manifest.json    the BlowupVerdict and the rejected-step count, and an
-                     inventory with file hashes; written last, atomically
+                     inventory with the sha256 of each file's bytes as they
+                     were written; written last, atomically
 
 The snapshots.* pair is the store write_snapshot writes for every state
 kslab keeps; a `kslab construct` directory holds sequence.csv and a store
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _VERSION
-from .config import ExperimentConfig, config_hash, save_config
+from .config import ExperimentConfig, _json, config_hash
 from .functionals import StatePair
 from .grid import RadialField, _grid_from_edges
 from .solver import SERIES_COLUMNS, BlowupVerdict, Trajectory
@@ -67,18 +68,19 @@ _INDEX_KEYS = ("n", "R", "edges", "t", "config_hash")
 _ROW_DTYPE = np.dtype("<f8")
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _savez(path: str, **arrays) -> None:
-    # through a file handle, so np.savez does not append ".npz" to the path
+def _write(path: str, data: bytes) -> str:
+    """Write `data` to `path` and return its sha256: the digest of the
+    bytes as written, so no file is read back to hash it."""
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _npz(**arrays) -> bytes:
+    """The bytes of an uncompressed .npz archive of `arrays`."""
+    buf = BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 def _read_once(path: str) -> BytesIO:
@@ -109,10 +111,11 @@ def _load_npz(src, keys) -> dict:
         raise ValueError(f"unreadable .npz file {label}: {exc}") from exc
 
 
-def write_series(series: dict, path: str, cfg_hash: str) -> None:
-    _savez(path, config_hash=np.array(cfg_hash), **{
+def write_series(series: dict, path: str, cfg_hash: str) -> str:
+    """Write a series file and return its sha256."""
+    return _write(path, _npz(config_hash=np.array(cfg_hash), **{
         name: np.asarray(series[name], dtype=np.float64)
-        for name in SERIES_COLUMNS})
+        for name in SERIES_COLUMNS}))
 
 
 def load_series(path) -> tuple[dict, str]:
@@ -123,9 +126,9 @@ def load_series(path) -> tuple[dict, str]:
 
 
 def write_snapshot(states: Sequence[StatePair], directory: str,
-                   cfg_hash: str) -> str:
+                   cfg_hash: str) -> dict:
     """Store `states`, all on one grid, in `directory` as snapshots.npz and
-    snapshots.f64, and return the sha256 of the row file."""
+    snapshots.f64, and return the sha256 of each, by file name."""
     if not states:
         raise ValueError(f"no states to store in {directory}")
     g = states[0].grid
@@ -133,11 +136,12 @@ def write_snapshot(states: Sequence[StatePair], directory: str,
         if s.grid != g:
             raise ValueError(f"snapshot {i} is not on the grid of snapshot 0")
     os.makedirs(directory, exist_ok=True)
-    _savez(os.path.join(directory, "snapshots.npz"), n=g.n, R=g.R,
-           edges=g.edges, t=np.array([s.t for s in states], dtype=np.float64),
-           config_hash=np.array(cfg_hash))
+    index = _write(os.path.join(directory, "snapshots.npz"), _npz(
+        n=g.n, R=g.R, edges=g.edges,
+        t=np.array([s.t for s in states], dtype=np.float64),
+        config_hash=np.array(cfg_hash)))
     # raw rows straight from the states' arrays, no stacked copy, hashed as
-    # they are written rather than read back
+    # they are written
     digest = hashlib.sha256()
     with open(os.path.join(directory, "snapshots.f64"), "wb") as fh:
         for s in states:
@@ -145,7 +149,7 @@ def write_snapshot(states: Sequence[StatePair], directory: str,
                 row = np.ascontiguousarray(vals, dtype=_ROW_DTYPE)
                 fh.write(row)
                 digest.update(row)
-    return digest.hexdigest()
+    return {"snapshots.npz": index, "snapshots.f64": digest.hexdigest()}
 
 
 def load_snapshots(directory: str, cfg_hash: str,
@@ -196,20 +200,6 @@ def load_snapshots(directory: str, cfg_hash: str,
     return states
 
 
-def _write_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _report_dict(rep: CheckReport) -> dict:
-    d = dataclasses.asdict(rep)
-    loc = d["location"]
-    if loc is not None and not isinstance(loc, (int, float, str)):
-        d["location"] = str(loc)
-    return d
-
-
 @dataclass
 class RunData:
     directory: str
@@ -235,11 +225,11 @@ def persist_run(
     """Write a complete run directory and return the manifest."""
     h = config_hash(cfg)
     # first: it refuses snapshots on two grids before any file is written
-    rows_sha256 = write_snapshot(traj.snapshots, directory, h)
-    save_config(cfg, os.path.join(directory, "config.json"))
-    write_series(traj.series, os.path.join(directory, "series.npz"), h)
-    inventory = {"config.json": None, "series.npz": None,
-                 "snapshots.npz": None, "snapshots.f64": rows_sha256}
+    digests = write_snapshot(traj.snapshots, directory, h)
+    digests["config.json"] = _write(os.path.join(directory, "config.json"),
+                                    _json(cfg.to_dict()))
+    digests["series.npz"] = write_series(
+        traj.series, os.path.join(directory, "series.npz"), h)
 
     verdict = dataclasses.asdict(traj.verdict)
     verdict["config_hash"] = h
@@ -252,10 +242,8 @@ def persist_run(
         "status": "complete",
         "name": cfg.name,
         "verdict": verdict,
-        "files": {
-            name: {"sha256": digest or _sha256(os.path.join(directory, name))}
-            for name, digest in sorted(inventory.items())
-        },
+        "files": {name: {"sha256": digest}
+                  for name, digest in sorted(digests.items())},
     }
     _commit_manifest(manifest, directory)
     return manifest
@@ -276,13 +264,11 @@ def write_checks(
         "battery": battery,
         "config_hash": manifest["config_hash"],
         "all_passed": all(r.passed for r in reports),
-        "reports": [_report_dict(r) for r in reports],
+        "reports": [dataclasses.asdict(r) for r in reports],
     }
     fname = f"checks_{battery}.json"
-    _write_json(payload, os.path.join(directory, fname))
     manifest["files"][fname] = {
-        "sha256": _sha256(os.path.join(directory, fname))
-    }
+        "sha256": _write(os.path.join(directory, fname), _json(payload))}
     _commit_manifest(manifest, directory)
     return payload
 
@@ -290,9 +276,8 @@ def write_checks(
 def _commit_manifest(manifest: dict, directory: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".manifest.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_json(manifest))
         os.replace(tmp, os.path.join(directory, "manifest.json"))
     except BaseException:
         if os.path.exists(tmp):

@@ -84,15 +84,13 @@ def test_verify_battery_exit_codes(workdir, capsys):
         cfg = write_cfg(workdir, name=name, **overrides)
         assert main(["simulate", cfg]) == 0
         run_dir = str(workdir / name)
-        rc = main(["verify", run_dir, "--battery", "conservation"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "[PASS] conservation" in out
-        assert (workdir / name / "checks_conservation.json").exists()
         for battery in ("trajectory", "suite"):
             assert main(["verify", run_dir, "--battery", battery]) in (0, 1)
+            assert (workdir / name / f"checks_{battery}.json").exists()
         assert main(["plot", run_dir]) == 0
-    assert "gradv_lp_p=1.26667" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[PASS] conservation" in out
+    assert "gradv_lp_p=1.26667" in out
 
 
 def test_verify_a_run_ended_by_a_non_finite_row(workdir, overflow_row,
@@ -105,9 +103,32 @@ def test_verify_a_run_ended_by_a_non_finite_row(workdir, overflow_row,
     assert "non_finite_diagnostics: D, g_l2" in capsys.readouterr().out
     run_dir = str(workdir / "clirun")
     assert load_run(run_dir).series["D"][-1] == math.inf
-    for battery in ("trajectory", "conservation", "energy", "suite"):
+    for battery in ("trajectory", "suite"):
         assert main(["verify", run_dir, "--battery", battery]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("battery", ["conservation", "energy"])
+def test_verify_refuses_a_retired_battery(workdir, capsys, battery):
+    # trajectory runs the conservation and energy checks; their own
+    # batteries are gone, and argparse stops with its usage error
+    assert main(["simulate", write_cfg(workdir)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(workdir / "clirun"), "--battery", battery])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (workdir / "clirun" / f"checks_{battery}.json").exists()
+
+
+def test_out_resolves_under_kslab_out(workdir, tmp_path_factory):
+    # a relative --out lands under KSLAB_OUT, an absolute one as given
+    cfg = write_cfg(workdir)
+    assert main(["simulate", cfg, "--out", "sub/run"]) == 0
+    assert (workdir / "sub" / "run" / "manifest.json").exists()
+    elsewhere = tmp_path_factory.mktemp("elsewhere") / "run"
+    assert main(["simulate", cfg, "--out", str(elsewhere)]) == 0
+    assert (elsewhere / "manifest.json").exists()
+    assert not (workdir / "clirun").exists()
 
 
 def test_verify_missing_dir_is_single_error_line(workdir, capsys):

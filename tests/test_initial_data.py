@@ -542,10 +542,10 @@ def test_verify_plot_constants_leave_scipy_unimported(tmp_path):
         "from kslab.cli import main\n"
         f"d = {run_dir!r}\n"
         "codes = [main(['verify', d, '--battery', b]) for b in\n"
-        "         ('trajectory', 'suite', 'energy', 'conservation')]\n"
+        "         ('trajectory', 'suite')]\n"
         "codes += [main(['plot', d]), main(['constants', '3', '2', '1.1'])]\n"
         f"print(json.dumps([codes, {_SCIPY_LOADED}, {_NUMPY_EXTRAS}]))\n")
     codes, loaded, extras = json.loads(out.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
     assert extras == []

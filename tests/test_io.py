@@ -22,10 +22,9 @@ from kslab import (
     run,
     step,
 )
-from kslab.config import output_root, save_config
+from kslab.config import save_config
 from kslab.functionals import StatePair
 from kslab.grid import RadialField, build_grid
-import kslab.io as kio
 from kslab.io import (
     SERIES_COLUMNS,
     load_run,
@@ -136,11 +135,6 @@ def test_config_without_r_rule_keeps_its_hash():
         "c160907cb0b599acc1a33cb7374176f1871d41b20f36afec6c7dd38c6df6bbbf")
 
 
-def test_output_root_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("KSLAB_OUT", str(tmp_path))
-    assert output_root() == str(tmp_path)
-
-
 # --- series and snapshots -----------------------------------------------
 
 
@@ -169,10 +163,11 @@ def test_series_header_validated(small_run, tmp_path):
 def test_snapshot_round_trip_rebuilds_grid(small_run, tmp_path):
     cfg, traj = small_run
     out = tmp_path / "store"
-    digest = write_snapshot(traj.snapshots, str(out), config_hash(cfg))
+    digests = write_snapshot(traj.snapshots, str(out), config_hash(cfg))
     assert sorted(os.listdir(out)) == ["snapshots.f64", "snapshots.npz"]
-    assert digest == hashlib.sha256(
-        (out / "snapshots.f64").read_bytes()).hexdigest()
+    assert digests == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("snapshots.f64", "snapshots.npz")}
     back = load_snapshots(str(out), config_hash(cfg))
     assert len(back) == len(traj.snapshots)
     for snap, b in zip(traj.snapshots, back):
@@ -376,22 +371,34 @@ def test_snapshot_row_file_format(small_run, tmp_path):
         assert t == snap.t
 
 
-def test_row_file_digest_taken_while_writing(small_run, tmp_path,
-                                             monkeypatch):
-    # the manifest's sha256 of snapshots.f64 comes from the row bytes as
-    # they are written; only the other files are read back to hash them
-    read_back = []
-    real = kio._sha256
-    monkeypatch.setattr(kio, "_sha256",
-                        lambda path: read_back.append(path) or real(path))
+def test_run_files_hashed_as_written(small_run, tmp_path, monkeypatch):
+    # persist_run and write_checks hash the bytes they write: the only file
+    # either opens for reading is the manifest that write_checks updates
+    opened = []
+    real = open
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(str(file)), mode))
+        return real(file, mode, *args, **kwargs)
+
     cfg, traj = small_run
     out = tmp_path / "run"
-    manifest = persist_run(traj, cfg, str(out))
-    assert sorted(os.path.basename(p) for p in read_back) == [
-        "config.json", "series.npz", "snapshots.npz"]
-    raw = (out / "snapshots.f64").read_bytes()
-    assert (manifest["files"]["snapshots.f64"]["sha256"]
-            == hashlib.sha256(raw).hexdigest())
+    reports = [check_conservation(traj)]
+    monkeypatch.setattr("builtins.open", spy)
+    persist_run(traj, cfg, str(out))
+    write_checks(reports, str(out), "trajectory")
+    monkeypatch.undo()
+    reads = [(name, mode) for name, mode in opened
+             if "r" in mode or "+" in mode]
+    assert reads == [("manifest.json", "r")]
+    assert {name for name, _ in opened} >= {
+        "config.json", "series.npz", "snapshots.npz", "snapshots.f64",
+        "checks_trajectory.json"}
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert set(files) == set(os.listdir(out)) - {"manifest.json"}
+    for name, entry in files.items():
+        assert entry["sha256"] == hashlib.sha256(
+            (out / name).read_bytes()).hexdigest(), name
     load_run(str(out))
 
 
