@@ -8,7 +8,7 @@ import math
 
 from kslab.functionals import energy_report
 from kslab.grid import build_grid
-from kslab.initial_data import baseline_profiles, perturbed_constant
+from kslab.initial_data import baseline_profiles
 from kslab.solver import SolverConfig, run
 
 g = build_grid(3, 1.0, 256)
@@ -25,7 +25,7 @@ for c in (0.25, 1.0, math.e, 10.0):
 
 print()
 print("== perturbed constant, amplitude 0.2 ==")
-s = perturbed_constant(g, c=1.0, amplitude=0.2, mode=1)
+s = baseline_profiles("constant", g, c=1.0, amplitude=0.2, mode=1)
 r0 = energy_report(s)
 print(f"  F = {r0.F:.6f} (constant reference {vol * (-0.5):.6f})")
 print(f"  D = {r0.D:.6f}")

@@ -19,7 +19,7 @@ out_root = pathlib.Path(os.environ.get("KSLAB_OUT", "demo_out"))
 
 # 1. the configured relaxation run
 cfg = load_config(str(here / "configs" / "relaxation.json"))
-traj = run(build_initial_state(cfg, cfg.build_grid()), cfg.solver)
+traj = run(build_initial_state(cfg), cfg.solver)
 run_dir = out_root / cfg.name
 persist_run(traj, cfg, str(run_dir))
 print(f"ran {cfg.name!r}: outcome {traj.verdict.outcome}, "

@@ -13,7 +13,7 @@ import pathlib
 
 from kslab.functionals import StatePair, theta_exponent
 from kslab.grid import build_grid
-from kslab.initial_data import baseline_profiles, constant_recipe, lemma14_pair, perturbed_constant
+from kslab.initial_data import baseline_profiles, constant_recipe, lemma14_pair
 from kslab.solver import SolverConfig, run
 from kslab.verifier import StateCorpus, inequality_suite
 
@@ -23,7 +23,7 @@ g = build_grid(3, 1.0, 96)
 members = [(f"const_{c:g}", baseline_profiles("constant", g, c=c))
            for c in (0.25, 1.0, math.e, 10.0)]
 
-traj = run(perturbed_constant(g, c=1.0, amplitude=0.3, mode=2),
+traj = run(baseline_profiles("constant", g, c=1.0, amplitude=0.3, mode=2),
            SolverConfig(t_end=0.5, dt_init=1e-5, dt_min=1e-8, dt_max=5e-3,
                         snapshot_every=4))
 members += [(f"relax_{i}", s) for i, s in enumerate(traj.snapshots)]

@@ -28,7 +28,6 @@ from .initial_data import (
     choose_eta_log,
     lemma14_pair,
     baseline_profiles,
-    perturbed_constant,
     constant_recipe,
 )
 from .solver import (
@@ -64,8 +63,7 @@ __all__ = [
     "StatePair", "EnergyReport", "energy_report", "residual_f",
     "theta_exponent", "exponent_window",
     "Lemma14Recipe", "BlowupDatum", "phi_log",
-    "choose_eta_log", "lemma14_pair", "baseline_profiles",
-    "perturbed_constant", "constant_recipe",
+    "choose_eta_log", "lemma14_pair", "baseline_profiles", "constant_recipe",
     "SolverConfig", "Trajectory", "BlowupVerdict", "step", "run",
     "SERIES_COLUMNS",
     "CheckReport", "StateCorpus", "check_conservation",

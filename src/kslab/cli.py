@@ -59,7 +59,7 @@ def _resolve_out(cfg: ExperimentConfig, override: str | None) -> str:
 def _simulate(cfg: ExperimentConfig, directory: str):
     """Run cfg from its initial state, persist it and return the verdict.
     run_solver and persist_run resolve on this module at call time."""
-    traj = run_solver(build_initial_state(cfg, cfg.build_grid()), cfg.solver)
+    traj = run_solver(build_initial_state(cfg), cfg.solver)
     persist_run(traj, cfg, directory)
     return traj.verdict
 

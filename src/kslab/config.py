@@ -8,15 +8,17 @@ order in the source file.
 
 A config is checked whole when it is built: the grid keys and the grid,
 initial.kind, checks.kappa > n - 2 for every kind (kappa is the only
-checks key; an unknown one is refused, as in the solver block), and every
-setting of the initial block, which _initial_builder reads on the config's
-grid (for kind lemma14 the recipe of lemma14_recipe_from and the family
-indices k and ks, each an integer >= 1), so a bad setting fails before
-any run starts or any file is written.  A value of the wrong JSON type
-(null where a number belongs, a float or a boolean where an integer
+checks key; an unknown one is refused, as in the solver block), and the
+initial block, whose state _initial_state builds on the config's grid
+(kinds constant and bump through baseline_profiles; kind lemma14 through
+the recipe of lemma14_recipe_from and its member k, with every entry of
+ks an integer >= 1), so each setting is checked by the code that uses it
+before any run starts or any file is written.  A value of the wrong JSON
+type (null where a number belongs, a float or a boolean where an integer
 belongs, in grid.n and N, initial.k, ks and mode and the solver's
 snapshot_every and max_steps, or a block that is not an object) is
 refused as a bad value is, with a ValueError that names its block.
+Keys a block's kind does not read are ignored.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .functionals import StatePair, theta_exponent
 from .grid import RadialGrid, build_grid
@@ -36,7 +39,6 @@ from .initial_data import (
     _sampled_member,
     baseline_profiles,
     lemma14_pair,  # noqa: F401  perfbench's span hooks wrap config.lemma14_pair
-    perturbed_constant,
 )
 from .solver import SolverConfig, _integer
 
@@ -88,7 +90,7 @@ class ExperimentConfig:
         with _block("checks"):
             theta_exponent(n, self.kappa)
         with _block("initial"):
-            _initial_builder(self.initial, grid)
+            _initial_state(self.initial, grid)
 
     @property
     def kappa(self) -> float:
@@ -157,14 +159,13 @@ def _json(obj) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_json(cfg.to_dict()))
-
-
-def build_initial_state(cfg: ExperimentConfig, grid: RadialGrid) -> StatePair:
-    """Realize the configured initial data on the given grid."""
-    return _initial_builder(cfg.initial, grid)()
+def build_initial_state(cfg: ExperimentConfig) -> StatePair:
+    """Realize the configured initial data on the config's grid."""
+    s = _initial_state(cfg.initial, cfg.build_grid())
+    if s is None:
+        raise ValueError("a run needs one member initial.k; "
+                         "initial.ks is for construct")
+    return s
 
 
 def member_ks(init: dict) -> list:
@@ -176,53 +177,39 @@ def member_ks(init: dict) -> list:
     return sorted({_family_index(_integer(k, "each entry of ks")) for k in ks})
 
 
-def _initial_builder(init: dict, grid: RadialGrid):
-    """Read every setting of the initial block on `grid` and return the
-    function of no arguments that realizes its state: the one reader of
-    that block, which ExperimentConfig runs at load so that a bad value
-    fails there."""
-    kind = init["kind"]
-    if kind == "constant":
-        c = _constant_level(grid, init, "constant initial data")
-        amplitude = float(init.get("amplitude", 0.0))
-        mode = _integer(init.get("mode", 1), "mode")
-        return lambda: perturbed_constant(grid, c=c, amplitude=amplitude,
-                                          mode=mode)
-    if kind == "bump":
-        m, width = float(init["m"]), float(init["width"])
-        floor = float(init.get("floor", 1e-3))
-        return lambda: baseline_profiles("bump", grid, m=m, width=width,
-                                         floor=floor)
+def _initial_state(init: dict, grid: RadialGrid) -> Optional[StatePair]:
+    """The state the initial block describes on `grid`, or None for a
+    lemma14 block without a member k (its ks are construct's).
+    ExperimentConfig builds it at load, so each setting is checked by the
+    code that uses it."""
+    if init["kind"] != "lemma14":
+        return baseline_profiles(init["kind"], grid, **init)
     recipe = lemma14_recipe_from(init, grid)
     member_ks(init)                   # construct's members, read at load
-    k = _family_index(_integer(init["k"], "k")) if "k" in init else None
-
-    def member() -> StatePair:
-        if k is None:
-            raise ValueError("a run needs one member initial.k; "
-                             "initial.ks is for construct")
-        # the grid data alone: lemma14_pair's continuum integrals
-        # serve construct, not a run
-        *_, u0, v0 = _sampled_member(recipe, k)
-        return StatePair(u0, v0)
-    return member
+    if "k" not in init:
+        return None
+    # the grid data alone: lemma14_pair's continuum integrals serve
+    # construct, not a run
+    *_, u0, v0 = _sampled_member(recipe, _integer(init["k"], "k"))
+    return StatePair(u0, v0)
 
 
 def lemma14_recipe_from(init: dict, grid: RadialGrid) -> Lemma14Recipe:
     """The recipe of a lemma14 initial block on `grid`: baseline {"kind":
-    "constant", "c"} (c = 1 when absent), p (1.1 when absent), alpha, and
-    r_rule {"r0", "q"}; absent alpha and r_rule take the recipe's
-    defaults.  The only reader of that block."""
-    baseline = init.get("baseline", {"kind": "constant", "c": 1.0})
+    "constant", "c" or "m"} (c = 1 when the block names no baseline), p
+    (1.1 when absent), alpha, and r_rule {"r0", "q"}; absent alpha and
+    r_rule take the recipe's defaults.  The only reader of that block."""
+    baseline = init.get("baseline", {"c": 1.0})
     if (not isinstance(baseline, dict)
             or baseline.get("kind", "constant") != "constant"):
         raise ValueError("only constant baselines are supported in configs")
+    c = _constant_level(grid, baseline, "lemma14 baseline")
     alpha, rule = init.get("alpha"), init.get("r_rule")
     if rule is not None:
         if not isinstance(rule, dict) or set(rule) != {"r0", "q"}:
             raise ValueError('initial.r_rule must be {"r0": ..., "q": ...}')
         rule = (float(rule["r0"]), float(rule["q"]))
     return Lemma14Recipe(
-        grid, float(baseline.get("c", 1.0)), float(init.get("p", 1.1)),
+        grid, c, float(init.get("p", 1.1)),
         None if alpha is None else float(alpha), rule)
 

@@ -52,6 +52,7 @@ import numpy as np
 
 from .functionals import StatePair, exponent_window
 from .grid import RadialField, RadialGrid
+from .solver import _integer
 
 __all__ = [
     "phi_log",
@@ -60,7 +61,6 @@ __all__ = [
     "BlowupDatum",
     "lemma14_pair",
     "baseline_profiles",
-    "perturbed_constant",
     "constant_recipe",
 ]
 
@@ -452,17 +452,30 @@ def _gaussian_moment(n: int, width: float, R: float) -> float:
     return val
 
 
-def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
-    """Ready-made positive baselines.
+def baseline_profiles(kind: str, grid: RadialGrid, /, **params) -> StatePair:
+    """Ready-made positive baselines.  kind and grid are positional only
+    and keys other than the kind's own are ignored, so a config's initial
+    block passes whole as params.
 
-    kind = 'constant': u = v = c (pass c, or m for c = m / |B_R|).
+    kind = 'constant': u = c (1 + amplitude cos(mode pi r / R)), v = c
+    (pass c, or m for c = m / |B_R|).  amplitude lies in [0, 1), so u
+    stays positive, and defaults to 0, the constant state; mode is a whole
+    number >= 1 (default 1), so the cosine has zero slope at both ends and
+    the data are compatible with the no-flux boundary.
     kind = 'bump': u = v = floor + A exp(-(r/width)^2) with A set so the
-    total mass is m (pass m, width, and optionally floor).
+    total mass is m (pass m, width, and optionally floor, default 1e-3).
     """
     if kind == "constant":
-        vals = np.full(grid.ncells, _constant_level(grid, params,
-                                                    "constant baseline"))
-        return StatePair(RadialField(grid, vals), RadialField(grid, vals))
+        c = _constant_level(grid, params, "constant baseline")
+        amplitude = float(params.get("amplitude", 0.0))
+        mode = _integer(params.get("mode", 1), "mode")
+        if not (0 <= amplitude < 1 and mode >= 1):
+            raise ValueError("constant baseline needs 0 <= amplitude < 1 "
+                             f"and mode >= 1, got {amplitude} and {mode}")
+        u = c * (1.0 + amplitude * np.cos(mode * math.pi * grid.centers
+                                          / grid.R))
+        return StatePair(RadialField(grid, u),
+                         RadialField(grid, np.full(grid.ncells, c)))
     if kind == "bump":
         m = float(params["m"])
         width = float(params["width"])
@@ -476,22 +489,6 @@ def baseline_profiles(kind: str, grid: RadialGrid, **params) -> StatePair:
         vals = floor + amp * np.exp(-((grid.centers / width) ** 2))
         return StatePair(RadialField(grid, vals), RadialField(grid, vals))
     raise ValueError(f"unknown baseline kind {kind!r}")
-
-
-def perturbed_constant(
-    grid: RadialGrid, c: float = 1.0, amplitude: float = 0.2, mode: int = 1
-) -> StatePair:
-    """u = c (1 + amplitude cos(mode pi r / R)), v = c.
-
-    The cosine has zero slope at both ends, so the data are compatible with
-    the no-flux boundary.  amplitude must stay below 1 to keep u positive.
-    """
-    if not (c > 0 and 0 <= amplitude < 1 and mode >= 1):
-        raise ValueError("need c > 0, 0 <= amplitude < 1, mode >= 1")
-    r = grid.centers
-    u = c * (1.0 + amplitude * np.cos(mode * math.pi * r / grid.R))
-    v = np.full(grid.ncells, c)
-    return StatePair(RadialField(grid, u), RadialField(grid, v))
 
 
 # the recipe over the constant baseline, under the name callers import

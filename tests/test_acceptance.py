@@ -49,8 +49,7 @@ def run4():
         solver=SolverConfig(t_end=0.5, dt_init=1e-5, dt_min=1e-8,
                             dt_max=5e-3, snapshot_every=2),
     )
-    grid = cfg.build_grid()
-    traj = run(build_initial_state(cfg, grid), cfg.solver)
+    traj = run(build_initial_state(cfg), cfg.solver)
     return cfg, traj
 
 
@@ -426,7 +425,7 @@ def test_criterion_09_odi_criterion(run4, resolved_runs, collapse_run):
 
 def test_criterion_10_determinism_and_restart(run4, tmp_path):
     cfg, traj = run4
-    rerun = run(build_initial_state(cfg, cfg.build_grid()), cfg.solver)
+    rerun = run(build_initial_state(cfg), cfg.solver)
     same_cols = all(np.array_equal(traj.series[k], rerun.series[k])
                     for k in traj.series)
     d_a, d_b = tmp_path / "a", tmp_path / "b"
@@ -442,7 +441,7 @@ def test_criterion_10_determinism_and_restart(run4, tmp_path):
         solver=SolverConfig(t_end=3e-3, dt_init=1e-4, dt_min=1e-6,
                             dt_max=1e-4, snapshot_every=1),
     )
-    straj = run(build_initial_state(short, short.build_grid()), short.solver)
+    straj = run(build_initial_state(short), short.solver)
     d_s = tmp_path / "short"
     persist_run(straj, short, str(d_s))
     rd = load_run(str(d_s))

@@ -329,6 +329,15 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
     ({"grid": {"n": 3, "R": 1.0, "N": 96, "grading": 1.1},
       "initial": {"kind": "lemma14", "ks": [0, 1], "p": 1.1}},
      "family index k must be a positive integer, got 0"),
+    # the initial state is built at load, so its range checks run there
+    ({"initial": {"kind": "constant", "c": 1.0, "amplitude": 1.5}},
+     "amplitude < 1"),
+    ({"initial": {"kind": "constant", "c": 1.0, "mode": 0}}, "mode >= 1"),
+    ({"initial": {"kind": "bump", "m": -1.0, "width": 0.3}}, "positive m"),
+    ({"initial": {"kind": "bump", "m": 1e-3, "width": 0.3, "floor": 1.0}},
+     "floor already exceeds"),
+    ({"grid": {"n": 3, "R": 1.0, "N": 64, "grading": 1.05},
+      "initial": {"kind": "lemma14", "k": 40, "p": 1.1}}, "cells inside"),
 ], ids=["bump_kappa", "lemma14_bump_baseline", "r_rule_q_1", "r_rule_r0_null",
         "solver_dt_max_null", "checks_kappa_null", "checks_tail_start_null",
         "checks_tail_start_12", "checks_unknown_key", "lemma14_baseline_number",
@@ -338,7 +347,8 @@ def test_unknown_solver_key_is_single_error_line(workdir, capsys):
         "lemma14_k_fraction", "lemma14_k_bool", "lemma14_ks_entry_fraction",
         "constant_mode_fraction", "solver_snapshot_every_fraction",
         "solver_max_steps_bool", "solver_t_end_infinity", "lemma14_k_0",
-        "lemma14_ks_entry_0"])
+        "lemma14_ks_entry_0", "constant_amplitude_1.5", "constant_mode_0",
+        "bump_m_negative", "bump_floor_above_mass", "lemma14_k_unresolved"])
 def test_bad_config_is_refused_at_load(workdir, capsys, overrides, says):
     cfg = write_cfg(workdir, name="bad", **overrides)
     assert main(["simulate", cfg]) == 2
@@ -555,8 +565,12 @@ def test_sweep_over_resolutions(workdir, capsys):
     ("lemma14", ["--ks", "1,0"]),
     ("lemma14", ["--ks", "1,1"]),
     ("constant", ["--resolutions", "32,48,32"]),
+    # each job's member is built with its config: one the grid cannot
+    # resolve stops the sweep before its first run
+    ("lemma14", ["--ks", "1,2,40"]),
 ], ids=["no_axis", "ks_without_lemma14", "ks_and_resolutions",
-        "resolution_below_16", "k_0", "k_repeated", "resolution_repeated"])
+        "resolution_below_16", "k_0", "k_repeated", "resolution_repeated",
+        "k_unresolved"])
 def test_sweep_requires_axis(workdir, capsys, kind, axes):
     initial = {"kind": kind, "c": 1.0, "k": 1, "p": 1.1}
     cfg = write_cfg(workdir, name="sw2", initial=initial)

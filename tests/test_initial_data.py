@@ -18,7 +18,6 @@ from kslab import (
     choose_eta_log,
     constant_recipe,
     lemma14_pair,
-    perturbed_constant,
     phi_log,
 )
 from kslab.config import (ExperimentConfig, build_initial_state,
@@ -226,6 +225,20 @@ def test_construction_matches_independent_references(family, k, alpha):
                                 rel=1e-11)
 
 
+def test_lemma14_baseline_level_is_c_or_m():
+    """A lemma14 baseline takes its level as the constant kind does: c, or
+    m / |B_R|; a block without a baseline means c = 1."""
+    g = build_grid(3, 1.0, 1024, grading=1.035)
+    init = {"kind": "lemma14", "p": 1.1}
+    by_mass = lemma14_recipe_from(
+        {**init, "baseline": {"kind": "constant", "m": 4.0 * g.domain_volume}},
+        g)
+    assert by_mass.c == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert lemma14_recipe_from(init, g).c == 1.0
+    with pytest.raises(ValueError, match="c or m"):
+        lemma14_recipe_from({**init, "baseline": {"kind": "constant"}}, g)
+
+
 def test_margin_recorded_nonnegative(recipe):
     for k in (3, 9, 15):
         assert lemma14_pair(recipe, k).margin >= 0.0
@@ -304,16 +317,19 @@ def test_unknown_baseline_kind():
 
 def test_perturbed_constant_properties():
     grid = build_grid(3, 1.0, 128)
-    s = perturbed_constant(grid, c=1.0, amplitude=0.2, mode=1)
+    s = baseline_profiles("constant", grid, c=1.0, amplitude=0.2, mode=1)
     assert np.all(s.u.values > 0)
     np.testing.assert_allclose(s.v.values, 1.0)
-    # cosine perturbation integrates to nearly zero mass change
+    # the cosine is not mass-neutral in the radial measure r^2 dr
     assert grid.integrate_values(s.u.values) != pytest.approx(
         4 * math.pi / 3, rel=1e-12)
-    with pytest.raises(ValueError):
-        perturbed_constant(grid, amplitude=1.0)
-    with pytest.raises(ValueError):
-        perturbed_constant(grid, c=-1.0)
+    for bad in ({"amplitude": 1.0}, {"amplitude": -0.1}, {"c": -1.0},
+                {"mode": 0}):
+        with pytest.raises(ValueError):
+            baseline_profiles("constant", grid, **{"c": 1.0, **bad})
+    # a fractional mode would build a cosine with nonzero slope at R
+    with pytest.raises(TypeError, match="mode must be an integer"):
+        baseline_profiles("constant", grid, c=1.0, amplitude=0.2, mode=2.5)
 
 
 def _fresh_process(script: str) -> str:
@@ -505,7 +521,7 @@ def test_run_initial_state_skips_the_continuum_integrals(grading, k, r_rule):
         "grid": {"n": 3, "R": 1.0, "N": 1024, "grading": grading}})
     g = cfg.build_grid()
     datum = lemma14_pair(lemma14_recipe_from(init, g), k)
-    s = build_initial_state(cfg, g)
+    s = build_initial_state(cfg)
     assert s.u.values.tobytes() == datum.u0.values.tobytes()
     assert s.v.values.tobytes() == datum.v0.values.tobytes()
 
@@ -515,16 +531,17 @@ def test_run_initial_state_skips_the_continuum_integrals(grading, k, r_rule):
     (5, 8192, {"c": 0.37}, 3),
 ])
 def test_unperturbed_constant_run_starts_at_the_baseline(n, N, level, mode):
-    """A constant config without amplitude starts from the constant
-    baseline u = v = c, bitwise."""
+    """A constant config without amplitude starts from the constant state
+    u = v = c, bitwise."""
     cfg = ExperimentConfig.from_dict({
         "name": "flat", "initial": {"kind": "constant", "mode": mode, **level},
         "grid": {"n": n, "R": 1.0, "N": N, "grading": 1.0}})
     g = cfg.build_grid()
-    s = build_initial_state(cfg, g)
-    base = baseline_profiles("constant", g, **level)
-    assert s.u.values.tobytes() == base.u.values.tobytes()
-    assert s.v.values.tobytes() == base.v.values.tobytes()
+    s = build_initial_state(cfg)
+    c = level.get("c") or level["m"] / g.domain_volume
+    flat = np.full(N, c).tobytes()
+    assert s.u.values.tobytes() == flat
+    assert s.v.values.tobytes() == flat
 
 
 def test_verify_plot_constants_leave_scipy_unimported(tmp_path):

@@ -18,11 +18,9 @@ from kslab import (
     constant_recipe,
     lemma14_pair,
     load_config,
-    perturbed_constant,
     run,
     step,
 )
-from kslab.config import save_config
 from kslab.functionals import StatePair
 from kslab.grid import RadialField, build_grid
 from kslab.io import (
@@ -53,8 +51,7 @@ def small_config(name="t"):
 @pytest.fixture(scope="module")
 def small_run():
     cfg = small_config()
-    grid = cfg.build_grid()
-    return cfg, run(build_initial_state(cfg, grid), cfg.solver)
+    return cfg, run(build_initial_state(cfg), cfg.solver)
 
 
 # --- hashing ------------------------------------------------------------
@@ -81,11 +78,12 @@ def test_hash_sensitive_to_values():
     assert config_hash(a) != config_hash(b)
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = small_config()
-    path = tmp_path / "c.json"
-    save_config(cfg, str(path))
-    assert config_hash(load_config(str(path))) == config_hash(cfg)
+def test_config_file_round_trip(small_run, tmp_path):
+    # the config.json a run directory stores loads back to the same hash
+    cfg, traj = small_run
+    persist_run(traj, cfg, str(tmp_path / "run"))
+    loaded = load_config(str(tmp_path / "run" / "config.json"))
+    assert config_hash(loaded) == config_hash(cfg)
 
 
 def test_config_rejects_unknown_initial_kind():
@@ -110,7 +108,7 @@ def test_config_r_rule_builds_the_resolved_family(k):
     family the acceptance suite evolves, bit for bit."""
     cfg = _lemma14_config(k=k, r_rule={"r0": 0.8, "q": 0.97})
     grid = cfg.build_grid()
-    s = build_initial_state(cfg, grid)
+    s = build_initial_state(cfg)
     ref = lemma14_pair(constant_recipe(grid, c=4.0, p=1.1,
                                        r_rule=(0.8, 0.97)), k)
     assert s.u.values.tobytes() == ref.u0.values.tobytes()

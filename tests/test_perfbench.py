@@ -1,4 +1,5 @@
-"""The benchmark's span hooks and imports name what the package still has."""
+"""The benchmark's span hooks, imports and inputs name what the package
+still has and still accepts."""
 
 import ast
 import importlib
@@ -6,21 +7,30 @@ import inspect
 import pathlib
 import sys
 
+import pytest
+
+from kslab.config import load_config
+from kslab.grid import build_grid
 from kslab.verifier import StateCorpus
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_hooks_resolve(monkeypatch):
+@pytest.fixture()
+def workloads(monkeypatch):
     # perfbench/ is a directory of scripts whose modules import each other
-    # by bare name; a hooked name that no longer exists would otherwise
-    # only break a traced benchmark run
+    # by bare name
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
-        workloads = importlib.import_module("workloads")
+        yield importlib.import_module("workloads")
     finally:
         for name in ("workloads", "inputs"):
             sys.modules.pop(name, None)
+
+
+def test_traced_hooks_resolve(workloads):
+    # a hooked name that no longer exists would otherwise only break a
+    # traced benchmark run
     missing = []
     for owner, attr, _ in workloads.TRACED:
         try:
@@ -64,3 +74,20 @@ def test_benchmark_imports_resolve():
         except ImportError:
             missing.append(module if name is None else f"{module}.{name}")
     assert not missing
+
+
+@pytest.mark.parametrize("name", ["collapse_store", "spike_family"])
+def test_benchmark_inputs_load(workloads, name, tmp_path):
+    """Each workload's inputs build at seed 0 as a benchmark run builds
+    them, and every config file it writes loads: a config reader that
+    refused one would otherwise only fail a benchmark run."""
+    w = workloads.Workload(name, 0, str(tmp_path))
+    data = w.inputs
+    g = workloads.inputs.setup_grid(data)
+    workloads.setup_datum(name, data,
+                          build_grid(g["n"], g["R"], g["N"], g["grading"]))
+    if name == "spike_family":
+        assert sorted(w.config_paths) == sorted(
+            c["name"] for c in [data["construct"], *data["simulate"]])
+        for path in w.config_paths.values():
+            load_config(path)

@@ -15,7 +15,6 @@ from kslab import (
     constant_recipe,
     energy_report,
     lemma14_pair,
-    perturbed_constant,
     run,
     step,
 )
@@ -53,7 +52,7 @@ def test_step_refuses_a_dt_that_is_not_positive_and_finite(grid, dt):
 
 
 def test_mass_conservation_per_step(grid):
-    s = perturbed_constant(grid, c=1.0, amplitude=0.3, mode=2)
+    s = baseline_profiles("constant", grid, c=1.0, amplitude=0.3, mode=2)
     m0 = grid.integrate_values(s.u.values)
     for _ in range(200):
         s = step(s, 5e-4)
@@ -65,7 +64,7 @@ def test_mass_conservation_per_step(grid):
 
 def test_v_mass_discrete_recursion(grid):
     # the v update integrates to m_v' = (m_v + dt m_u) / (1 + dt) exactly
-    s = perturbed_constant(grid, c=1.0, amplitude=0.3, mode=1)
+    s = baseline_profiles("constant", grid, c=1.0, amplitude=0.3, mode=1)
     dt = 1e-3
     mu = grid.integrate_values(s.u.values)
     mv = grid.integrate_values(s.v.values)
@@ -136,7 +135,7 @@ def test_v_relaxes_toward_u(grid):
 
 
 def test_run_reaches_t_end_and_series_shape(grid):
-    s = perturbed_constant(grid, c=1.0, amplitude=0.2)
+    s = baseline_profiles("constant", grid, c=1.0, amplitude=0.2)
     cfg = SolverConfig(t_end=0.05, dt_init=1e-5, dt_max=2e-3, snapshot_every=10)
     traj = run(s, cfg)
     assert traj.verdict.outcome == "reached_t_end"
@@ -160,8 +159,8 @@ def test_snapshot_rows_match_public_functionals(n):
     # record the step's, which
     # test_every_series_row_matches_spelled_out_diagnostics pins against
     # the departure u
-    s0 = perturbed_constant(build_grid(n, 1.0, 96), c=1.0, amplitude=0.3,
-                            mode=2)
+    s0 = baseline_profiles("constant", build_grid(n, 1.0, 96), c=1.0,
+                           amplitude=0.3, mode=2)
     cfg = SolverConfig(t_end=1e-4, dt_init=1e-5, dt_max=1e-4,
                        snapshot_every=2)
     traj = run(s0, cfg)
@@ -296,7 +295,7 @@ def test_non_finite_diagnostics_row_ends_the_run(overflow_row, at):
 def test_snapshot_retention_rule(grid, every, multiple):
     # s0, then every `every`-th accepted state, then the final state once;
     # each snapshot is the state of its series row, replayed through step
-    s0 = perturbed_constant(grid, c=1.0, amplitude=0.2)
+    s0 = baseline_profiles("constant", grid, c=1.0, amplitude=0.2)
     cfg = SolverConfig(t_end=1.2e-2, dt_init=1e-3, dt_max=1e-3,
                        snapshot_every=every)
     traj = run(s0, cfg)
@@ -424,7 +423,7 @@ def test_controller_grows_dt_to_cap(grid):
 
 
 def test_energy_never_increases_beyond_tolerance(grid):
-    s = perturbed_constant(grid, c=1.0, amplitude=0.4, mode=3)
+    s = baseline_profiles("constant", grid, c=1.0, amplitude=0.4, mode=3)
     cfg = SolverConfig(t_end=0.2, dt_init=1e-5, dt_max=2e-3)
     traj = run(s, cfg)
     F, D, dt = (traj.series[c] for c in ("F", "D", "dt"))
@@ -450,10 +449,10 @@ def test_one_step_energy_law_at_every_dt(N, grading):
 
 
 def test_determinism_bitwise(grid):
-    s = perturbed_constant(grid, c=1.0, amplitude=0.2)
+    s = baseline_profiles("constant", grid, c=1.0, amplitude=0.2)
     cfg = SolverConfig(t_end=0.02, dt_init=1e-5, dt_max=1e-3)
     a = run(s, cfg)
-    b = run(perturbed_constant(grid, c=1.0, amplitude=0.2), cfg)
+    b = run(baseline_profiles("constant", grid, c=1.0, amplitude=0.2), cfg)
     for col in a.series:
         assert np.all(a.series[col] == b.series[col]), col
 
@@ -666,8 +665,9 @@ def test_one_step_mass_error_at_flux_roundoff_scale(step_data, dt):
 
 def _property_state(kind, grid, mass):
     if kind == "perturbed_constant":
-        return perturbed_constant(grid, c=mass / grid.domain_volume,
-                                  amplitude=0.3, mode=2)
+        return baseline_profiles("constant", grid,
+                                 c=mass / grid.domain_volume,
+                                 amplitude=0.3, mode=2)
     if kind == "bump":
         return baseline_profiles("bump", grid, m=mass, width=0.15, floor=1e-2)
     d = lemma14_pair(_resolved_recipe(grid, c=mass / grid.domain_volume), 4)

@@ -24,7 +24,6 @@ from kslab import (
     constant_recipe,
     inequality_suite,
     lemma14_pair,
-    perturbed_constant,
     run,
     trajectory_battery,
 )
@@ -37,7 +36,7 @@ from kslab.verifier import GROWTH_LIMIT, _TOL_FLOOR, _quartile_trend
 def decay_run():
     grid = build_grid(3, 1.0, 96)
     cfg = SolverConfig(t_end=0.5, dt_init=1e-5, dt_max=5e-3, snapshot_every=10)
-    return run(perturbed_constant(grid, c=1.0, amplitude=0.2), cfg)
+    return run(baseline_profiles("constant", grid, c=1.0, amplitude=0.2), cfg)
 
 
 def tampered(traj, col, factor, row=-1):
@@ -196,7 +195,7 @@ def test_gradv_lp_passes_on_short_relaxation_from_constant_v(n):
     cfg = dataclasses.replace(
         cfg, grid={**cfg.grid, "n": n}, checks={},
         solver=dataclasses.replace(cfg.solver, t_end=0.1))
-    traj = run(build_initial_state(cfg, cfg.build_grid()), cfg.solver)
+    traj = run(build_initial_state(cfg), cfg.solver)
     assert traj.verdict.outcome == "reached_t_end"
     rep = check_gradv_lp(traj)
     assert rep.passed, str(rep)
